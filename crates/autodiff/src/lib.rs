@@ -8,11 +8,25 @@
 //! log-densities are written once and evaluated either as plain `f64`
 //! (cheap value-only passes) or as taped [`Var`]s (gradient passes).
 //!
+//! A tape is long-lived. Stan clears one arena per iteration; here every
+//! sampling thread keeps one [`Tape`], and [`grad_into`] clears it,
+//! registers the inputs as leaves ([`Tape::leaves`]), records the
+//! closure, sweeps it backwards and writes the gradient into the
+//! caller's slice — allocating nothing once the tape's buffers have
+//! grown to the expression. A posterior that is a sum of terms over
+//! the same inputs is swept a term at a time
+//! ([`Leaves::grad_term`]: record behind the leaves, sweep that
+//! segment only, truncate), which gives each leaf the floating-point
+//! sequence a private tape per term would and keeps the live tape one
+//! term long. [`grad_of`] is the one-shot form on a tape of its own.
+//!
 //! The tape also doubles as the *working-set probe* of the architecture
 //! simulation: its node count and byte size per gradient evaluation are
 //! exactly the "intermediate variables in the inference algorithm" that
 //! the paper identifies as the cause of multi-MB working sets from
-//! KB-scale modeled data (Section V-A).
+//! KB-scale modeled data (Section V-A). [`TapeStats`] counts a term as
+//! its leaves plus its nodes, so a gradient summed over terms reports
+//! what one private tape per term would.
 //!
 //! # Example
 //!
@@ -36,16 +50,15 @@ mod var;
 
 pub use forward::{grad_forward, Dual};
 pub use real::Real;
-pub use tape::{Tape, TapeStats};
+pub use tape::{Leaves, Tape, TapeStats};
 pub use var::Var;
 
-/// Evaluates `f` at `x` with gradient, returning `(value, gradient,
-/// tape statistics)`.
+/// Evaluates `f` at `x` with gradient on a tape of its own, returning
+/// `(value, gradient, tape statistics)`.
 ///
-/// This is the one-shot entry point used by the samplers: it allocates a
-/// fresh tape (mirroring Stan's per-iteration arena), seeds one
-/// independent [`Var`] per input, runs the closure forward, and sweeps
-/// the tape backwards.
+/// The one-shot form of [`grad_into`], for tests, examples and
+/// profiling probes; code that evaluates gradients in a loop keeps a
+/// tape and calls [`grad_into`].
 ///
 /// # Example
 ///
@@ -59,18 +72,11 @@ pub fn grad_of<F>(x: &[f64], f: F) -> (f64, Vec<f64>, TapeStats)
 where
     F: for<'t> Fn(&[Var<'t>]) -> Var<'t>,
 {
-    let tape = Tape::with_capacity(4 * x.len() + 64);
-    let vars: Vec<Var<'_>> = x.iter().map(|&v| tape.var(v)).collect();
-    let out = f(&vars);
-    let adjoints = tape.grad(out);
-    let grad = vars.iter().map(|v| adjoints[v.index()]).collect();
-    (out.value(), grad, tape.stats())
+    grad_of_in(&Tape::new(), x, f)
 }
 
-/// Like [`grad_of`], but records onto a caller-provided tape, resetting
-/// it first. The worker pool keeps one long-lived tape per OS thread and
-/// evaluates every shard on it, so the per-shard cost is a `Vec::clear`
-/// instead of a fresh arena allocation.
+/// Like [`grad_of`], but records onto a caller-provided tape, clearing
+/// it first.
 ///
 /// # Example
 ///
@@ -89,12 +95,33 @@ pub fn grad_of_in<F>(tape: &Tape, x: &[f64], f: F) -> (f64, Vec<f64>, TapeStats)
 where
     F: for<'t> Fn(&[Var<'t>]) -> Var<'t>,
 {
-    tape.reset();
-    let vars: Vec<Var<'_>> = x.iter().map(|&v| tape.var(v)).collect();
-    let out = f(&vars);
-    let adjoints = tape.grad(out);
-    let grad = vars.iter().map(|v| adjoints[v.index()]).collect();
-    (out.value(), grad, tape.stats())
+    let mut grad = vec![0.0; x.len()];
+    let (value, stats) = grad_into(tape, x, &mut grad, f);
+    (value, grad, stats)
+}
+
+/// Evaluates `f` at `x` on `tape`, clearing it first, and writes the
+/// gradient into `grad`; returns `(value, tape statistics)`. This is
+/// the entry point of the samplers: on a long-lived tape it allocates
+/// nothing once the tape has grown to the size of `f`.
+///
+/// # Example
+///
+/// ```
+/// use bayes_autodiff::{grad_into, Tape};
+///
+/// let tape = Tape::new();
+/// let mut g = [0.0; 2];
+/// let (v, stats) = grad_into(&tape, &[3.0, 4.0], &mut g, |x| x[0] * x[1]);
+/// assert_eq!((v, g), (12.0, [4.0, 3.0]));
+/// assert_eq!(stats.nodes, 3);
+/// ```
+#[inline]
+pub fn grad_into<F>(tape: &Tape, x: &[f64], grad: &mut [f64], f: F) -> (f64, TapeStats)
+where
+    F: for<'t> FnOnce(&[Var<'t>]) -> Var<'t>,
+{
+    tape.leaves(x).grad_term(grad, f)
 }
 
 /// Evaluates `f` at `x` without building a tape (plain `f64` pass).

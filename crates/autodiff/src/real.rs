@@ -74,102 +74,134 @@ pub trait Real:
 }
 
 impl Real for f64 {
+    #[inline]
     fn val(self) -> f64 {
         self
     }
+    #[inline]
     fn ln(self) -> Self {
         f64::ln(self)
     }
+    #[inline]
     fn ln_1p(self) -> Self {
         f64::ln_1p(self)
     }
+    #[inline]
     fn exp(self) -> Self {
         f64::exp(self)
     }
+    #[inline]
     fn sqrt(self) -> Self {
         f64::sqrt(self)
     }
+    #[inline]
     fn square(self) -> Self {
         self * self
     }
+    #[inline]
     fn recip(self) -> Self {
         1.0 / self
     }
+    #[inline]
     fn powi(self, n: i32) -> Self {
         f64::powi(self, n)
     }
+    #[inline]
     fn powf(self, p: f64) -> Self {
         f64::powf(self, p)
     }
+    #[inline]
     fn sin(self) -> Self {
         f64::sin(self)
     }
+    #[inline]
     fn cos(self) -> Self {
         f64::cos(self)
     }
+    #[inline]
     fn atan(self) -> Self {
         f64::atan(self)
     }
+    #[inline]
     fn tanh(self) -> Self {
         f64::tanh(self)
     }
+    #[inline]
     fn sigmoid(self) -> Self {
         special::sigmoid(self)
     }
+    #[inline]
     fn log1p_exp(self) -> Self {
         special::log1p_exp(self)
     }
+    #[inline]
     fn ln_gamma(self) -> Self {
         special::ln_gamma(self)
     }
 }
 
 impl Real for Var<'_> {
+    #[inline]
     fn val(self) -> f64 {
         self.value()
     }
+    #[inline]
     fn ln(self) -> Self {
         Var::ln(self)
     }
+    #[inline]
     fn ln_1p(self) -> Self {
         Var::ln_1p(self)
     }
+    #[inline]
     fn exp(self) -> Self {
         Var::exp(self)
     }
+    #[inline]
     fn sqrt(self) -> Self {
         Var::sqrt(self)
     }
+    #[inline]
     fn square(self) -> Self {
         Var::square(self)
     }
+    #[inline]
     fn recip(self) -> Self {
         Var::recip(self)
     }
+    #[inline]
     fn powi(self, n: i32) -> Self {
         Var::powi(self, n)
     }
+    #[inline]
     fn powf(self, p: f64) -> Self {
         Var::powf(self, p)
     }
+    #[inline]
     fn sin(self) -> Self {
         Var::sin(self)
     }
+    #[inline]
     fn cos(self) -> Self {
         Var::cos(self)
     }
+    #[inline]
     fn atan(self) -> Self {
         Var::atan(self)
     }
+    #[inline]
     fn tanh(self) -> Self {
         Var::tanh(self)
     }
+    #[inline]
     fn sigmoid(self) -> Self {
         Var::sigmoid(self)
     }
+    #[inline]
     fn log1p_exp(self) -> Self {
         Var::log1p_exp(self)
     }
+    #[inline]
     fn ln_gamma(self) -> Self {
         Var::ln_gamma(self)
     }

@@ -16,26 +16,31 @@ pub struct Var<'t> {
 }
 
 impl<'t> Var<'t> {
+    #[inline]
     pub(crate) fn new(tape: &'t Tape, idx: u32, val: f64) -> Self {
         Self { tape, idx, val }
     }
 
     /// The current numeric value.
+    #[inline]
     pub fn value(&self) -> f64 {
         self.val
     }
 
     /// Position of this variable on its tape; indexes the adjoint vector
     /// returned by [`Tape::grad`].
+    #[inline]
     pub fn index(&self) -> usize {
         self.idx as usize
     }
 
     /// The tape this variable belongs to.
+    #[inline]
     pub fn tape(&self) -> &'t Tape {
         self.tape
     }
 
+    #[inline]
     fn unary(self, val: f64, dval: f64) -> Self {
         let idx = self.tape.push([self.idx, self.idx], [dval, 0.0], false);
         Self::new(self.tape, idx, val)
@@ -43,11 +48,13 @@ impl<'t> Var<'t> {
 
     /// Unary op backed by a long-latency library kernel (`exp`, `ln`,
     /// `lgamma`, trig) — recorded for the IPC model.
+    #[inline]
     fn unary_trans(self, val: f64, dval: f64) -> Self {
         self.tape.note_transcendental();
         self.unary(val, dval)
     }
 
+    #[inline]
     fn binary(self, rhs: Self, val: f64, dl: f64, dr: f64) -> Self {
         debug_assert!(
             std::ptr::eq(self.tape, rhs.tape),
@@ -58,81 +65,96 @@ impl<'t> Var<'t> {
     }
 
     /// Natural logarithm.
+    #[inline]
     pub fn ln(self) -> Self {
         self.unary_trans(self.val.ln(), 1.0 / self.val)
     }
 
     /// `ln(1 + x)`, numerically stable near zero.
+    #[inline]
     pub fn ln_1p(self) -> Self {
         self.unary_trans(self.val.ln_1p(), 1.0 / (1.0 + self.val))
     }
 
     /// Exponential.
+    #[inline]
     pub fn exp(self) -> Self {
         let e = self.val.exp();
         self.unary_trans(e, e)
     }
 
     /// Square root.
+    #[inline]
     pub fn sqrt(self) -> Self {
         let s = self.val.sqrt();
         self.unary_trans(s, 0.5 / s)
     }
 
     /// Square (`x²`), cheaper than `powi(2)` on the tape.
+    #[inline]
     pub fn square(self) -> Self {
         self.unary(self.val * self.val, 2.0 * self.val)
     }
 
     /// Reciprocal (`1/x`).
+    #[inline]
     pub fn recip(self) -> Self {
         let r = 1.0 / self.val;
         self.unary(r, -r * r)
     }
 
     /// Integer power.
+    #[inline]
     pub fn powi(self, n: i32) -> Self {
         self.unary(self.val.powi(n), n as f64 * self.val.powi(n - 1))
     }
 
     /// Real power with a constant exponent.
+    #[inline]
     pub fn powf(self, p: f64) -> Self {
         self.unary_trans(self.val.powf(p), p * self.val.powf(p - 1.0))
     }
 
     /// Sine.
+    #[inline]
     pub fn sin(self) -> Self {
         self.unary_trans(self.val.sin(), self.val.cos())
     }
 
     /// Cosine.
+    #[inline]
     pub fn cos(self) -> Self {
         self.unary_trans(self.val.cos(), -self.val.sin())
     }
 
     /// Arctangent (the Cauchy-CDF kernel of Section VII).
+    #[inline]
     pub fn atan(self) -> Self {
         self.unary_trans(self.val.atan(), 1.0 / (1.0 + self.val * self.val))
     }
 
     /// Hyperbolic tangent.
+    #[inline]
     pub fn tanh(self) -> Self {
         let t = self.val.tanh();
         self.unary_trans(t, 1.0 - t * t)
     }
 
     /// Logistic sigmoid.
+    #[inline]
     pub fn sigmoid(self) -> Self {
         let s = special::sigmoid(self.val);
         self.unary_trans(s, s * (1.0 - s))
     }
 
     /// `ln(1 + eˣ)` (softplus), the log-logistic-CDF kernel.
+    #[inline]
     pub fn log1p_exp(self) -> Self {
         self.unary_trans(special::log1p_exp(self.val), special::sigmoid(self.val))
     }
 
     /// `ln Γ(x)`; derivative is the digamma function.
+    #[inline]
     pub fn ln_gamma(self) -> Self {
         self.unary_trans(special::ln_gamma(self.val), special::digamma(self.val))
     }
@@ -140,6 +162,7 @@ impl<'t> Var<'t> {
 
 impl Add for Var<'_> {
     type Output = Self;
+    #[inline]
     fn add(self, rhs: Self) -> Self {
         self.binary(rhs, self.val + rhs.val, 1.0, 1.0)
     }
@@ -147,6 +170,7 @@ impl Add for Var<'_> {
 
 impl Sub for Var<'_> {
     type Output = Self;
+    #[inline]
     fn sub(self, rhs: Self) -> Self {
         self.binary(rhs, self.val - rhs.val, 1.0, -1.0)
     }
@@ -154,6 +178,7 @@ impl Sub for Var<'_> {
 
 impl Mul for Var<'_> {
     type Output = Self;
+    #[inline]
     fn mul(self, rhs: Self) -> Self {
         self.binary(rhs, self.val * rhs.val, rhs.val, self.val)
     }
@@ -161,6 +186,7 @@ impl Mul for Var<'_> {
 
 impl Div for Var<'_> {
     type Output = Self;
+    #[inline]
     fn div(self, rhs: Self) -> Self {
         let inv = 1.0 / rhs.val;
         self.binary(rhs, self.val * inv, inv, -self.val * inv * inv)
@@ -169,6 +195,7 @@ impl Div for Var<'_> {
 
 impl Neg for Var<'_> {
     type Output = Self;
+    #[inline]
     fn neg(self) -> Self {
         self.unary(-self.val, -1.0)
     }
@@ -176,6 +203,7 @@ impl Neg for Var<'_> {
 
 impl Add<f64> for Var<'_> {
     type Output = Self;
+    #[inline]
     fn add(self, rhs: f64) -> Self {
         self.unary(self.val + rhs, 1.0)
     }
@@ -183,6 +211,7 @@ impl Add<f64> for Var<'_> {
 
 impl Sub<f64> for Var<'_> {
     type Output = Self;
+    #[inline]
     fn sub(self, rhs: f64) -> Self {
         self.unary(self.val - rhs, 1.0)
     }
@@ -190,6 +219,7 @@ impl Sub<f64> for Var<'_> {
 
 impl Mul<f64> for Var<'_> {
     type Output = Self;
+    #[inline]
     fn mul(self, rhs: f64) -> Self {
         self.unary(self.val * rhs, rhs)
     }
@@ -197,6 +227,7 @@ impl Mul<f64> for Var<'_> {
 
 impl Div<f64> for Var<'_> {
     type Output = Self;
+    #[inline]
     fn div(self, rhs: f64) -> Self {
         self.unary(self.val / rhs, 1.0 / rhs)
     }
@@ -204,6 +235,7 @@ impl Div<f64> for Var<'_> {
 
 impl<'t> Add<Var<'t>> for f64 {
     type Output = Var<'t>;
+    #[inline]
     fn add(self, rhs: Var<'t>) -> Var<'t> {
         rhs + self
     }
@@ -211,6 +243,7 @@ impl<'t> Add<Var<'t>> for f64 {
 
 impl<'t> Sub<Var<'t>> for f64 {
     type Output = Var<'t>;
+    #[inline]
     fn sub(self, rhs: Var<'t>) -> Var<'t> {
         rhs.unary(self - rhs.val, -1.0)
     }
@@ -218,6 +251,7 @@ impl<'t> Sub<Var<'t>> for f64 {
 
 impl<'t> Mul<Var<'t>> for f64 {
     type Output = Var<'t>;
+    #[inline]
     fn mul(self, rhs: Var<'t>) -> Var<'t> {
         rhs * self
     }
@@ -225,6 +259,7 @@ impl<'t> Mul<Var<'t>> for f64 {
 
 impl<'t> Div<Var<'t>> for f64 {
     type Output = Var<'t>;
+    #[inline]
     fn div(self, rhs: Var<'t>) -> Var<'t> {
         let inv = 1.0 / rhs.val;
         rhs.unary(self * inv, -self * inv * inv)

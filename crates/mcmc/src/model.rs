@@ -2,9 +2,10 @@
 //! data-parallel layer.
 
 use crate::par;
-use bayes_autodiff::{grad_forward, grad_of, grad_of_in, Real, Tape, TapeStats, Var};
+use bayes_autodiff::{grad_forward, grad_into, grad_of, Leaves, Real, Tape, TapeStats, Var};
 use bayes_obs::{Event, RecorderHandle};
 use rand::Rng;
+use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -22,6 +23,25 @@ pub struct EvalProfile {
     /// Long-latency transcendental ops (`exp`, `ln`, `lgamma`, …)
     /// among the tape nodes; drives the op-mix IPC differentiation.
     pub transcendental_nodes: usize,
+}
+
+impl From<TapeStats> for EvalProfile {
+    fn from(stats: TapeStats) -> Self {
+        Self {
+            tape_nodes: stats.nodes,
+            tape_bytes: stats.bytes,
+            transcendental_nodes: stats.transcendental,
+        }
+    }
+}
+
+thread_local! {
+    /// The tape every gradient this thread evaluates is recorded on —
+    /// a chain thread's whole run, a pool worker's every shard — so
+    /// that once it has grown to the largest term nothing allocates.
+    /// A gradient clears it first; densities must not evaluate another
+    /// model's gradient while they record.
+    static GRAD_TAPE: Tape = Tape::new();
 }
 
 /// A Bayesian model with a differentiable log-posterior over an
@@ -161,18 +181,15 @@ impl<D: LogDensity> Model for AdModel<D> {
 
     fn ln_posterior_grad(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
         debug_assert_eq!(grad.len(), self.dim());
-        let (val, g, _) = grad_of(theta, |v: &[Var<'_>]| self.density.eval(v));
-        grad.copy_from_slice(&g);
-        val
+        GRAD_TAPE.with(|tape| grad_into(tape, theta, grad, |v: &[Var<'_>]| self.density.eval(v)).0)
     }
 
     fn grad_profile(&self, theta: &[f64]) -> EvalProfile {
-        let (_, _, stats) = grad_of(theta, |v: &[Var<'_>]| self.density.eval(v));
-        EvalProfile {
-            tape_nodes: stats.nodes,
-            tape_bytes: stats.bytes,
-            transcendental_nodes: stats.transcendental,
-        }
+        // A tape of its own, dropped here: a full-scale probe must not
+        // leave megabytes behind in this thread's sampling tape.
+        grad_of(theta, |v: &[Var<'_>]| self.density.eval(v))
+            .2
+            .into()
     }
 }
 
@@ -228,10 +245,35 @@ pub fn shard_ranges(n_data: usize, shards: usize) -> Vec<Range<usize>> {
     out
 }
 
+/// What one shard contributes to the gradient, parked until the
+/// fixed-order reduction reaches it.
+#[derive(Default)]
+struct ShardTerm {
+    value: f64,
+    grad: Vec<f64>,
+    stats: TapeStats,
+}
+
+impl ShardTerm {
+    /// One step of the reduction. Both the serial and the pooled
+    /// gradient take these steps in ascending shard order, which is
+    /// what makes them agree to the bit.
+    fn add_to(&self, sum: &mut (f64, TapeStats), grad: &mut [f64]) {
+        sum.0 += self.value;
+        sum.1 += self.stats;
+        for (acc, gi) in grad.iter_mut().zip(&self.grad) {
+            *acc += gi;
+        }
+    }
+}
+
 thread_local! {
-    /// One long-lived tape per OS thread for shard evaluation, so the
-    /// per-shard cost is a `clear()` instead of an arena allocation.
-    static SHARD_TAPE: Tape = Tape::new();
+    /// Where the serial gradient sweeps each shard before adding it
+    /// up; kept between gradients for its allocation.
+    static SERIAL_TERM: RefCell<ShardTerm> = RefCell::default();
+    /// One slot per shard for a pool to fill and the caller to add up
+    /// afterwards; kept between gradients for their allocations.
+    static POOLED_TERMS: RefCell<Vec<parking_lot::Mutex<ShardTerm>>> = RefCell::default();
 }
 
 /// Aggregate shard-sweep telemetry, accumulated with relaxed atomics
@@ -263,9 +305,11 @@ impl ShardTelemetry {
 }
 
 /// Adapter turning a [`ShardedDensity`] into a [`Model`] whose gradient
-/// sweep evaluates likelihood shards on a private tape each — serially
-/// or on a per-chain [`WorkerPool`](crate::par::WorkerPool) — and
-/// combines them in **fixed shard order**.
+/// is a sum of terms — the prior, then one likelihood shard after
+/// another — each recorded and swept on its own behind one set of
+/// leaves ([`Leaves::grad_term`]), serially or on a per-chain
+/// [`WorkerPool`](crate::par::WorkerPool), and combined in **fixed
+/// shard order**.
 ///
 /// # Determinism contract
 ///
@@ -280,7 +324,8 @@ impl ShardTelemetry {
 pub struct ShardedModel<D> {
     name: String,
     density: D,
-    shards: usize,
+    /// The partition of `0..n_data`, fixed at construction.
+    ranges: Vec<Range<usize>>,
     inner_threads: AtomicUsize,
     telemetry: ShardTelemetry,
 }
@@ -290,8 +335,8 @@ impl<D: ShardedDensity> ShardedModel<D> {
     pub fn new(name: impl Into<String>, density: D) -> Self {
         Self {
             name: name.into(),
+            ranges: shard_ranges(density.n_data(), DEFAULT_SHARDS),
             density,
-            shards: DEFAULT_SHARDS,
             inner_threads: AtomicUsize::new(1),
             telemetry: ShardTelemetry::default(),
         }
@@ -300,7 +345,7 @@ impl<D: ShardedDensity> ShardedModel<D> {
     /// Overrides the shard count (clamped to `1..=n_data`). One shard
     /// reproduces the serial evaluation bit-for-bit.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+        self.ranges = shard_ranges(self.density.n_data(), shards);
         self
     }
 
@@ -311,21 +356,76 @@ impl<D: ShardedDensity> ShardedModel<D> {
 
     /// Effective shard count after clamping to the data size.
     pub fn shards(&self) -> usize {
-        shard_ranges(self.density.n_data(), self.shards).len()
+        self.ranges.len()
     }
 
-    fn ranges(&self) -> Vec<Range<usize>> {
-        shard_ranges(self.density.n_data(), self.shards)
+    /// Value and statistics of the prior term over `leaves`, its
+    /// gradient written into `grad`.
+    fn prior_term(&self, leaves: &Leaves<'_>, grad: &mut [f64]) -> (f64, TapeStats) {
+        leaves.grad_term(grad, |v| self.density.ln_prior(v))
     }
 
-    /// Evaluates one shard's value and gradient on this thread's
-    /// long-lived tape.
-    fn eval_shard(&self, theta: &[f64], range: Range<usize>) -> (f64, Vec<f64>, TapeStats) {
-        SHARD_TAPE.with(|tape| {
-            grad_of_in(tape, theta, |v: &[Var<'_>]| {
-                self.density.ln_likelihood_shard(v, range.clone())
-            })
-        })
+    /// The same for the likelihood of shard `shard`, into `term`.
+    fn shard_term(&self, leaves: &Leaves<'_>, shard: usize, term: &mut ShardTerm) {
+        let range = self.ranges[shard].clone();
+        term.grad.resize(leaves.len(), 0.0);
+        (term.value, term.stats) = leaves.grad_term(&mut term.grad, |v| {
+            self.density.ln_likelihood_shard(v, range)
+        });
+    }
+
+    /// The gradient on one thread: the leaves registered once, then
+    /// the prior and every shard recorded, swept and truncated in
+    /// turn, each added to the sum as soon as it is swept.
+    fn grad_serial(&self, tape: &Tape, theta: &[f64], grad: &mut [f64]) -> (f64, TapeStats) {
+        let leaves = tape.leaves(theta);
+        let mut sum = self.prior_term(&leaves, grad);
+        let _span = bayes_obs::span(bayes_obs::Phase::ShardSweep);
+        SERIAL_TERM.with(|term| {
+            let term = &mut *term.borrow_mut();
+            for shard in 0..self.ranges.len() {
+                self.shard_term(&leaves, shard, term);
+                term.add_to(&mut sum, grad);
+            }
+        });
+        sum
+    }
+
+    /// The gradient on a pool: the prior on the calling thread, the
+    /// shards wherever the pool runs them — each thread behind leaves
+    /// of its own on its own tape — and the sum afterwards, on the
+    /// calling thread, in shard order.
+    fn grad_pooled(
+        &self,
+        tape: &Tape,
+        theta: &[f64],
+        grad: &mut [f64],
+        threads: usize,
+    ) -> (f64, TapeStats) {
+        let mut sum = self.prior_term(&tape.leaves(theta), grad);
+        POOLED_TERMS.with(|terms| {
+            let terms = &mut *terms.borrow_mut();
+            terms.resize_with(self.ranges.len(), Default::default);
+            {
+                // Profiled on the calling thread: pool workers have no
+                // profiler scope, so the sweep span covers the whole
+                // dispatch-and-wait window, nested under the gradient
+                // span.
+                let _span = bayes_obs::span(bayes_obs::Phase::ShardSweep);
+                par::with_pool(threads, |pool| {
+                    pool.run(self.ranges.len(), &|shard| {
+                        GRAD_TAPE.with(|tape| {
+                            self.shard_term(&tape.leaves(theta), shard, &mut terms[shard].lock());
+                        });
+                    });
+                });
+            }
+            let _span = bayes_obs::span(bayes_obs::Phase::ShardReduce);
+            for term in terms.iter() {
+                term.lock().add_to(&mut sum, grad);
+            }
+        });
+        sum
     }
 }
 
@@ -343,8 +443,8 @@ impl<D: ShardedDensity> Model for ShardedModel<D> {
         // shards ascending, so value-only and gradient evaluations of
         // the same configuration agree bitwise.
         let mut total: f64 = self.density.ln_prior(theta);
-        for range in self.ranges() {
-            total += self.density.ln_likelihood_shard(theta, range);
+        for range in &self.ranges {
+            total += self.density.ln_likelihood_shard(theta, range.clone());
         }
         total
     }
@@ -352,78 +452,25 @@ impl<D: ShardedDensity> Model for ShardedModel<D> {
     fn ln_posterior_grad(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
         debug_assert_eq!(grad.len(), self.dim());
         let threads = self.inner_threads.load(Ordering::Relaxed).max(1);
-        let ranges = self.ranges();
         // Telemetry is observation only: it reads the tape stats the
         // sweep produces anyway, touches no RNG, and cannot change the
         // reduction — attaching a recorder leaves draws bit-identical.
         let recording = self.telemetry.on.load(Ordering::Relaxed);
         let t0 = recording.then(Instant::now);
 
-        // One shard: record prior + likelihood on a single tape — the
-        // exact expression a serial `AdModel` evaluates. A split
-        // prior/shard evaluation would re-associate the adjoint
-        // accumulation of any parameter the prior touches more than
-        // once (every hierarchical hyperparameter), so only the
-        // one-tape path is bitwise-serial rather than ulp-close.
-        if ranges.len() == 1 {
-            let range = ranges[0].clone();
-            let (val, g, stats) = SHARD_TAPE.with(|tape| {
-                grad_of_in(tape, theta, |v: &[Var<'_>]| {
-                    self.density.ln_prior(v) + self.density.ln_likelihood_shard(v, range.clone())
-                })
-            });
-            grad.copy_from_slice(&g);
-            if recording {
-                self.telemetry.accumulate(stats, t0.map(|t| t.elapsed()));
-            }
-            return val;
-        }
-
-        let (prior_val, prior_grad, prior_stats) =
-            grad_of(theta, |v: &[Var<'_>]| self.density.ln_prior(v));
-
-        // Per-shard result slots: written once each (dynamic thread
-        // assignment), then combined below in ascending shard index —
-        // the fixed-order reduction that makes the result independent
-        // of `threads`.
-        let slots: Vec<parking_lot::Mutex<Option<(f64, Vec<f64>, TapeStats)>>> = ranges
-            .iter()
-            .map(|_| parking_lot::Mutex::new(None))
-            .collect();
-
-        {
-            // Profiled on the calling thread: pool workers have no
-            // profiler scope, so the sweep span covers the whole
-            // dispatch-and-wait window, nested under the gradient span.
-            let _span = bayes_obs::span(bayes_obs::Phase::ShardSweep);
-            if threads == 1 {
-                for (i, range) in ranges.iter().enumerate() {
-                    *slots[i].lock() = Some(self.eval_shard(theta, range.clone()));
-                }
-            } else {
-                par::with_pool(threads, |pool| {
-                    pool.run(ranges.len(), &|i| {
-                        *slots[i].lock() = Some(self.eval_shard(theta, ranges[i].clone()));
-                    });
-                });
-            }
-        }
-
-        let _reduce_span = bayes_obs::span(bayes_obs::Phase::ShardReduce);
-        let mut val = prior_val;
-        grad.copy_from_slice(&prior_grad);
-        let mut stats = prior_stats;
-        for slot in slots {
-            let (v, g, s) = slot
-                .into_inner()
-                .expect("every shard slot is filled before the pool returns");
-            val += v;
-            stats += s;
-            for (acc, gi) in grad.iter_mut().zip(&g) {
-                *acc += gi;
-            }
-        }
-        drop(_reduce_span);
+        let (val, stats) = GRAD_TAPE.with(|tape| match &self.ranges[..] {
+            // One shard: record prior + likelihood as one term — the
+            // exact expression a serial `AdModel` evaluates. A split
+            // prior/shard evaluation would re-associate the adjoint
+            // accumulation of any parameter the prior touches more than
+            // once (every hierarchical hyperparameter), so only the
+            // one-term path is bitwise-serial rather than ulp-close.
+            [range] => grad_into(tape, theta, grad, |v: &[Var<'_>]| {
+                self.density.ln_prior(v) + self.density.ln_likelihood_shard(v, range.clone())
+            }),
+            _ if threads == 1 => self.grad_serial(tape, theta, grad),
+            _ => self.grad_pooled(tape, theta, grad, threads),
+        });
         if recording {
             self.telemetry.accumulate(stats, t0.map(|t| t.elapsed()));
         }
@@ -431,18 +478,18 @@ impl<D: ShardedDensity> Model for ShardedModel<D> {
     }
 
     fn grad_profile(&self, theta: &[f64]) -> EvalProfile {
-        // Serial walk so the probe itself is deterministic; stats merge
-        // across the prior tape and every shard tape.
-        let (_, _, mut stats) = grad_of(theta, |v: &[Var<'_>]| self.density.ln_prior(v));
-        for range in self.ranges() {
-            let (_, _, s) = self.eval_shard(theta, range);
-            stats += s;
+        // Serial walk so the probe itself is deterministic, on a tape
+        // of its own, dropped here: a full-scale probe must not leave
+        // megabytes behind in this thread's sampling tape.
+        let tape = Tape::new();
+        let leaves = tape.leaves(theta);
+        let mut term = ShardTerm::default();
+        let (_, mut stats) = self.prior_term(&leaves, &mut vec![0.0; theta.len()]);
+        for shard in 0..self.ranges.len() {
+            self.shard_term(&leaves, shard, &mut term);
+            stats += term.stats;
         }
-        EvalProfile {
-            tape_nodes: stats.nodes,
-            tape_bytes: stats.bytes,
-            transcendental_nodes: stats.transcendental,
-        }
+        stats.into()
     }
 
     fn set_inner_threads(&self, threads: usize) {

@@ -6,6 +6,8 @@
 //! the scalar kernels that dominate the likelihood computations the paper
 //! characterizes.
 
+use std::sync::OnceLock;
+
 /// Coefficients of the Lanczos approximation with g = 7, n = 9.
 const LANCZOS_G: f64 = 7.0;
 const LANCZOS: [f64; 9] = [
@@ -192,6 +194,7 @@ pub fn std_normal_quantile(p: f64) -> f64 {
 }
 
 /// Numerically stable `ln(1 + e^x)` ("softplus").
+#[inline]
 pub fn log1p_exp(x: f64) -> f64 {
     if x > 0.0 {
         x + (-x).exp().ln_1p()
@@ -224,6 +227,7 @@ pub fn log_sum_exp_slice(xs: &[f64]) -> f64 {
 }
 
 /// Logistic sigmoid `1 / (1 + e^{-x})`.
+#[inline]
 pub fn sigmoid(x: f64) -> f64 {
     if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())
@@ -352,11 +356,23 @@ pub fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
 }
 
 /// Natural logarithm of `n!` (factorial), exact semantics via `ln Γ(n+1)`.
+///
+/// The count densities call this once per observation on every
+/// gradient, so small `n` is served from a table — filled by
+/// [`ln_gamma`] itself, so every value is bit-for-bit the one the
+/// direct call returns.
+#[inline]
 pub fn ln_factorial(n: u64) -> f64 {
-    ln_gamma(n as f64 + 1.0)
+    static TABLE: OnceLock<[f64; 256]> = OnceLock::new();
+    if n < 256 {
+        TABLE.get_or_init(|| std::array::from_fn(|k| ln_gamma(k as f64 + 1.0)))[n as usize]
+    } else {
+        ln_gamma(n as f64 + 1.0)
+    }
 }
 
 /// Natural logarithm of the binomial coefficient `C(n, k)`.
+#[inline]
 pub fn ln_choose(n: u64, k: u64) -> f64 {
     if k > n {
         return f64::NEG_INFINITY;
@@ -509,6 +525,18 @@ mod tests {
             1.0 - beta_inc(5.0, 3.0, 0.7),
             1e-10,
         );
+    }
+
+    #[test]
+    fn ln_factorial_table_is_bitwise_ln_gamma() {
+        // Covers the table, its edge at 256, and the direct branch.
+        for n in 0u64..=400 {
+            assert_eq!(
+                ln_factorial(n).to_bits(),
+                ln_gamma(n as f64 + 1.0).to_bits(),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

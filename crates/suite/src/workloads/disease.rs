@@ -155,7 +155,7 @@ impl ShardedDensity for DiseaseDensity {
     fn ln_likelihood_shard<R: Real>(&self, theta: &[R], range: Range<usize>) -> R {
         // ln w_k → w_k hoisted once per shard — bounded bookkeeping
         // slack relative to the serial sweep.
-        let ws: Vec<R> = (0..BASIS).map(|k| theta[k].exp()).collect();
+        let ws: [R; BASIS] = std::array::from_fn(|k| theta[k].exp());
         let sigma = theta[BASIS].exp();
         let deltas = &theta[BASIS + 2..];
         let mut acc = theta[0] * 0.0;

@@ -1,0 +1,246 @@
+//! The gradient every registry model returns, against the algorithm it
+//! replaced, to the bit.
+//!
+//! The reference is written here from the public API alone: a fresh
+//! [`Tape`] per term (the prior, then each likelihood shard), a whole
+//! [`Tape::grad`] sweep of each, and the reduction in fixed order —
+//! prior, shard 0, shard 1, … . The models record the same terms
+//! behind one set of leaves on one long-lived tape per thread and
+//! sweep each as a segment; nothing in value or gradient may move.
+//!
+//! The reference needs the densities, which the registry hides behind
+//! `dyn Model`, so each dataset is rebuilt the way its `workload()`
+//! constructor in `crates/suite/src/workloads/` builds it. A count that
+//! drifts from the constructor fails the comparison outright.
+
+use bayes_autodiff::{grad_of, Tape, Var};
+use bayes_mcmc::stream::{Purpose, StreamKey};
+use bayes_mcmc::{shard_ranges, LogDensity, Model, ShardedDensity, DEFAULT_SHARDS};
+use bayes_suite::registry::{self, REFERENCE_SEED, SMOKE_SCALE};
+use bayes_suite::workloads::{
+    ad, butterfly, disease, memory, ode, racial, survival, tickets, twelve_cities, votes,
+};
+
+/// Value and leaf gradient of one term on a tape of its own.
+fn term_on_a_private_tape<F>(theta: &[f64], f: F) -> (f64, Vec<f64>)
+where
+    F: for<'t> Fn(&[Var<'t>]) -> Var<'t>,
+{
+    let tape = Tape::new();
+    let vars: Vec<Var<'_>> = theta.iter().map(|&v| tape.var(v)).collect();
+    let out = f(&vars);
+    let adjoints = tape.grad(out);
+    (
+        out.value(),
+        vars.iter().map(|v| adjoints[v.index()]).collect(),
+    )
+}
+
+/// The sharded gradient as the parent commit computed it.
+fn reference<D: ShardedDensity>(density: &D, theta: &[f64]) -> (f64, Vec<f64>) {
+    let ranges = shard_ranges(density.n_data(), DEFAULT_SHARDS);
+    if let [range] = &ranges[..] {
+        return term_on_a_private_tape(theta, |v| {
+            density.ln_prior(v) + density.ln_likelihood_shard(v, range.clone())
+        });
+    }
+    let (mut value, mut grad) = term_on_a_private_tape(theta, |v| density.ln_prior(v));
+    for range in ranges {
+        let (v, g) =
+            term_on_a_private_tape(theta, |t| density.ln_likelihood_shard(t, range.clone()));
+        value += v;
+        for (acc, gi) in grad.iter_mut().zip(&g) {
+            *acc += gi;
+        }
+    }
+    (value, grad)
+}
+
+/// Three deterministic off-origin points with varied term magnitudes.
+fn points(dim: usize) -> [Vec<f64>; 3] {
+    [(0.3, 0.0), (1.0, -0.4), (0.6, 0.5)].map(|(scale, shift)| {
+        (0..dim)
+            .map(|i| shift + scale * (((i * 37 + 11) % 17) as f64 / 17.0 - 0.5))
+            .collect()
+    })
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Compares `model` with `expected` at every point and thread count.
+/// The sweep path is forced: a sufficient-statistics wrapper would
+/// otherwise answer without recording a tape.
+fn assert_bitwise(
+    what: &str,
+    model: &dyn Model,
+    expected: impl Fn(&[f64]) -> (f64, Vec<f64>),
+    thread_counts: &[usize],
+) {
+    model.set_fast_path(false);
+    for theta in points(model.dim()) {
+        let (value, grad) = expected(&theta);
+        assert!(
+            grad.iter().any(|g| *g != 0.0),
+            "{what}: degenerate test point"
+        );
+        for &threads in thread_counts {
+            model.set_inner_threads(threads);
+            let mut g = vec![f64::NAN; model.dim()];
+            let v = model.ln_posterior_grad(&theta, &mut g);
+            assert_eq!(
+                v.to_bits(),
+                value.to_bits(),
+                "{what}, {threads} threads: value {v} vs {value}"
+            );
+            assert_eq!(bits(&g), bits(&grad), "{what}, {threads} threads: gradient");
+        }
+    }
+}
+
+/// `scaled_count` of `bayes_suite::workloads`.
+fn scaled(base: usize, scale: f64, min: usize) -> usize {
+    ((base as f64 * scale).round() as usize).max(min)
+}
+
+/// Checks the model and the dynamics model of registry workload
+/// `name` against `expected(count, seed)`, `count` being what the
+/// workload's constructor passes its data generator for each.
+fn check<E: Fn(&[f64]) -> (f64, Vec<f64>)>(
+    name: &str,
+    thread_counts: &[usize],
+    model_count: usize,
+    dynamics_count: usize,
+    expected: impl Fn(usize, u64) -> E,
+) {
+    let workload = registry::workload(name, S, REFERENCE_SEED).expect("registry name");
+    let seed = StreamKey::new(REFERENCE_SEED)
+        .purpose(Purpose::DataGen)
+        .derive();
+    for (what, model, count) in [
+        ("model", workload.model(), model_count),
+        ("dynamics model", workload.dynamics_model(), dynamics_count),
+    ] {
+        assert_bitwise(
+            &format!("{name} {what}"),
+            model,
+            expected(count, seed),
+            thread_counts,
+        );
+    }
+}
+
+/// What a `ShardedModel` over `density` must return.
+fn sharded<D: ShardedDensity>(density: D) -> impl Fn(&[f64]) -> (f64, Vec<f64>) {
+    move |theta| reference(&density, theta)
+}
+
+/// What an `AdModel` over `density` must return: the one-shot
+/// [`grad_of`].
+fn serial<D: LogDensity>(density: D) -> impl Fn(&[f64]) -> (f64, Vec<f64>) {
+    move |theta| {
+        let (value, grad, _) = grad_of(theta, |v| density.eval(v));
+        (value, grad)
+    }
+}
+
+const S: f64 = SMOKE_SCALE;
+const THREADS: [usize; 3] = [1, 2, 4];
+
+#[test]
+fn twelve_cities_matches_private_tapes() {
+    use twelve_cities::{TwelveCitiesData, TwelveCitiesDensity};
+    let years = scaled(12, S, 2);
+    check("12cities", &THREADS, years, years, |n, seed| {
+        sharded(TwelveCitiesDensity::new(TwelveCitiesData::generate(
+            n, seed,
+        )))
+    });
+}
+
+#[test]
+fn ad_matches_private_tapes() {
+    let (model, dynamics) = (scaled(5000, S, 40), scaled(5000, S * 0.1, 40));
+    check("ad", &THREADS, model, dynamics, |n, seed| {
+        sharded(ad::AdDensity::new(ad::AdData::generate(n, seed)))
+    });
+}
+
+#[test]
+fn memory_matches_private_tapes() {
+    let (model, dynamics) = (scaled(30, S, 3), scaled(30, S * 0.3, 3));
+    check("memory", &THREADS, model, dynamics, |n, seed| {
+        sharded(memory::MemoryDensity::new(memory::MemoryData::generate(
+            n, seed,
+        )))
+    });
+}
+
+#[test]
+fn tickets_matches_private_tapes() {
+    let (model, dynamics) = (scaled(1200, S, 4), scaled(1200, S * 0.02, 4));
+    check("tickets", &THREADS, model, dynamics, |n, seed| {
+        sharded(tickets::TicketsDensity::new(
+            tickets::TicketsData::generate(n, seed),
+        ))
+    });
+}
+
+#[test]
+fn disease_matches_private_tapes() {
+    let (model, dynamics) = (scaled(80, S, 4), scaled(80, S * 0.2, 4));
+    check("disease", &THREADS, model, dynamics, |n, seed| {
+        sharded(disease::DiseaseDensity::new(
+            disease::DiseaseData::generate(n, seed),
+        ))
+    });
+}
+
+#[test]
+fn racial_matches_private_tapes() {
+    let (model, dynamics) = (scaled(60, S, 4), scaled(60, S * 0.25, 4));
+    check("racial", &THREADS, model, dynamics, |n, seed| {
+        sharded(racial::RacialDensity::new(racial::RacialData::generate(
+            n, seed,
+        )))
+    });
+}
+
+#[test]
+fn butterfly_matches_private_tapes() {
+    let (model, dynamics) = (scaled(40, S, 4), scaled(40, S * 0.3, 4));
+    check("butterfly", &THREADS, model, dynamics, |n, seed| {
+        sharded(butterfly::ButterflyDensity::new(
+            butterfly::ButterflyData::generate(n, seed),
+        ))
+    });
+}
+
+#[test]
+fn survival_matches_private_tapes() {
+    let (model, dynamics) = (scaled(24_000, S, 60), scaled(24_000, S * 0.03, 60));
+    check("survival", &THREADS, model, dynamics, |n, seed| {
+        sharded(survival::SurvivalDensity::new(
+            survival::SurvivalData::generate(n, seed),
+        ))
+    });
+}
+
+#[test]
+fn ode_matches_grad_of() {
+    let patients = ((2.0 * S).round() as usize).max(1);
+    check("ode", &[1], patients, 1, |n, seed| {
+        serial(ode::OdeDensity::new(ode::OdeData::generate(n, seed)))
+    });
+}
+
+#[test]
+fn votes_matches_grad_of() {
+    let (model, dynamics) = (scaled(36, S, 8), scaled(36, S * 0.5, 8));
+    check("votes", &[1], model, dynamics, |n, seed| {
+        serial(votes::VotesDensity::new(votes::VotesData::generate(
+            n, seed,
+        )))
+    });
+}

@@ -185,3 +185,33 @@ fn broadwell_never_has_more_llc_misses_than_skylake() {
         );
     }
 }
+
+#[test]
+fn full_scale_profiles_are_pinned() {
+    // `(tape_nodes, tape_bytes, transcendental_nodes)` of one gradient
+    // of every full-scale model, as the private-tape-per-term gradient
+    // counted them: each term's leaves plus its nodes, 32 bytes a
+    // node. archsim signatures and the `results/` captures are
+    // functions of these; however the gradient is evaluated, the
+    // accounting stays.
+    const PINNED: [(&str, usize, usize, usize); 10] = [
+        ("12cities", 1408, 45056, 157),
+        ("ad", 77325, 2474400, 5000),
+        ("ode", 33143, 1060576, 2477),
+        ("memory", 25316, 810112, 3078),
+        ("votes", 21828, 698496, 741),
+        ("tickets", 511352, 16363264, 97217),
+        ("disease", 25362, 811584, 673),
+        ("racial", 5176, 165632, 541),
+        ("butterfly", 8819, 282208, 1067),
+        ("survival", 95041, 3041312, 400),
+    ];
+    let profiles: Vec<_> = registry::all_workloads(1.0, REFERENCE_SEED)
+        .iter()
+        .map(|w| {
+            let p = w.profile();
+            (w.name(), p.tape_nodes, p.tape_bytes, p.transcendental_nodes)
+        })
+        .collect();
+    assert_eq!(profiles, PINNED);
+}
