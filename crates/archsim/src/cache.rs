@@ -14,12 +14,18 @@ pub enum Replacement {
     Random,
 }
 
+/// Bytes per cache line, on every level of every platform modelled.
+const LINE_BYTES: usize = 64;
+
 /// One level of set-associative cache.
 #[derive(Debug, Clone)]
 pub struct CacheSim {
     sets: usize,
+    /// `log2(sets)` when `sets` is a power of two — every Table II
+    /// geometry — so the set index and tag are a mask and a shift;
+    /// other geometries (an odd way-partition of the LLC) divide.
+    sets_log2: Option<u32>,
     ways: usize,
-    line_bytes: usize,
     policy: Replacement,
     /// tags[set * ways + way]; `u64::MAX` = invalid.
     tags: Vec<u64>,
@@ -40,17 +46,16 @@ impl CacheSim {
     /// Panics if the geometry is degenerate (zero ways, size not a
     /// multiple of `ways × 64`).
     pub fn new(size_bytes: usize, ways: usize, policy: Replacement) -> Self {
-        let line_bytes = 64;
         assert!(ways > 0, "cache needs at least one way");
         assert!(
-            size_bytes.is_multiple_of(ways * line_bytes) && size_bytes > 0,
+            size_bytes.is_multiple_of(ways * LINE_BYTES) && size_bytes > 0,
             "cache size must be a positive multiple of ways × line size"
         );
-        let sets = size_bytes / (ways * line_bytes);
+        let sets = size_bytes / (ways * LINE_BYTES);
         Self {
             sets,
+            sets_log2: sets.is_power_of_two().then(|| sets.trailing_zeros()),
             ways,
-            line_bytes,
             policy,
             tags: vec![u64::MAX; sets * ways],
             stamps: vec![0; sets * ways],
@@ -63,7 +68,7 @@ impl CacheSim {
 
     /// Total capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.sets * self.ways * self.line_bytes
+        self.sets * self.ways * LINE_BYTES
     }
 
     /// Accesses the byte address; returns `true` on hit. On miss the
@@ -71,9 +76,11 @@ impl CacheSim {
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
         self.clock += 1;
-        let line = addr / self.line_bytes as u64;
-        let set = (line % self.sets as u64) as usize;
-        let tag = line / self.sets as u64;
+        let line = addr / LINE_BYTES as u64;
+        let (set, tag) = match self.sets_log2 {
+            Some(shift) => ((line & (self.sets as u64 - 1)) as usize, line >> shift),
+            None => ((line % self.sets as u64) as usize, line / self.sets as u64),
+        };
         let base = set * self.ways;
         for w in 0..self.ways {
             if self.tags[base + w] == tag {

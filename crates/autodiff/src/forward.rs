@@ -23,6 +23,7 @@
 
 use crate::real::Real;
 use bayes_prob::special;
+use std::cell::Cell;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// Number of derivative lanes carried per [`Dual`] in the default
@@ -255,24 +256,39 @@ impl<const K: usize> Real for Dual<K> {
     }
 }
 
-/// Evaluates `f` and its full gradient at `x` by forward-mode sweeps of
-/// [`LANES`] coordinates at a time — `⌈dim / LANES⌉` passes, each
-/// sharing every transcendental across its lanes, with no tape.
+thread_local! {
+    /// The seeded evaluation point of [`grad_forward_into`], kept so a
+    /// steady-state gradient allocates nothing. Taken out of the cell
+    /// for the duration of a call: a closure that differentiates
+    /// something else inside finds it empty and grows one of its own.
+    static POINT: Cell<Vec<Dual<LANES>>> = const { Cell::new(Vec::new()) };
+}
+
+/// Evaluates `f` at `x` and writes its full gradient into `grad` by
+/// forward-mode sweeps of [`LANES`] coordinates at a time —
+/// `⌈dim / LANES⌉` passes, each sharing every transcendental across its
+/// lanes, with no tape and, once this thread's point buffer has grown
+/// to `dim`, no allocation.
 ///
-/// Returns `(value, gradient)`. The value comes from the first pass and
-/// is bit-identical to a plain `f64` evaluation of the same closure
-/// (see the module docs); lanes seeded past `dim` on the final pass are
-/// discarded.
-pub fn grad_forward<F>(x: &[f64], f: F) -> (f64, Vec<f64>)
+/// Returns the value. It comes from the first pass and is bit-identical
+/// to a plain `f64` evaluation of the same closure (see the module
+/// docs); lanes seeded past `dim` on the final pass are discarded.
+///
+/// # Panics
+///
+/// Panics if `grad` is not one slot per coordinate of `x`.
+pub fn grad_forward_into<F>(x: &[f64], grad: &mut [f64], f: F) -> f64
 where
     F: Fn(&[Dual<LANES>]) -> Dual<LANES>,
 {
     let dim = x.len();
+    assert_eq!(grad.len(), dim, "one gradient slot per coordinate");
     if dim == 0 {
-        return (f(&[]).val, Vec::new());
+        return f(&[]).val;
     }
-    let mut grad = vec![0.0; dim];
-    let mut point: Vec<Dual<LANES>> = x.iter().map(|&v| Dual::constant(v)).collect();
+    let mut point = POINT.take();
+    point.clear();
+    point.extend(x.iter().map(|&v| Dual::constant(v)));
     let mut value = 0.0;
     let mut start = 0;
     while start < dim {
@@ -290,6 +306,18 @@ where
         }
         start += width;
     }
+    POINT.set(point);
+    value
+}
+
+/// [`grad_forward_into`] with a gradient vector of its own: returns
+/// `(value, gradient)`.
+pub fn grad_forward<F>(x: &[f64], f: F) -> (f64, Vec<f64>)
+where
+    F: Fn(&[Dual<LANES>]) -> Dual<LANES>,
+{
+    let mut grad = vec![0.0; x.len()];
+    let value = grad_forward_into(x, &mut grad, f);
     (value, grad)
 }
 
@@ -364,6 +392,26 @@ mod tests {
                 grad[i]
             );
         }
+    }
+
+    #[test]
+    fn into_form_overwrites_a_dirty_gradient_and_nests() {
+        // The inner call finds this thread's point buffer taken and
+        // must neither panic nor disturb the outer pass.
+        fn outer(v: &[Dual<LANES>]) -> Dual<LANES> {
+            let mut inner = [f64::NAN; 2];
+            let inner_val = grad_forward_into(&[v[0].val, 2.0], &mut inner, |w| w[0] * w[1]);
+            assert_eq!(inner, [2.0, v[0].val]);
+            v[0] * v[5] + v[5].square() + inner_val * 0.0
+        }
+        let x = [2.0, 0.0, 0.0, 0.0, 0.0, 3.0];
+        let mut grad = [f64::NAN; 6];
+        for _ in 0..2 {
+            let val = grad_forward_into(&x, &mut grad, outer);
+            assert_eq!(val, 15.0);
+            assert_eq!(grad, [3.0, 0.0, 0.0, 0.0, 0.0, 8.0]);
+        }
+        assert_eq!(grad_forward(&x, outer), (15.0, grad.to_vec()));
     }
 
     #[test]

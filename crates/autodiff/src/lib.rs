@@ -48,7 +48,7 @@ mod real;
 mod tape;
 mod var;
 
-pub use forward::{grad_forward, Dual};
+pub use forward::{grad_forward, grad_forward_into, Dual};
 pub use real::Real;
 pub use tape::{Leaves, Tape, TapeStats};
 pub use var::Var;

@@ -6,8 +6,9 @@ use crate::model::Model;
 use rand::Rng;
 
 /// Phase-space point carried through the integrator: position, its
-/// log-posterior and gradient.
-#[derive(Debug, Clone)]
+/// log-posterior and gradient. Deliberately not `Clone`: samplers own a
+/// fixed set of these and move or overwrite them (DESIGN.md §5d).
+#[derive(Debug)]
 pub(crate) struct State {
     pub q: Vec<f64>,
     pub lp: f64,
@@ -19,6 +20,23 @@ impl State {
         let mut grad = vec![0.0; q.len()];
         let lp = model.ln_posterior_grad(&q, &mut grad);
         Self { q, lp, grad }
+    }
+
+    /// A buffer for [`Hamiltonian::leapfrog_into`] or [`State::copy_from`]
+    /// to overwrite.
+    pub(crate) fn zeros(dim: usize) -> Self {
+        Self {
+            q: vec![0.0; dim],
+            lp: 0.0,
+            grad: vec![0.0; dim],
+        }
+    }
+
+    /// Overwrites `self` with `other`, which has the same dimension.
+    pub(crate) fn copy_from(&mut self, other: &State) {
+        self.q.copy_from_slice(&other.q);
+        self.lp = other.lp;
+        self.grad.copy_from_slice(&other.grad);
     }
 }
 
@@ -39,12 +57,15 @@ impl<'m> Hamiltonian<'m> {
         }
     }
 
-    /// Draws `p ~ N(0, M)` with `M = diag(1 / inv_mass)`.
-    pub(crate) fn draw_momentum<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
-        self.inv_mass
-            .iter()
-            .map(|&im| crate::mh::draw_std_normal(rng) / im.sqrt())
-            .collect()
+    /// Draws `p ~ N(0, M)` with `M = diag(1 / inv_mass)` into `p`,
+    /// whatever it held.
+    pub(crate) fn draw_momentum_into<R: Rng + ?Sized>(&self, rng: &mut R, p: &mut Vec<f64>) {
+        p.clear();
+        p.extend(
+            self.inv_mass
+                .iter()
+                .map(|&im| crate::mh::draw_std_normal(rng) / im.sqrt()),
+        );
     }
 
     pub(crate) fn kinetic(&self, p: &[f64]) -> f64 {
@@ -60,34 +81,39 @@ impl<'m> Hamiltonian<'m> {
         s.lp - self.kinetic(p)
     }
 
-    /// One leapfrog step of size `eps`; increments `grad_evals`.
-    pub(crate) fn leapfrog(
+    /// One leapfrog step of size `eps` from `(s, p)` into `(s_out,
+    /// p_out)`, whatever those held (only their capacity is reused);
+    /// increments `grad_evals`.
+    pub(crate) fn leapfrog_into(
         &self,
         s: &State,
         p: &[f64],
         eps: f64,
         grad_evals: &mut u64,
-    ) -> (State, Vec<f64>) {
+        s_out: &mut State,
+        p_out: &mut Vec<f64>,
+    ) {
         let _span = bayes_obs::span(bayes_obs::Phase::Leapfrog);
-        let dim = s.q.len();
-        let mut p_half = vec![0.0; dim];
-        for i in 0..dim {
-            p_half[i] = p[i] + 0.5 * eps * s.grad[i];
-        }
-        let mut q_new = vec![0.0; dim];
-        for i in 0..dim {
-            q_new[i] = s.q[i] + eps * self.inv_mass[i] * p_half[i];
-        }
-        let s_new = {
+        // Half step of the momentum, held in `p_out` until the gradient
+        // at the new position completes it.
+        p_out.clear();
+        p_out.extend(p.iter().zip(&s.grad).map(|(&pi, &gi)| pi + 0.5 * eps * gi));
+        s_out.q.clear();
+        s_out.q.extend(
+            s.q.iter()
+                .zip(&self.inv_mass)
+                .zip(p_out.iter())
+                .map(|((&qi, &im), &ph)| qi + eps * im * ph),
+        );
+        s_out.grad.resize(s_out.q.len(), 0.0);
+        s_out.lp = {
             let _span = bayes_obs::span(bayes_obs::Phase::GradientEval);
-            State::at(self.model, q_new)
+            self.model.ln_posterior_grad(&s_out.q, &mut s_out.grad)
         };
         *grad_evals += 1;
-        let mut p_new = p_half;
-        for i in 0..dim {
-            p_new[i] += 0.5 * eps * s_new.grad[i];
+        for (pi, &gi) in p_out.iter_mut().zip(&s_out.grad) {
+            *pi += 0.5 * eps * gi;
         }
-        (s_new, p_new)
     }
 
     /// Hoffman–Gelman heuristic: double/halve `eps` until the one-step
@@ -99,16 +125,18 @@ impl<'m> Hamiltonian<'m> {
         grad_evals: &mut u64,
     ) -> f64 {
         let mut eps = 1.0;
-        let p = self.draw_momentum(rng);
+        let (mut p, mut p1) = (Vec::new(), Vec::new());
+        let mut s1 = State::zeros(s.q.len());
+        self.draw_momentum_into(rng, &mut p);
         let h0 = self.log_joint(s, &p);
-        let (s1, p1) = self.leapfrog(s, &p, eps, grad_evals);
+        self.leapfrog_into(s, &p, eps, grad_evals, &mut s1, &mut p1);
         let mut ratio = self.log_joint(&s1, &p1) - h0;
         if !ratio.is_finite() {
             ratio = f64::NEG_INFINITY;
         }
         let a: f64 = if ratio > (0.5f64).ln() { 1.0 } else { -1.0 };
         for _ in 0..50 {
-            let (s1, p1) = self.leapfrog(s, &p, eps, grad_evals);
+            self.leapfrog_into(s, &p, eps, grad_evals, &mut s1, &mut p1);
             let mut r = self.log_joint(&s1, &p1) - h0;
             if !r.is_finite() {
                 r = f64::NEG_INFINITY;
@@ -143,6 +171,19 @@ mod tests {
         }
     }
 
+    /// A fresh-buffer leapfrog step.
+    fn leapfrog(
+        h: &Hamiltonian<'_>,
+        s: &State,
+        p: &[f64],
+        eps: f64,
+        evals: &mut u64,
+    ) -> (State, Vec<f64>) {
+        let (mut s1, mut p1) = (State::zeros(s.q.len()), Vec::new());
+        h.leapfrog_into(s, p, eps, evals, &mut s1, &mut p1);
+        (s1, p1)
+    }
+
     #[test]
     fn leapfrog_is_reversible() {
         let model = AdModel::new("n", StdNormal2);
@@ -150,10 +191,10 @@ mod tests {
         let s0 = State::at(&model, vec![0.3, -0.7]);
         let p0 = vec![1.0, 0.5];
         let mut evals = 0;
-        let (s1, p1) = h.leapfrog(&s0, &p0, 0.1, &mut evals);
+        let (s1, p1) = leapfrog(&h, &s0, &p0, 0.1, &mut evals);
         // Flip momentum and step back.
         let p1_neg: Vec<f64> = p1.iter().map(|x| -x).collect();
-        let (s2, p2) = h.leapfrog(&s1, &p1_neg, 0.1, &mut evals);
+        let (s2, p2) = leapfrog(&h, &s1, &p1_neg, 0.1, &mut evals);
         for i in 0..2 {
             assert!((s2.q[i] - s0.q[i]).abs() < 1e-12);
             assert!((-p2[i] - p0[i]).abs() < 1e-12);
@@ -170,11 +211,39 @@ mod tests {
         let h0 = h.log_joint(&s, &p);
         let mut evals = 0;
         for _ in 0..100 {
-            let (s1, p1) = h.leapfrog(&s, &p, 0.05, &mut evals);
-            s = s1;
-            p = p1;
+            (s, p) = leapfrog(&h, &s, &p, 0.05, &mut evals);
         }
         assert!((h.log_joint(&s, &p) - h0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn leapfrog_into_dirty_buffers_equals_fresh_buffers_bitwise() {
+        let model = AdModel::new("n", StdNormal2);
+        let mut h = Hamiltonian::unit(&model);
+        h.inv_mass = vec![0.7, 1.9];
+        let s0 = State::at(&model, vec![0.3, -0.7]);
+        let p0 = [1.0, 0.5];
+        let mut evals = 0;
+        let (fresh_s, fresh_p) = leapfrog(&h, &s0, &p0, 0.13, &mut evals);
+        // Wrong values, and wrong lengths in both directions.
+        let dirty = [
+            (vec![f64::NAN; 2], vec![9.0; 2], vec![-3.0; 2]),
+            (vec![1.0; 5], vec![f64::INFINITY; 7], vec![2.0; 1]),
+            (Vec::new(), Vec::new(), Vec::new()),
+        ];
+        for (q, grad, mut p1) in dirty {
+            let mut s1 = State {
+                q,
+                lp: f64::NAN,
+                grad,
+            };
+            h.leapfrog_into(&s0, &p0, 0.13, &mut evals, &mut s1, &mut p1);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&s1.q), bits(&fresh_s.q));
+            assert_eq!(bits(&s1.grad), bits(&fresh_s.grad));
+            assert_eq!(s1.lp.to_bits(), fresh_s.lp.to_bits());
+            assert_eq!(bits(&p1), bits(&fresh_p));
+        }
     }
 
     #[test]
@@ -185,8 +254,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let n = 4000;
         let (mut v0, mut v1) = (0.0, 0.0);
+        let mut p = Vec::new();
         for _ in 0..n {
-            let p = h.draw_momentum(&mut rng);
+            h.draw_momentum_into(&mut rng, &mut p);
             v0 += p[0] * p[0];
             v1 += p[1] * p[1];
         }

@@ -12,6 +12,7 @@ use crate::dynamics::{Hamiltonian, State};
 use crate::model::Model;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::mem;
 
 /// Static HMC with `steps` leapfrog steps per proposal.
 #[derive(Debug, Clone)]
@@ -98,6 +99,12 @@ impl StaticHmc {
         let mut welford = WelfordVar::new(model.dim());
         let window = (cfg.warmup / 4, cfg.warmup * 3 / 4);
 
+        // The trajectory's end point and the step being taken from it:
+        // the only phase-space buffers a chain owns besides `state`
+        // (DESIGN.md §5d).
+        let (mut s, mut s1) = (State::zeros(model.dim()), State::zeros(model.dim()));
+        let (mut p, mut p1) = (Vec::new(), Vec::new());
+
         let mut draws = Vec::with_capacity(cfg.iters);
         let mut accept_sum = 0.0;
         let mut divergences = 0u64;
@@ -112,19 +119,18 @@ impl StaticHmc {
             // ±10% step-size jitter breaks the resonance (Neal 2011,
             // Section 5.4.2.2).
             let eps_used = eps * rng.gen_range(0.9..1.1);
-            let p0 = ham.draw_momentum(&mut rng);
-            let h0 = ham.log_joint(&state, &p0);
-            let mut s = state.clone();
-            let mut p = p0;
+            ham.draw_momentum_into(&mut rng, &mut p);
+            let h0 = ham.log_joint(&state, &p);
+            s.copy_from(&state);
             let mut diverged = false;
             for _ in 0..self.steps {
-                let (s1, p1) = ham.leapfrog(&s, &p, eps_used, &mut grad_evals);
+                ham.leapfrog_into(&s, &p, eps_used, &mut grad_evals, &mut s1, &mut p1);
                 if !s1.lp.is_finite() {
                     diverged = true;
                     break;
                 }
-                s = s1;
-                p = p1;
+                mem::swap(&mut s, &mut s1);
+                mem::swap(&mut p, &mut p1);
             }
             let accept_prob = if diverged {
                 0.0
@@ -135,7 +141,7 @@ impl StaticHmc {
                 divergences += 1;
             }
             if !diverged && rng.gen_range(0.0..1.0) < accept_prob {
-                state = s;
+                mem::swap(&mut state, &mut s);
             }
             if iter >= cfg.warmup {
                 accept_sum += accept_prob;
@@ -183,7 +189,9 @@ impl StaticHmc {
             }
         }
 
-        let sampling = (cfg.iters - cfg.warmup).max(1) as f64;
+        // Post-warm-up iterations actually completed: a raised stop
+        // flag ends the chain before `cfg.iters`.
+        let sampling = draws.len().saturating_sub(cfg.warmup).max(1) as f64;
         // Static HMC does a fixed number of leapfrogs per iteration.
         let evals_per_iter = vec![self.steps as u32; draws.len()];
         ChainOutput {

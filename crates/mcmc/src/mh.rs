@@ -118,7 +118,8 @@ impl Sampler for MetropolisHastings {
             draws.push(theta.clone());
         }
 
-        let sampling_iters = (cfg.iters - cfg.warmup).max(1) as u64;
+        // Post-warm-up iterations actually completed, as in NUTS and HMC.
+        let sampling_iters = draws.len().saturating_sub(cfg.warmup).max(1) as u64;
         ChainOutput {
             draws,
             warmup: cfg.warmup,

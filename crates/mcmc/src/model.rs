@@ -2,7 +2,7 @@
 //! data-parallel layer.
 
 use crate::par;
-use bayes_autodiff::{grad_forward, grad_into, grad_of, Leaves, Real, Tape, TapeStats, Var};
+use bayes_autodiff::{grad_forward_into, grad_into, grad_of, Leaves, Real, Tape, TapeStats, Var};
 use bayes_obs::{Event, RecorderHandle};
 use rand::Rng;
 use std::cell::RefCell;
@@ -567,9 +567,7 @@ pub trait SufficientStats: Send + Sync {
     /// one O(N) tape sweep); hot densities override it with a fused
     /// analytic gradient.
     fn ln_posterior_grad_stats(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
-        let (value, g) = grad_forward(theta, |t| self.ln_posterior_stats(t));
-        grad.copy_from_slice(&g);
-        value
+        grad_forward_into(theta, grad, |t| self.ln_posterior_stats(t))
     }
 }
 

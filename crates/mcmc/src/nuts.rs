@@ -17,6 +17,7 @@ use crate::dynamics::{Hamiltonian, State};
 use crate::model::Model;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::mem;
 
 /// Divergence threshold on the joint-density error (Stan's default).
 const MAX_DELTA_H: f64 = 1000.0;
@@ -75,7 +76,8 @@ impl Nuts {
     }
 }
 
-/// One subtree built by the doubling procedure.
+/// One subtree built by the doubling procedure. Its five buffers come
+/// from the chain's [`Workspace`] and go back to it.
 struct Tree {
     s_minus: State,
     p_minus: Vec<f64>,
@@ -91,111 +93,230 @@ struct Tree {
     diverged: bool,
 }
 
-fn no_uturn(ham: &Hamiltonian<'_>, minus: &Tree) -> bool {
-    let dq: Vec<f64> = minus
-        .s_plus
-        .q
-        .iter()
-        .zip(&minus.s_minus.q)
-        .map(|(a, b)| a - b)
-        .collect();
-    let dot = |p: &[f64]| -> f64 {
-        dq.iter()
-            .zip(p)
-            .zip(&ham.inv_mass)
-            .map(|((d, pi), im)| d * pi * im)
-            .sum()
-    };
-    dot(&minus.p_minus) >= 0.0 && dot(&minus.p_plus) >= 0.0
+impl Tree {
+    /// The edge a doubling in direction `dir` continues from.
+    fn edge(&self, dir: f64) -> (&State, &[f64]) {
+        if dir < 0.0 {
+            (&self.s_minus, &self.p_minus)
+        } else {
+            (&self.s_plus, &self.p_plus)
+        }
+    }
+
+    /// Takes over `sub`'s outer edge in direction `dir`; `sub` keeps
+    /// the replaced buffers until it is recycled.
+    fn extend(&mut self, sub: &mut Tree, dir: f64) {
+        if dir < 0.0 {
+            mem::swap(&mut self.s_minus, &mut sub.s_minus);
+            mem::swap(&mut self.p_minus, &mut sub.p_minus);
+        } else {
+            mem::swap(&mut self.s_plus, &mut sub.s_plus);
+            mem::swap(&mut self.p_plus, &mut sub.p_plus);
+        }
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn build_tree(
-    ham: &Hamiltonian<'_>,
-    s: &State,
-    p: &[f64],
-    ln_u: f64,
-    dir: f64,
-    depth: usize,
-    eps: f64,
-    h0: f64,
-    rng: &mut StdRng,
-    grad_evals: &mut u64,
-) -> Tree {
-    if depth == 0 {
-        let (s1, p1) = ham.leapfrog(s, p, dir * eps, grad_evals);
-        let joint = ham.log_joint(&s1, &p1);
-        let valid = ln_u <= joint;
-        let diverged = !(joint.is_finite() && ln_u - MAX_DELTA_H < joint);
-        let alpha = if joint.is_finite() {
-            (joint - h0).exp().min(1.0)
-        } else {
-            0.0
-        };
-        return Tree {
-            s_minus: s1.clone(),
-            p_minus: p1.clone(),
-            s_plus: s1.clone(),
-            p_plus: p1.clone(),
-            s_prop: s1,
-            n: if valid { 1.0 } else { 0.0 },
-            ok: !diverged,
-            alpha,
-            n_alpha: 1.0,
-            diverged,
-        };
+/// Every phase-space buffer one chain's trees are made of, as free
+/// lists. A transition has at most `max_depth + 1` trees alive — the
+/// root, one finished half per recursion level below it, and the leaf
+/// being stepped — so the lists are filled once for that many and
+/// tree building never allocates (DESIGN.md §5d).
+struct Workspace {
+    states: Vec<State>,
+    momenta: Vec<Vec<f64>>,
+}
+
+impl Workspace {
+    fn new(dim: usize, max_depth: usize) -> Self {
+        let trees = max_depth + 1;
+        Self {
+            states: (0..3 * trees).map(|_| State::zeros(dim)).collect(),
+            momenta: (0..2 * trees).map(|_| vec![0.0; dim]).collect(),
+        }
     }
 
-    let mut t1 = build_tree(ham, s, p, ln_u, dir, depth - 1, eps, h0, rng, grad_evals);
-    if !t1.ok {
-        return t1;
+    /// An empty tree over five buffers whose contents are stale.
+    fn tree(&mut self) -> Tree {
+        const BOUND: &str = "at most max_depth + 1 trees are alive";
+        Tree {
+            s_minus: self.states.pop().expect(BOUND),
+            p_minus: self.momenta.pop().expect(BOUND),
+            s_plus: self.states.pop().expect(BOUND),
+            p_plus: self.momenta.pop().expect(BOUND),
+            s_prop: self.states.pop().expect(BOUND),
+            n: 0.0,
+            ok: true,
+            alpha: 0.0,
+            n_alpha: 0.0,
+            diverged: false,
+        }
     }
-    let t2 = if dir < 0.0 {
-        build_tree(
-            ham,
-            &t1.s_minus.clone(),
-            &t1.p_minus.clone(),
-            ln_u,
-            dir,
-            depth - 1,
-            eps,
-            h0,
-            rng,
-            grad_evals,
-        )
-    } else {
-        build_tree(
-            ham,
-            &t1.s_plus.clone(),
-            &t1.p_plus.clone(),
-            ln_u,
-            dir,
-            depth - 1,
-            eps,
-            h0,
-            rng,
-            grad_evals,
-        )
+
+    fn recycle(&mut self, tree: Tree) {
+        self.states.extend([tree.s_minus, tree.s_plus, tree.s_prop]);
+        self.momenta.extend([tree.p_minus, tree.p_plus]);
+    }
+}
+
+fn no_uturn(ham: &Hamiltonian<'_>, tree: &Tree) -> bool {
+    let dot = |p: &[f64]| -> f64 {
+        tree.s_plus
+            .q
+            .iter()
+            .zip(&tree.s_minus.q)
+            .zip(p)
+            .zip(&ham.inv_mass)
+            .map(|(((a, b), pi), im)| (a - b) * pi * im)
+            .sum()
     };
-    // Merge: extend the relevant edge, sample the proposal
-    // proportionally to subtree weights.
-    if dir < 0.0 {
-        t1.s_minus = t2.s_minus;
-        t1.p_minus = t2.p_minus;
-    } else {
-        t1.s_plus = t2.s_plus;
-        t1.p_plus = t2.p_plus;
+    dot(&tree.p_minus) >= 0.0 && dot(&tree.p_plus) >= 0.0
+}
+
+/// The doubling procedure of one transition: what all its subtrees
+/// share.
+struct Doubling<'a, 'm> {
+    ham: &'a Hamiltonian<'m>,
+    ws: &'a mut Workspace,
+    rng: &'a mut StdRng,
+    grad_evals: &'a mut u64,
+    /// Log of the slice variable.
+    ln_u: f64,
+    /// Log joint density at the transition's starting point.
+    h0: f64,
+    eps: f64,
+}
+
+impl Doubling<'_, '_> {
+    /// Builds the subtree of `2^depth` leapfrog steps that continues
+    /// from the edge `(s, p)` in direction `dir`.
+    fn build(&mut self, (s, p): (&State, &[f64]), dir: f64, depth: usize) -> Tree {
+        if depth == 0 {
+            let mut leaf = self.ws.tree();
+            let (s1, p1) = (&mut leaf.s_prop, &mut leaf.p_plus);
+            self.ham
+                .leapfrog_into(s, p, dir * self.eps, self.grad_evals, s1, p1);
+            let joint = self.ham.log_joint(s1, p1);
+            let valid = self.ln_u <= joint;
+            leaf.diverged = !(joint.is_finite() && self.ln_u - MAX_DELTA_H < joint);
+            leaf.alpha = if joint.is_finite() {
+                (joint - self.h0).exp().min(1.0)
+            } else {
+                0.0
+            };
+            // The new point is both edges and the proposal.
+            leaf.s_minus.copy_from(&leaf.s_prop);
+            leaf.s_plus.copy_from(&leaf.s_prop);
+            leaf.p_minus.copy_from_slice(&leaf.p_plus);
+            leaf.n = if valid { 1.0 } else { 0.0 };
+            leaf.ok = !leaf.diverged;
+            leaf.n_alpha = 1.0;
+            return leaf;
+        }
+
+        let mut t1 = self.build((s, p), dir, depth - 1);
+        if !t1.ok {
+            return t1;
+        }
+        let mut t2 = self.build(t1.edge(dir), dir, depth - 1);
+        // Merge: extend the relevant edge, sample the proposal
+        // proportionally to subtree weights.
+        t1.extend(&mut t2, dir);
+        let total = t1.n + t2.n;
+        if total > 0.0 && self.rng.gen_range(0.0..1.0) < t2.n / total {
+            mem::swap(&mut t1.s_prop, &mut t2.s_prop);
+        }
+        t1.alpha += t2.alpha;
+        t1.n_alpha += t2.n_alpha;
+        t1.n = total;
+        t1.diverged |= t2.diverged;
+        t1.ok = t2.ok && no_uturn(self.ham, &t1);
+        self.ws.recycle(t2);
+        t1
     }
-    let total = t1.n + t2.n;
-    if total > 0.0 && rng.gen_range(0.0..1.0) < t2.n / total {
-        t1.s_prop = t2.s_prop;
+}
+
+/// What one transition reports besides the new state.
+struct Transition {
+    depth: usize,
+    diverged: bool,
+    accept_stat: f64,
+}
+
+/// One NUTS transition: doubles a trajectory around `state` until it
+/// turns back, diverges or reaches `max_depth`, and leaves the selected
+/// point in `state`. Every buffer it takes from `ws` is back there
+/// when it returns.
+fn transition(
+    ham: &Hamiltonian<'_>,
+    ws: &mut Workspace,
+    state: &mut State,
+    eps: f64,
+    max_depth: usize,
+    rng: &mut StdRng,
+    grad_evals: &mut u64,
+) -> Transition {
+    let mut tree = ws.tree();
+    ham.draw_momentum_into(rng, &mut tree.p_plus);
+    let h0 = ham.log_joint(state, &tree.p_plus);
+    let ln_u = h0 + rng.gen_range(0.0f64..1.0).ln();
+    tree.p_minus.copy_from_slice(&tree.p_plus);
+    tree.s_minus.copy_from(state);
+    tree.s_plus.copy_from(state);
+    // The current point is the first proposal; `state` holds a stale
+    // buffer until the selected one is swapped back below.
+    mem::swap(&mut tree.s_prop, state);
+    tree.n = 1.0;
+
+    let mut doubling = Doubling {
+        ham,
+        ws,
+        rng,
+        grad_evals,
+        ln_u,
+        h0,
+        eps,
+    };
+    let mut depth_reached = 0;
+    for depth in 0..max_depth {
+        // One doubling per span: self time is the merge
+        // bookkeeping, the leapfrogs inside account their own.
+        let _span = bayes_obs::span(bayes_obs::Phase::TreeDoubling);
+        depth_reached = depth + 1;
+        let dir: f64 = if doubling.rng.gen_range(0.0..1.0) < 0.5 {
+            -1.0
+        } else {
+            1.0
+        };
+        let mut sub = doubling.build(tree.edge(dir), dir, depth);
+        tree.alpha += sub.alpha;
+        tree.n_alpha += sub.n_alpha;
+        tree.diverged |= sub.diverged;
+        let accepted = sub.ok;
+        if accepted {
+            if doubling.rng.gen_range(0.0..1.0) < sub.n / tree.n.max(1.0) {
+                mem::swap(&mut tree.s_prop, &mut sub.s_prop);
+            }
+            tree.extend(&mut sub, dir);
+            tree.n += sub.n;
+        }
+        doubling.ws.recycle(sub);
+        if !(accepted && no_uturn(ham, &tree)) {
+            break;
+        }
     }
-    t1.alpha += t2.alpha;
-    t1.n_alpha += t2.n_alpha;
-    t1.n = total;
-    t1.diverged |= t2.diverged;
-    t1.ok = t2.ok && no_uturn(ham, &t1);
-    t1
+
+    mem::swap(state, &mut tree.s_prop);
+    let out = Transition {
+        depth: depth_reached,
+        diverged: tree.diverged,
+        accept_stat: if tree.n_alpha > 0.0 {
+            tree.alpha / tree.n_alpha
+        } else {
+            0.0
+        },
+    };
+    doubling.ws.recycle(tree);
+    out
 }
 
 impl Sampler for Nuts {
@@ -328,6 +449,7 @@ impl Nuts {
             }
         };
         let window = (cfg.warmup / 4, cfg.warmup * 3 / 4);
+        let mut ws = Workspace::new(model.dim(), self.cfg.max_depth);
 
         let mut draws = Vec::with_capacity(cfg.iters - start);
         let mut evals_per_iter = Vec::with_capacity(cfg.iters - start);
@@ -346,95 +468,25 @@ impl Nuts {
             }
             let evals_at_start = grad_evals;
             let eps_used = eps;
-            let mut depth_reached = 0usize;
-            let p0 = ham.draw_momentum(&mut rng);
-            let h0 = ham.log_joint(&state, &p0);
-            let ln_u = h0 + rng.gen_range(0.0f64..1.0).ln();
-
-            let mut tree = Tree {
-                s_minus: state.clone(),
-                p_minus: p0.clone(),
-                s_plus: state.clone(),
-                p_plus: p0.clone(),
-                s_prop: state.clone(),
-                n: 1.0,
-                ok: true,
-                alpha: 0.0,
-                n_alpha: 0.0,
-                diverged: false,
-            };
-
-            for depth in 0..self.cfg.max_depth {
-                // One doubling per span: self time is the merge
-                // bookkeeping, the leapfrogs inside account their own.
-                let _span = bayes_obs::span(bayes_obs::Phase::TreeDoubling);
-                depth_reached = depth + 1;
-                let dir: f64 = if rng.gen_range(0.0..1.0) < 0.5 {
-                    -1.0
-                } else {
-                    1.0
-                };
-                let sub = if dir < 0.0 {
-                    build_tree(
-                        &ham,
-                        &tree.s_minus.clone(),
-                        &tree.p_minus.clone(),
-                        ln_u,
-                        dir,
-                        depth,
-                        eps,
-                        h0,
-                        &mut rng,
-                        &mut grad_evals,
-                    )
-                } else {
-                    build_tree(
-                        &ham,
-                        &tree.s_plus.clone(),
-                        &tree.p_plus.clone(),
-                        ln_u,
-                        dir,
-                        depth,
-                        eps,
-                        h0,
-                        &mut rng,
-                        &mut grad_evals,
-                    )
-                };
-                tree.alpha += sub.alpha;
-                tree.n_alpha += sub.n_alpha;
-                tree.diverged |= sub.diverged;
-                if !sub.ok {
-                    break;
-                }
-                if rng.gen_range(0.0..1.0) < sub.n / tree.n.max(1.0) {
-                    tree.s_prop = sub.s_prop.clone();
-                }
-                if dir < 0.0 {
-                    tree.s_minus = sub.s_minus;
-                    tree.p_minus = sub.p_minus;
-                } else {
-                    tree.s_plus = sub.s_plus;
-                    tree.p_plus = sub.p_plus;
-                }
-                tree.n += sub.n;
-                if !no_uturn(&ham, &tree) {
-                    break;
-                }
-            }
-
-            state = tree.s_prop;
+            let Transition {
+                depth: depth_reached,
+                diverged,
+                accept_stat,
+            } = transition(
+                &ham,
+                &mut ws,
+                &mut state,
+                eps,
+                self.cfg.max_depth,
+                &mut rng,
+                &mut grad_evals,
+            );
             // Stan convention: report divergences only after warmup
             // (large trial step sizes make them routine during
             // adaptation).
-            if tree.diverged && iter >= cfg.warmup {
+            if diverged && iter >= cfg.warmup {
                 divergences += 1;
             }
-            let accept_stat = if tree.n_alpha > 0.0 {
-                tree.alpha / tree.n_alpha
-            } else {
-                0.0
-            };
             if iter >= cfg.warmup {
                 accept_sum += accept_stat;
             }
@@ -445,7 +497,7 @@ impl Nuts {
                     step_size: eps_used,
                     tree_depth: depth_reached as u64,
                     leapfrogs: grad_evals - evals_at_start,
-                    divergent: tree.diverged,
+                    divergent: diverged,
                     accept: accept_stat,
                 });
             }
@@ -499,7 +551,9 @@ impl Nuts {
             }
         }
 
-        let sampling = (cfg.iters - cfg.warmup).max(1) as f64;
+        // Post-warm-up iterations actually completed: a raised stop
+        // flag ends the chain before `cfg.iters`.
+        let sampling = (start + draws.len()).saturating_sub(cfg.warmup).max(1) as f64;
         ChainOutput {
             draws,
             warmup: cfg.warmup,
@@ -577,6 +631,37 @@ mod tests {
             assert_eq!(ca.draws, cb.draws);
             assert_eq!(ca.grad_evals, cb.grad_evals);
         }
+    }
+
+    #[test]
+    fn every_transition_returns_its_buffers_to_the_workspace() {
+        let model = AdModel::new("g3", Gauss3);
+        let ham = Hamiltonian::unit(&model);
+        let max_depth = 4;
+        let mut ws = Workspace::new(3, max_depth);
+        let full = (ws.states.len(), ws.momenta.len());
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut state = State::at(&model, vec![0.3, 1.9, -0.5]);
+        let mut evals = 0;
+        let mut step = |eps: f64, ws: &mut Workspace| {
+            let t = transition(&ham, ws, &mut state, eps, max_depth, &mut rng, &mut evals);
+            assert_eq!((ws.states.len(), ws.momenta.len()), full, "eps {eps}");
+            assert!(state.q.iter().all(|x| x.is_finite()));
+            t
+        };
+        // Steps too short to turn around: all four doublings, with as
+        // many trees alive as there can be.
+        let t = step(1e-4, &mut ws);
+        assert_eq!((t.depth, t.diverged), (max_depth, false));
+        // A step that leaves the typical set: the first leaf diverges
+        // and the early return hands everything back.
+        let t = step(1e4, &mut ws);
+        assert_eq!((t.depth, t.diverged, t.accept_stat), (1, true, 0.0));
+        // Ordinary transitions: U-turns inside subtrees and at the top.
+        for _ in 0..200 {
+            step(0.7, &mut ws);
+        }
+        assert!(evals > 15 + 1 + 200);
     }
 
     #[test]

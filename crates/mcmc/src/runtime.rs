@@ -97,8 +97,9 @@ impl ElidedRun {
 /// draw-for-draw identical to the plain one, and two identical
 /// invocations are bit-identical regardless of thread interleaving.
 /// Note that per-chain statistics other than the draws (`accept_mean`,
-/// `divergences`) may still reflect the handful of in-flight
-/// iterations a chain completed before observing the stop flag.
+/// `divergences`) still cover the handful of in-flight iterations a
+/// chain completed before observing the stop flag; `accept_mean` is
+/// the mean over exactly those post-warm-up iterations the chain ran.
 pub fn run_until_converged<S: StoppableSampler + Sync>(
     sampler: &S,
     model: &dyn Model,
@@ -445,6 +446,58 @@ mod tests {
                 evals_per_iter: vec![1; n],
             }
         }
+    }
+
+    /// Stops a chain `after` iterations past warm-up and compares its
+    /// `accept_mean` with the mean of the `accept` values it recorded.
+    fn accept_mean_of_a_stopped_chain<S: StoppableSampler>(sampler: &S, after: usize) {
+        use bayes_obs::{MemoryRecorder, RecorderHandle};
+        use std::sync::Arc;
+
+        let model = AdModel::new("gauss", Gauss);
+        let memory = Arc::new(MemoryRecorder::new());
+        let cfg = RunConfig::new(400)
+            .with_warmup(100)
+            .with_seed(9)
+            .with_recorder(RecorderHandle::new(memory.clone()));
+        let stop = AtomicBool::new(false);
+        let out = sampler.sample_chain_stoppable(
+            &model,
+            &[0.5, -0.5],
+            &cfg,
+            cfg.chain_seed(0),
+            &stop,
+            &|iter, _| {
+                if iter + 1 == cfg.warmup + after {
+                    stop.store(true, Ordering::Release);
+                }
+            },
+        );
+        assert_eq!(out.draws.len(), cfg.warmup + after);
+        let accepts: Vec<f64> = memory
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::Iteration { iter, accept, .. } if *iter >= cfg.warmup as u64 => {
+                    Some(*accept)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(accepts.len(), after);
+        let mean = accepts.iter().sum::<f64>() / after as f64;
+        assert!(mean > 0.3, "a diluted mean would sit near {}", mean * 0.1);
+        assert!(
+            (out.accept_mean - mean).abs() < 1e-12,
+            "accept_mean {} vs recorded mean {mean}",
+            out.accept_mean
+        );
+    }
+
+    #[test]
+    fn accept_mean_of_a_stopped_chain_averages_the_iterations_it_ran() {
+        accept_mean_of_a_stopped_chain(&Nuts::default(), 30);
+        accept_mean_of_a_stopped_chain(&crate::hmc::StaticHmc::new(4), 30);
     }
 
     #[test]

@@ -227,8 +227,8 @@ impl SufficientStats for SurvivalStats {
     fn ln_posterior_stats<R: Real>(&self, theta: &[R]) -> R {
         let t_int = OCCASIONS - 1;
         // Same hoisted transforms as the sweep path…
-        let phis: Vec<R> = (0..t_int).map(|t| theta[t].sigmoid()).collect();
-        let ps: Vec<R> = (0..t_int).map(|t| theta[t_int + t].sigmoid()).collect();
+        let phis: [R; OCCASIONS - 1] = std::array::from_fn(|t| theta[t].sigmoid());
+        let ps: [R; OCCASIONS - 1] = std::array::from_fn(|t| theta[t_int + t].sigmoid());
         let mut chi = [theta[0] * 0.0 + 1.0; OCCASIONS];
         for t in (0..t_int).rev() {
             chi[t] = (-phis[t] + 1.0) + phis[t] * (-ps[t] + 1.0) * chi[t + 1];

@@ -1,40 +1,14 @@
 //! A steady-state gradient allocates nothing.
 //!
-//! Its own test binary, because the counter is the process's global
-//! allocator. Only allocations of the thread under test are counted:
-//! the harness's own threads allocate whenever they like.
+//! Its own test binary, because the counter (`counting_alloc`) is the
+//! process's global allocator. Only allocations of the thread under
+//! test are counted: the harness's own threads allocate whenever they
+//! like.
+
+mod counting_alloc;
 
 use bayes_suite::registry::{self, REFERENCE_SEED, SMOKE_SCALE};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded to `System` unchanged; the counter
-// is a const-initialised thread-local `Cell` with no destructor, so
-// touching it neither allocates nor runs after thread teardown.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use counting_alloc::allocations;
 
 /// The cells of the benchmark's `nuts_tape` workload.
 const TAPE_CELLS: [&str; 6] = [
@@ -48,9 +22,9 @@ const TAPE_CELLS: [&str; 6] = [
 
 #[test]
 fn the_counter_counts() {
-    let before = ALLOCATIONS.get();
+    let before = allocations();
     drop(std::hint::black_box(vec![0u8; 64]));
-    assert!(ALLOCATIONS.get() > before);
+    assert!(allocations() > before);
 }
 
 #[test]
@@ -68,13 +42,13 @@ fn steady_state_gradients_allocate_nothing() {
         for _ in 0..2 {
             model.ln_posterior_grad(&theta, &mut grad);
         }
-        let before = ALLOCATIONS.get();
+        let before = allocations();
         let mut sum = 0.0;
         for step in 0..100 {
             theta[step % dim] += 1e-3;
             sum += model.ln_posterior_grad(&theta, &mut grad);
         }
-        let allocated = ALLOCATIONS.get() - before;
+        let allocated = allocations() - before;
         assert!(sum.is_finite(), "{name}: density left its support");
         if allocated != 0 {
             allocating.push((name, allocated));

@@ -7,6 +7,63 @@ use bayes_prob::dist::{ContinuousDist, Gamma, Normal};
 use bayes_prob::special;
 use proptest::prelude::*;
 
+/// `CacheSim` as first written: set and tag by `%` and `/` on every
+/// access, same victim choice, same xorshift stream.
+struct DividingCache {
+    sets: u64,
+    ways: usize,
+    policy: Replacement,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    clock: u64,
+    rng_state: u64,
+    misses: u64,
+}
+
+impl DividingCache {
+    fn new(sets: usize, ways: usize, policy: Replacement) -> Self {
+        Self {
+            sets: sets as u64,
+            ways,
+            policy,
+            tags: vec![u64::MAX; sets * ways],
+            stamps: vec![0; sets * ways],
+            clock: 0,
+            rng_state: 0x9E37_79B9_7F4A_7C15,
+            misses: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        self.clock += 1;
+        let line = addr / 64;
+        let base = (line % self.sets) as usize * self.ways;
+        let tag = line / self.sets;
+        let set = base..base + self.ways;
+        if let Some(w) = set.clone().find(|&w| self.tags[w] == tag) {
+            self.stamps[w] = self.clock;
+            return true;
+        }
+        self.misses += 1;
+        let victim = match self.policy {
+            // First way with the oldest stamp.
+            Replacement::Lru => set.clone().min_by_key(|&w| self.stamps[w]).unwrap(),
+            Replacement::Random => set
+                .clone()
+                .find(|&w| self.tags[w] == u64::MAX)
+                .unwrap_or_else(|| {
+                    self.rng_state ^= self.rng_state << 13;
+                    self.rng_state ^= self.rng_state >> 7;
+                    self.rng_state ^= self.rng_state << 17;
+                    base + (self.rng_state % self.ways as u64) as usize
+                }),
+        };
+        self.tags[victim] = tag;
+        self.stamps[victim] = self.clock;
+        false
+    }
+}
+
 proptest! {
     #[test]
     fn normal_lnpdf_is_finite_and_maximal_at_mean(
@@ -82,6 +139,27 @@ proptest! {
             c2.misses()
         };
         prop_assert!(warm_misses <= c.misses());
+    }
+
+    #[test]
+    fn cache_indexing_matches_a_division_only_reference(
+        addrs in proptest::collection::vec(0u64..20_000, 1..400),
+        base in 0u64..(1 << 40),
+        ways in 1usize..6,
+        random in 0usize..2,
+    ) {
+        // 16 sets take the shift-and-mask path, 12 sets the dividing
+        // one; both must place every line where plain `/` and `%` do.
+        let policy = [Replacement::Lru, Replacement::Random][random];
+        for sets in [16usize, 12] {
+            let mut cache = CacheSim::new(64 * ways * sets, ways, policy);
+            let mut reference = DividingCache::new(sets, ways, policy);
+            for &a in &addrs {
+                prop_assert_eq!(cache.access(base + a), reference.access(base + a));
+            }
+            prop_assert_eq!(cache.accesses(), addrs.len() as u64);
+            prop_assert_eq!(cache.misses(), reference.misses);
+        }
     }
 
     #[test]

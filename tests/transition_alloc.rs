@@ -1,0 +1,126 @@
+//! A steady-state NUTS or HMC transition allocates its draw row and
+//! nothing else.
+//!
+//! Its own test binary, because the counter (`counting_alloc`, shared
+//! with `gradient_alloc.rs`) is the process's global allocator. Only
+//! allocations of the thread under test are counted, and every chain
+//! here runs on the test's own thread, with one inner thread, through
+//! `sample_chain_stoppable` — the same core loop `chain::run`, the
+//! elision runtime and the supervisor drive.
+//!
+//! `on_draw(iter, ..)` is called once per transition, after the draw
+//! row is pushed, and `ChainOutput::draws` is reserved for `iters` rows
+//! up front; so the counter's growth between two consecutive calls is
+//! one transition: tree building plus one draw row. The rows are the
+//! only allocations a transition may make, hence "exactly one" below
+//! means "zero inside tree building".
+
+mod counting_alloc;
+
+use bayes_mcmc::hmc::StaticHmc;
+use bayes_mcmc::nuts::Nuts;
+use bayes_mcmc::{Model, RunConfig, StoppableSampler};
+use bayes_suite::registry::{self, REFERENCE_SEED, SMOKE_SCALE};
+use counting_alloc::allocations;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+const ITERS: usize = 160;
+const WARMUP: usize = 80;
+/// Transitions skipped after warm-up ends before counting starts: the
+/// last warm-up transition installs the final step size, nothing more,
+/// but a margin costs nothing.
+const SETTLE: usize = 8;
+
+/// Runs one chain on this thread and returns, for each of the last
+/// `ITERS - WARMUP - SETTLE - 1` transitions, its allocations and its
+/// gradient evaluations.
+fn allocations_per_transition<S: StoppableSampler>(
+    sampler: &S,
+    model: &dyn Model,
+) -> Vec<(u64, u64)> {
+    model.set_inner_threads(1);
+    let cfg = RunConfig::new(ITERS).with_warmup(WARMUP).with_seed(7);
+    let init = vec![0.1; model.dim()];
+    let marks: Vec<AtomicU64> = (0..ITERS).map(|_| AtomicU64::new(0)).collect();
+    let out = sampler.sample_chain_stoppable(
+        model,
+        &init,
+        &cfg,
+        cfg.chain_seed(0),
+        &AtomicBool::new(false),
+        &|iter, _| marks[iter].store(allocations(), Ordering::Relaxed),
+    );
+    assert_eq!(out.draws.len(), ITERS);
+    assert!(
+        out.draws.iter().flatten().all(|x| x.is_finite()),
+        "{}: chain left the support",
+        model.name()
+    );
+    let marks: Vec<u64> = marks.iter().map(|m| m.load(Ordering::Relaxed)).collect();
+    let first = WARMUP + SETTLE;
+    marks[first..]
+        .windows(2)
+        .zip(&out.evals_per_iter[first + 1..])
+        .map(|(w, &evals)| (w[1] - w[0], u64::from(evals)))
+        .collect()
+}
+
+fn registry_model(name: &str) -> bayes_suite::Workload {
+    registry::workload(name, SMOKE_SCALE, REFERENCE_SEED).expect("registry")
+}
+
+/// `memory` and `survival` on the sufficient-statistics path (fused
+/// analytic and forward-mode gradients), `12cities` on the tape.
+#[test]
+fn a_steady_state_nuts_transition_allocates_only_its_draw_row() {
+    for name in ["memory", "survival", "12cities"] {
+        let workload = registry_model(name);
+        let per_transition = allocations_per_transition(&Nuts::default(), workload.model());
+        assert!(
+            per_transition.iter().all(|&(allocs, _)| allocs == 1),
+            "{name}: (allocations, gradients) per transition {per_transition:?}"
+        );
+    }
+}
+
+#[test]
+fn a_steady_state_hmc_transition_allocates_only_its_draw_row() {
+    let workload = registry_model("12cities");
+    let per_transition = allocations_per_transition(&StaticHmc::new(8), workload.model());
+    assert!(
+        per_transition.iter().all(|&(allocs, _)| allocs == 1),
+        "(allocations, gradients) per transition {per_transition:?}"
+    );
+}
+
+/// The exception: `votes` evaluates a marginalised GP, and each
+/// gradient — one 4-lane forward pass, `dim` is 4 — builds the packed
+/// covariance triangle and the forward-substitution vector it
+/// factorises, two `Vec`s that `VotesStats::ln_posterior_stats` sizes
+/// from the series length. The sampler around them allocates nothing,
+/// so the count is exact; a change that hoists the two vectors turns
+/// `VOTES_PER_GRADIENT` into 0 and this test into the one above.
+#[test]
+fn votes_allocates_two_work_vectors_per_gradient_and_nothing_else() {
+    const VOTES_PER_GRADIENT: u64 = 2;
+    let workload = registry_model("votes");
+    let model = workload.model();
+    let (mut theta, mut grad) = (vec![0.1; model.dim()], vec![0.0; model.dim()]);
+    model.set_inner_threads(1);
+    model.ln_posterior_grad(&theta, &mut grad);
+    let before = allocations();
+    for step in 0..100 {
+        theta[step % 4] += 1e-3;
+        model.ln_posterior_grad(&theta, &mut grad);
+    }
+    assert_eq!(allocations() - before, 100 * VOTES_PER_GRADIENT);
+
+    // Over whole transitions: the draw row plus the gradients' vectors.
+    let per_transition = allocations_per_transition(&Nuts::default(), model);
+    assert!(
+        per_transition
+            .iter()
+            .all(|&(allocs, grads)| allocs == 1 + VOTES_PER_GRADIENT * grads),
+        "(allocations, gradients) per transition {per_transition:?}"
+    );
+}
