@@ -261,8 +261,8 @@ fn main() {
 }
 
 /// A server-side telemetry sampler on a cadence fast enough for the
-/// short simulated mix (the scheduler polls every 20 ms, so a 25 ms
-/// wall interval yields a steady sample stream).
+/// short simulated mix (the scheduler wakes for the sampler's own
+/// interval, so 25 ms yields a steady sample stream).
 fn telemetry_sampler(trace: RecorderHandle) -> TelemetryHandle {
     TelemetryHandle::new(TelemetrySampler::new(trace).with_wall_interval(Duration::from_millis(25)))
 }

@@ -70,7 +70,7 @@ pub use checkpoint::{RunCheckpoint, SamplerCheckpoint};
 pub use converge::{CheckpointSchedule, ConvergenceDetector, ConvergenceReport};
 pub use model::{
     shard_ranges, AdModel, EvalProfile, LogDensity, Model, ShardedDensity, ShardedModel,
-    StatsModel, SufficientStats, DEFAULT_SHARDS,
+    StatsModel, SufficientStats, DEFAULT_SHARDS, POOL_CROSSOVER_NODES,
 };
 pub use nuts::NutsConfig;
 pub use par::WorkerPool;

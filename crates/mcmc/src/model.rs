@@ -64,6 +64,14 @@ pub trait Model: Send + Sync {
     /// [`Model::dim`]. Returns the log-posterior value.
     fn ln_posterior_grad(&self, theta: &[f64], grad: &mut [f64]) -> f64;
 
+    /// [`Model::ln_posterior_grad`] with a sharded sweep sent to a pool
+    /// of `threads` whatever its dispatch rule would choose: how tests
+    /// and `sweep_scaling` reach the pooled path of any registry model.
+    #[doc(hidden)]
+    fn ln_posterior_grad_on(&self, theta: &[f64], grad: &mut [f64], _threads: usize) -> f64 {
+        self.ln_posterior_grad(theta, grad)
+    }
+
     /// Profiles one gradient evaluation at `theta`.
     fn grad_profile(&self, theta: &[f64]) -> EvalProfile;
 
@@ -288,12 +296,15 @@ struct ShardTelemetry {
     nodes: AtomicU64,
     bytes: AtomicU64,
     transcendental: AtomicU64,
+    /// Widest dispatch among the accumulated sweeps (1 = all serial).
+    threads: AtomicU64,
     recorder: parking_lot::Mutex<RecorderHandle>,
 }
 
 impl ShardTelemetry {
-    fn accumulate(&self, stats: TapeStats, elapsed: Option<std::time::Duration>) {
+    fn accumulate(&self, stats: TapeStats, elapsed: Option<std::time::Duration>, threads: usize) {
         self.sweeps.fetch_add(1, Ordering::Relaxed);
+        self.threads.fetch_max(threads as u64, Ordering::Relaxed);
         self.nodes.fetch_add(stats.nodes as u64, Ordering::Relaxed);
         self.bytes.fetch_add(stats.bytes as u64, Ordering::Relaxed);
         self.transcendental
@@ -303,6 +314,27 @@ impl ShardTelemetry {
         }
     }
 }
+
+/// Tape nodes per gradient from which a granted pool is used. A
+/// dispatch is two condvar round trips (10–30 µs on the two-core
+/// reference host), so it pays only around a sweep longer than that.
+/// Forced-pool speed-up at two inner threads against nodes per
+/// gradient, every sharded model at scale 0.25 and 1.0, dynamics and
+/// full (`results/sweep_scaling.txt`; one row each in DESIGN.md §5b):
+///
+/// | model     | nodes → serial time / pooled time                        |
+/// |-----------|----------------------------------------------------------|
+/// | 12cities  | 652 → 0.22, 1408 → 0.29                                  |
+/// | racial    | 584 → 0.25, 1486 → 0.41, 5176 → 0.74                     |
+/// | butterfly | 1547 → 0.34, 2759 → 0.60, 3163 → 0.56, 8819 → 1.12       |
+/// | disease   | 1576 → 0.34, 5330 → 0.63, 6586 → 0.79, 25 373 → 1.21     |
+/// | ad        | 2112 → 0.49, 7897 → 1.13, 19 460 → 1.27, 77 325 → 1.80   |
+/// | tickets   | 2708 → 0.64, 10 376 → 1.28, 127 952 → 1.76, 511 352 → 1.87 |
+///
+/// Every model below the constant loses and every one above it gains.
+/// It is a *count* — the same on every host and in every run, so which
+/// path a model takes is reproducible — and not a clock.
+pub const POOL_CROSSOVER_NODES: usize = 7_500;
 
 /// Adapter turning a [`ShardedDensity`] into a [`Model`] whose gradient
 /// is a sum of terms — the prior, then one likelihood shard after
@@ -326,7 +358,12 @@ pub struct ShardedModel<D> {
     density: D,
     /// The partition of `0..n_data`, fixed at construction.
     ranges: Vec<Range<usize>>,
+    /// The grant: a cap, used from [`POOL_CROSSOVER_NODES`] up.
     inner_threads: AtomicUsize,
+    /// Tape nodes of one gradient, 0 until the first — a serial one —
+    /// has been counted. Written then and only read afterwards: chains
+    /// sharing the model share no write on the gradient path.
+    grad_nodes: AtomicUsize,
     telemetry: ShardTelemetry,
 }
 
@@ -338,6 +375,7 @@ impl<D: ShardedDensity> ShardedModel<D> {
             ranges: shard_ranges(density.n_data(), DEFAULT_SHARDS),
             density,
             inner_threads: AtomicUsize::new(1),
+            grad_nodes: AtomicUsize::new(0),
             telemetry: ShardTelemetry::default(),
         }
     }
@@ -427,6 +465,40 @@ impl<D: ShardedDensity> ShardedModel<D> {
         });
         sum
     }
+
+    /// The gradient with its shards swept on a pool of `pool` threads,
+    /// or on the calling thread when `None`.
+    fn grad_dispatched(&self, theta: &[f64], grad: &mut [f64], pool: Option<usize>) -> f64 {
+        debug_assert_eq!(grad.len(), self.dim());
+        // Telemetry is observation only: it reads the tape stats the
+        // sweep produces anyway, touches no RNG, and cannot change the
+        // reduction — attaching a recorder leaves draws bit-identical.
+        let recording = self.telemetry.on.load(Ordering::Relaxed);
+        let t0 = recording.then(Instant::now);
+
+        let (val, stats) = GRAD_TAPE.with(|tape| match (&self.ranges[..], pool) {
+            // One shard: record prior + likelihood as one term — the
+            // exact expression a serial `AdModel` evaluates. A split
+            // prior/shard evaluation would re-associate the adjoint
+            // accumulation of any parameter the prior touches more than
+            // once (every hierarchical hyperparameter), so only the
+            // one-term path is bitwise-serial rather than ulp-close.
+            ([range], _) => grad_into(tape, theta, grad, |v: &[Var<'_>]| {
+                self.density.ln_prior(v) + self.density.ln_likelihood_shard(v, range.clone())
+            }),
+            (_, None) => self.grad_serial(tape, theta, grad),
+            (_, Some(threads)) => self.grad_pooled(tape, theta, grad, threads),
+        });
+        if self.grad_nodes.load(Ordering::Relaxed) == 0 {
+            self.grad_nodes.store(stats.nodes, Ordering::Relaxed);
+        }
+        if recording {
+            let used = pool.filter(|_| self.ranges.len() > 1).unwrap_or(1);
+            self.telemetry
+                .accumulate(stats, t0.map(|t| t.elapsed()), used);
+        }
+        val
+    }
 }
 
 impl<D: ShardedDensity> Model for ShardedModel<D> {
@@ -450,31 +522,13 @@ impl<D: ShardedDensity> Model for ShardedModel<D> {
     }
 
     fn ln_posterior_grad(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
-        debug_assert_eq!(grad.len(), self.dim());
-        let threads = self.inner_threads.load(Ordering::Relaxed).max(1);
-        // Telemetry is observation only: it reads the tape stats the
-        // sweep produces anyway, touches no RNG, and cannot change the
-        // reduction — attaching a recorder leaves draws bit-identical.
-        let recording = self.telemetry.on.load(Ordering::Relaxed);
-        let t0 = recording.then(Instant::now);
+        let threads = self.inner_threads.load(Ordering::Relaxed);
+        let pays = self.grad_nodes.load(Ordering::Relaxed) >= POOL_CROSSOVER_NODES;
+        self.grad_dispatched(theta, grad, (pays && threads > 1).then_some(threads))
+    }
 
-        let (val, stats) = GRAD_TAPE.with(|tape| match &self.ranges[..] {
-            // One shard: record prior + likelihood as one term — the
-            // exact expression a serial `AdModel` evaluates. A split
-            // prior/shard evaluation would re-associate the adjoint
-            // accumulation of any parameter the prior touches more than
-            // once (every hierarchical hyperparameter), so only the
-            // one-term path is bitwise-serial rather than ulp-close.
-            [range] => grad_into(tape, theta, grad, |v: &[Var<'_>]| {
-                self.density.ln_prior(v) + self.density.ln_likelihood_shard(v, range.clone())
-            }),
-            _ if threads == 1 => self.grad_serial(tape, theta, grad),
-            _ => self.grad_pooled(tape, theta, grad, threads),
-        });
-        if recording {
-            self.telemetry.accumulate(stats, t0.map(|t| t.elapsed()));
-        }
-        val
+    fn ln_posterior_grad_on(&self, theta: &[f64], grad: &mut [f64], threads: usize) -> f64 {
+        self.grad_dispatched(theta, grad, Some(threads.max(1)))
     }
 
     fn grad_profile(&self, theta: &[f64]) -> EvalProfile {
@@ -509,6 +563,7 @@ impl<D: ShardedDensity> Model for ShardedModel<D> {
         let bytes = self.telemetry.bytes.swap(0, Ordering::Relaxed);
         let transcendental = self.telemetry.transcendental.swap(0, Ordering::Relaxed);
         let nanos = self.telemetry.nanos.swap(0, Ordering::Relaxed);
+        let threads = self.telemetry.threads.swap(0, Ordering::Relaxed);
         if sweeps == 0 {
             return;
         }
@@ -517,7 +572,7 @@ impl<D: ShardedDensity> Model for ShardedModel<D> {
             model: self.name.clone(),
             sweeps,
             shards: self.shards() as u64,
-            threads: self.inner_threads.load(Ordering::Relaxed) as u64,
+            threads,
             tape_nodes: nodes,
             tape_bytes: bytes,
             transcendental,
@@ -644,6 +699,14 @@ impl<S: SufficientStats> Model for StatsModel<S> {
             self.stats.ln_posterior_grad_stats(theta, grad)
         } else {
             self.inner.ln_posterior_grad(theta, grad)
+        }
+    }
+
+    fn ln_posterior_grad_on(&self, theta: &[f64], grad: &mut [f64], threads: usize) -> f64 {
+        if self.fast.load(Ordering::Relaxed) {
+            self.ln_posterior_grad(theta, grad)
+        } else {
+            self.inner.ln_posterior_grad_on(theta, grad, threads)
         }
     }
 
@@ -927,6 +990,84 @@ mod tests {
         m.ln_posterior_grad(&[0.2, -0.1], &mut g);
         m.flush_telemetry();
         assert_eq!(mem.len(), 1);
+    }
+
+    /// The thread count the shard telemetry reports for `grads`
+    /// gradients of `m` evaluated through `eval`.
+    fn threads_used(
+        m: &ShardedModel<GaussData>,
+        grads: usize,
+        eval: impl Fn(&ShardedModel<GaussData>, &mut [f64]) -> f64,
+    ) -> u64 {
+        use bayes_obs::MemoryRecorder;
+        use std::sync::Arc;
+
+        let mem = Arc::new(MemoryRecorder::new());
+        m.set_recorder(&RecorderHandle::new(mem.clone()));
+        let mut g = [0.0; 2];
+        for _ in 0..grads {
+            eval(m, &mut g);
+        }
+        m.flush_telemetry();
+        match mem.events()[..] {
+            [Event::ShardAggregate { threads, .. }] => threads,
+            ref other => panic!("unexpected events {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_grant_is_used_only_from_the_crossover_up() {
+        let theta = [0.2, -0.1];
+        let grad = |m: &ShardedModel<GaussData>, g: &mut [f64]| m.ln_posterior_grad(&theta, g);
+        // ~6 tape nodes per datum: 64 data sit far below the crossover,
+        // 4000 far above it.
+        let small = ShardedModel::new("g", GaussData::synthetic(64));
+        let large = ShardedModel::new("g", GaussData::synthetic(4000));
+        assert!(small.grad_profile(&theta).tape_nodes < POOL_CROSSOVER_NODES);
+        assert!(large.grad_profile(&theta).tape_nodes >= POOL_CROSSOVER_NODES);
+        for m in [&small, &large] {
+            m.set_inner_threads(4);
+        }
+        assert_eq!(threads_used(&small, 5, grad), 1, "below: serial");
+        // The very first gradient counts the nodes and is serial; every
+        // later one uses the grant.
+        assert_eq!(threads_used(&large, 1, grad), 1, "first gradient");
+        assert_eq!(threads_used(&large, 5, grad), 4, "above: pooled");
+        // A grant of one thread is never a pool.
+        large.set_inner_threads(1);
+        assert_eq!(threads_used(&large, 5, grad), 1);
+        // Both sides of the rule return the serial gradient to the bit.
+        let reference = ShardedModel::new("g", GaussData::synthetic(4000));
+        let (mut gr, mut gl) = ([0.0; 2], [0.0; 2]);
+        large.set_inner_threads(4);
+        assert_eq!(
+            reference.ln_posterior_grad(&theta, &mut gr),
+            large.ln_posterior_grad(&theta, &mut gl)
+        );
+        assert_eq!(gr, gl);
+    }
+
+    #[test]
+    fn the_forced_entry_pools_whatever_the_rule_says() {
+        let theta = [0.2, -0.1];
+        let small = ShardedModel::new("g", GaussData::synthetic(64));
+        let mut reference = [0.0; 2];
+        let value = small.ln_posterior_grad(&theta, &mut reference);
+        for threads in [1usize, 2, 4] {
+            let forced = |m: &ShardedModel<GaussData>, g: &mut [f64]| {
+                let v = m.ln_posterior_grad_on(&theta, g, threads);
+                assert_eq!((v, &*g), (value, &reference[..]), "{threads} threads");
+                v
+            };
+            // The aggregate reports the threads that swept, not the
+            // grant (still 1 here).
+            assert_eq!(threads_used(&small, 3, forced), threads as u64);
+        }
+        // One shard is one term on the calling thread, forced or not.
+        let single = ShardedModel::new("g", GaussData::synthetic(64)).with_shards(1);
+        let forced =
+            |m: &ShardedModel<GaussData>, g: &mut [f64]| m.ln_posterior_grad_on(&theta, g, 4);
+        assert_eq!(threads_used(&single, 3, forced), 1);
     }
 
     #[test]

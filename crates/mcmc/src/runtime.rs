@@ -7,8 +7,9 @@
 //! (the multicore execution model of Section IV-B); a monitor thread
 //! recomputes R̂ over the shared draw buffers at the detector cadence
 //! and raises a stop flag that every chain polls each iteration. The
-//! monitor sleeps on a condition variable and is woken by new draws,
-//! so it burns no CPU between checkpoints.
+//! monitor sleeps on a condition variable and is woken by the draw that
+//! completes the checkpoint it waits for ([`MonitorGate`]), so neither
+//! it nor the chains spend anything on each other between checkpoints.
 //!
 //! The stop decision is made purely in *iteration space*: checkpoints
 //! are evaluated in a fixed order over deterministic draw prefixes,
@@ -28,8 +29,96 @@ use crate::converge::ConvergenceDetector;
 use crate::model::Model;
 use bayes_obs::{CheckpointSource, Event};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
+
+/// Longest a monitor sleeps when nothing it owns is due sooner: a
+/// safety net and the stall watchdog's heartbeat, never how a
+/// checkpoint, a pause or an abort gets noticed.
+pub(crate) const MONITOR_NAP: Duration = Duration::from_millis(100);
+
+/// How the chain threads of a run wake its monitor: when what it waits
+/// on changes, not once per draw. The monitor publishes the checkpoint
+/// boundary it waits for and parks; a chain publishes its draw count
+/// after every draw (a store to a counter only it writes) and wakes the
+/// monitor if that draw brings every chain to the boundary. Whatever
+/// else the monitor acts on — a pending pause or abort, a fault, a
+/// chain's end — is a [`MonitorGate::wake`].
+///
+/// No boundary can be missed. `lens` and `awaited` are `SeqCst` and each
+/// side writes its own before it reads the other's, so of a chain
+/// crossing `t` and a monitor publishing `t` at least one sees the
+/// other: the chain wakes, or the monitor's progress check — made after
+/// publishing, which also catches a boundary crossed before it was
+/// published — counts the draw and does not park. Nor can a wake fall
+/// between that check and the wait: it is a flag set under the mutex
+/// the monitor holds from one to the other. The timeout is a safety
+/// net, not part of the mechanism.
+pub(crate) struct MonitorGate {
+    lens: Vec<AtomicUsize>,
+    /// `usize::MAX` while the monitor waits for no boundary.
+    awaited: AtomicUsize,
+    /// A wake the monitor has not consumed yet.
+    woken: Mutex<bool>,
+    cv: Condvar,
+    /// Every chain has been joined: nothing is left to wake for.
+    done: AtomicBool,
+}
+
+impl MonitorGate {
+    /// A gate over chains that start with `lens` draws buffered.
+    pub(crate) fn new(lens: impl IntoIterator<Item = usize>) -> Self {
+        Self {
+            lens: lens.into_iter().map(AtomicUsize::new).collect(),
+            awaited: AtomicUsize::new(usize::MAX),
+            woken: Mutex::new(false),
+            cv: Condvar::new(),
+            done: AtomicBool::new(false),
+        }
+    }
+
+    /// Draws every chain has buffered.
+    pub(crate) fn progress(&self) -> usize {
+        let lens = self.lens.iter().map(|l| l.load(Ordering::SeqCst));
+        lens.min().unwrap_or(0)
+    }
+
+    /// Chain side, after buffering a draw: chain `slot` now holds `len`.
+    pub(crate) fn advance(&self, slot: usize, len: usize) {
+        self.lens[slot].store(len, Ordering::SeqCst);
+        if len == self.awaited.load(Ordering::SeqCst) && self.progress() >= len {
+            self.wake();
+        }
+    }
+
+    /// Wakes the monitor, or keeps its next park from sleeping.
+    pub(crate) fn wake(&self) {
+        *self.woken.lock() = true;
+        self.cv.notify_one();
+    }
+
+    /// After the last chain is joined: ends the monitor's waiting.
+    pub(crate) fn finish(&self) {
+        self.done.store(true, Ordering::Release);
+        self.wake();
+    }
+
+    /// Monitor side: sleeps until every chain has reached `boundary`, a
+    /// wake, or `timeout`. False once nothing is left to wait for.
+    pub(crate) fn park(&self, boundary: Option<usize>, timeout: Duration) -> bool {
+        let awaited = boundary.unwrap_or(usize::MAX);
+        self.awaited.store(awaited, Ordering::SeqCst);
+        let mut woken = self.woken.lock();
+        if self.progress() < awaited && !*woken {
+            if self.done.load(Ordering::Acquire) {
+                return false;
+            }
+            self.cv.wait_for(&mut woken, timeout);
+        }
+        *woken = false;
+        true
+    }
+}
 
 /// A sampler that can be asked to stop between iterations.
 ///
@@ -126,10 +215,7 @@ pub fn run_until_converged<S: StoppableSampler + Sync>(
     let stopped_at = Mutex::new(None::<usize>);
     let buffers: Vec<Mutex<Vec<Vec<f64>>>> =
         (0..cfg.chains).map(|_| Mutex::new(Vec::new())).collect();
-    let done = AtomicBool::new(false);
-    // Monitor wakeup: chains nudge the condvar after each draw.
-    let wake_mx = Mutex::new(());
-    let wake_cv = Condvar::new();
+    let gate = MonitorGate::new(vec![0; cfg.chains]);
 
     let mut chains: Vec<ChainOutput> = crossbeam::thread::scope(|scope| {
         // Monitor thread: walk the checkpoint schedule in iteration
@@ -140,9 +226,7 @@ pub fn run_until_converged<S: StoppableSampler + Sync>(
             let stop = &stop;
             let stopped_at = &stopped_at;
             let buffers = &buffers;
-            let done = &done;
-            let wake_mx = &wake_mx;
-            let wake_cv = &wake_cv;
+            let gate = &gate;
             scope.spawn(move |_| {
                 // The schedule is shared verbatim with the post-hoc
                 // `ConvergenceDetector::detect`, so the two walkers can
@@ -151,9 +235,8 @@ pub fn run_until_converged<S: StoppableSampler + Sync>(
                 let mut schedule = detector.checkpoints(cfg.iters);
                 let mut pending = schedule.next();
                 let mut streak = 0usize;
-                let progress = || buffers.iter().map(|b| b.lock().len()).min().unwrap_or(0);
                 while let Some(next_check) = pending {
-                    if progress() >= next_check {
+                    if gate.progress() >= next_check {
                         let _span = bayes_obs::span(bayes_obs::Phase::CheckpointDiag);
                         // Snapshot the prefixes and compute R̂ at t.
                         let snaps: Vec<Vec<Vec<f64>>> = buffers
@@ -185,18 +268,11 @@ pub fn run_until_converged<S: StoppableSampler + Sync>(
                         pending = schedule.next();
                         continue;
                     }
-                    // Sleep until a chain reports progress. Re-check
-                    // under the wake lock so a push between the test
-                    // above and the wait cannot be missed; the timeout
-                    // is only a safety net.
-                    let mut guard = wake_mx.lock();
-                    if progress() >= next_check {
-                        continue;
-                    }
-                    if done.load(Ordering::Acquire) {
+                    // Sleep until the chains reach the checkpoint; the
+                    // timeout is only a safety net.
+                    if !gate.park(Some(next_check), MONITOR_NAP) {
                         break; // chains finished short of the checkpoint
                     }
-                    wake_cv.wait_for(&mut guard, Duration::from_millis(100));
                 }
             })
         };
@@ -207,8 +283,7 @@ pub fn run_until_converged<S: StoppableSampler + Sync>(
             .map(|(c, init)| {
                 let stop = &stop;
                 let buffer = &buffers[c];
-                let wake_mx = &wake_mx;
-                let wake_cv = &wake_cv;
+                let gate = &gate;
                 let cfg_c = cfg.for_chain(c);
                 let seed = cfg.chain_seed(c);
                 scope.spawn(move |_| {
@@ -220,11 +295,12 @@ pub fn run_until_converged<S: StoppableSampler + Sync>(
                         seed,
                         stop,
                         &move |_iter, draw: &[f64]| {
-                            buffer.lock().push(draw.to_vec());
-                            // Pairing with the monitor's wake lock
-                            // closes its check-then-wait race.
-                            drop(wake_mx.lock());
-                            wake_cv.notify_one();
+                            let len = {
+                                let mut buffer = buffer.lock();
+                                buffer.push(draw.to_vec());
+                                buffer.len()
+                            };
+                            gate.advance(c, len);
                         },
                     )
                 })
@@ -236,9 +312,7 @@ pub fn run_until_converged<S: StoppableSampler + Sync>(
         // monitor is shut down cleanly.
         let results: Vec<Result<ChainOutput, Box<dyn std::any::Any + Send>>> =
             outs.into_iter().map(|h| h.join()).collect();
-        done.store(true, Ordering::Release);
-        drop(wake_mx.lock());
-        wake_cv.notify_all();
+        gate.finish();
         // Propagate a monitor panic the same way chain panics surface:
         // one formatted message carrying the workload name and the
         // original payload, not an opaque re-unwind of the boxed Any.
@@ -386,6 +460,118 @@ mod tests {
         for c in &out.run.chains {
             assert_eq!(c.draws.len(), 150);
         }
+    }
+
+    /// Far longer than any of the gate tests takes: a park that has to
+    /// time out — a missed wake — shows as a test that overran
+    /// [`no_park_timed_out`].
+    const NEVER: Duration = Duration::from_secs(60);
+
+    fn no_park_timed_out(test: impl FnOnce()) {
+        let started = std::time::Instant::now();
+        test();
+        assert!(started.elapsed() < NEVER / 2, "a wake was missed");
+    }
+
+    #[test]
+    fn gate_never_sleeps_on_what_has_already_happened() {
+        let gate = MonitorGate::new([0, 0]);
+        no_park_timed_out(|| {
+            // A boundary crossed before it was published.
+            gate.advance(0, 3);
+            gate.advance(1, 3);
+            assert!(gate.park(Some(3), NEVER));
+            // A wake that found nobody waiting is found by the next
+            // park — once.
+            gate.wake();
+            assert!(gate.park(Some(9), NEVER));
+            let started = std::time::Instant::now();
+            assert!(gate.park(Some(9), Duration::from_millis(20)));
+            assert!(started.elapsed() >= Duration::from_millis(20), "slept");
+            // After the last chain is joined: one more pass, then the
+            // end ...
+            gate.finish();
+            assert!(gate.park(Some(9), NEVER));
+            assert!(!gate.park(Some(9), NEVER));
+            // ... unless the boundary was reached after all.
+            assert!(gate.park(Some(3), NEVER));
+        });
+    }
+
+    #[test]
+    fn gate_wakes_once_per_boundary_not_once_per_draw() {
+        let gate = MonitorGate::new([0, 0]);
+        let passes = AtomicUsize::new(0);
+        no_park_timed_out(|| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    while gate.progress() < 10 {
+                        passes.fetch_add(1, Ordering::Relaxed);
+                        assert!(gate.park(Some(10), NEVER));
+                    }
+                });
+                // A chain far ahead of the other is no news to the monitor,
+                // at the boundary or past it ...
+                for len in 1..=500 {
+                    gate.advance(0, len);
+                }
+                // ... the draw that brings the last chain there is.
+                for len in 1..=10 {
+                    gate.advance(1, len);
+                }
+            })
+        });
+        // One pass if the chains were done before the monitor looked,
+        // two if it had to be woken; a nudge per draw would make 500.
+        assert!(passes.load(Ordering::Relaxed) <= 2, "{passes:?} passes");
+    }
+
+    fn dawdle(units: usize) {
+        for _ in 0..units * 16 {
+            std::hint::spin_loop();
+        }
+    }
+
+    #[test]
+    fn gate_misses_no_boundary_in_lock_step() {
+        // Two chains and a monitor in lock step over 3000 boundaries:
+        // the chains take draw `t + 1` only once the monitor has seen
+        // boundary `t`, so every boundary is reached while the monitor
+        // is about to park, parking or parked, which is where a wake
+        // could be lost. (Both chains draw on one thread: with a
+        // thread each they would, on two cores, leave the monitor none
+        // to race with.)
+        const BOUNDARIES: usize = 3000;
+        let gate = MonitorGate::new([0, 0]);
+        let seen = AtomicUsize::new(0);
+        no_park_timed_out(|| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for len in 1..=BOUNDARIES {
+                        while seen.load(Ordering::Acquire) + 1 < len {
+                            std::hint::spin_loop();
+                        }
+                        dawdle(len % 7);
+                        gate.advance(0, len);
+                        gate.advance(1, len);
+                    }
+                });
+                for t in 1..=BOUNDARIES {
+                    // Both sides dawdle a varying while, on different
+                    // periods, so that the chains cross some boundaries
+                    // before the monitor publishes them, some as it
+                    // does, and some after it has parked.
+                    dawdle(t % 16);
+                    // No look at the chains before parking: that is
+                    // the gate's to get right.
+                    while {
+                        assert!(gate.park(Some(t), NEVER));
+                        gate.progress() < t
+                    } {}
+                    seen.store(t, Ordering::Release);
+                }
+            })
+        });
     }
 
     /// A stoppable toy sampler: iid normal draws, one per `step_us`

@@ -51,10 +51,10 @@ use crate::checkpoint::{
 };
 use crate::converge::ConvergenceDetector;
 use crate::model::Model;
-use crate::runtime::StoppableSampler;
+use crate::runtime::{MonitorGate, StoppableSampler, MONITOR_NAP};
 use crate::stream::{Purpose, StreamKey};
 use bayes_obs::{CheckpointSource, Event, TelemetryHandle};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -323,7 +323,8 @@ pub struct SupervisorConfig {
     /// and the run returns with [`Interrupt::Aborted`].
     pub abort: Option<Arc<AtomicBool>>,
     /// Live telemetry sampler, polled from the monitor thread (never a
-    /// chain worker) each pass of its wait loop. Observation only —
+    /// chain worker) each time it wakes, which it does at the sampler's
+    /// wall-clock cadence at the latest. Observation only —
     /// the null handle is free, and sampling never perturbs draws.
     pub telemetry: TelemetryHandle,
 }
@@ -1122,9 +1123,7 @@ impl Runtime {
         };
         let round_paused: Mutex<Option<(usize, Vec<ChainCheckpoint>)>> = Mutex::new(None);
         let round_interrupted: Mutex<Option<Interrupt>> = Mutex::new(None);
-        let done = AtomicBool::new(false);
-        let wake_mx = Mutex::new(());
-        let wake_cv = Condvar::new();
+        let gate = MonitorGate::new(pending.iter().map(|p| p.prefix_draws.len()));
         // Chain index → pending slot, for assembling R̂ snapshots in
         // chain order.
         let mut slot_of: Vec<Option<usize>> = vec![None; cfg.chains];
@@ -1145,9 +1144,7 @@ impl Runtime {
                     let round_interrupted = &round_interrupted;
                     let abort = self.sup.abort.clone();
                     let pause = pause.clone();
-                    let done = &done;
-                    let wake_mx = &wake_mx;
-                    let wake_cv = &wake_cv;
+                    let gate = &gate;
                     let slot_of = &slot_of;
                     let detector = &self.detector;
                     let stall_deadline = self.sup.stall_deadline;
@@ -1159,7 +1156,6 @@ impl Runtime {
                         let mut schedule = detector.checkpoints(cfg.iters);
                         let mut pending_ck = if walk { schedule.next() } else { None };
                         let mut streak = 0usize;
-                        let progress = || buffers.iter().map(|b| b.lock().len()).min().unwrap_or(0);
                         let mut heartbeats: Vec<(usize, Instant)> = buffers
                             .iter()
                             .map(|b| (b.lock().len(), Instant::now()))
@@ -1199,11 +1195,15 @@ impl Runtime {
                                     let max_len =
                                         buffers.iter().map(|b| b.lock().len()).max().unwrap_or(0);
                                     let floor = pending_ck.unwrap_or(usize::MAX);
-                                    match segments
-                                        .iter()
-                                        .copied()
-                                        .find(|&b| b >= max_len && b >= floor)
-                                    {
+                                    // Not the boundary the round resumed
+                                    // at: the chains crossed it in an
+                                    // earlier placement and will deliver
+                                    // no snapshot for it in this one.
+                                    let resumed_at =
+                                        pending.iter().map(|p| p.prefix_draws.len()).max();
+                                    match segments.iter().copied().find(|&b| {
+                                        b >= max_len && b >= floor && Some(b) > resumed_at
+                                    }) {
                                         Some(t) => {
                                             pause_target = Some(t);
                                             pc.set_limit(t);
@@ -1235,7 +1235,7 @@ impl Runtime {
                                 }
                             }
                             if let Some(t) = pending_ck {
-                                if progress() >= t {
+                                if gate.progress() >= t {
                                     if monitoring {
                                         let _span =
                                             bayes_obs::span(bayes_obs::Phase::CheckpointDiag);
@@ -1385,8 +1385,13 @@ impl Runtime {
                             // Cancellation is cooperative and touches no
                             // RNG, so a same-stream retry reproduces the
                             // chain's draws exactly.
+                            // The monitor sleeps until the earliest thing
+                            // it owns is due: the run deadline, a chain's
+                            // stall deadline, the telemetry cadence.
+                            let now = Instant::now();
+                            let mut wake_at =
+                                deadline_at.map_or(now + MONITOR_NAP, |d| d.min(now + MONITOR_NAP));
                             if let Some(deadline) = stall_deadline {
-                                let now = Instant::now();
                                 // Chains parked by a pause request are
                                 // waiting on the supervisor, not
                                 // stalled: keep their clocks current.
@@ -1408,7 +1413,10 @@ impl Runtime {
                                         heartbeats[i] = (len, now);
                                     } else if hold_limit.is_some_and(|l| len >= l) {
                                         heartbeats[i].1 = now;
-                                    } else if now.duration_since(heartbeats[i].1) >= deadline {
+                                    }
+                                    if now.duration_since(heartbeats[i].1) < deadline {
+                                        wake_at = wake_at.min(heartbeats[i].1 + deadline);
+                                    } else {
                                         let mut slot = fault_slots[i].lock();
                                         if slot.is_none() {
                                             *slot = Some((
@@ -1422,8 +1430,8 @@ impl Runtime {
                                     }
                                 }
                             }
-                            // Live telemetry: cadence-checked once per
-                            // monitor pass. The monitor thread is off
+                            // Live telemetry: cadence-checked each time
+                            // the monitor wakes. The monitor thread is off
                             // the sampling hot path, and the sampler
                             // only observes (cumulative snapshot in,
                             // metrics_sample event out) — chains never
@@ -1431,20 +1439,16 @@ impl Runtime {
                             if telemetry.enabled() {
                                 telemetry.maybe_sample(
                                     &model_name,
-                                    progress() as u64,
+                                    gate.progress() as u64,
                                     &cfg.profiler.snapshot(),
                                 );
                             }
-                            let mut guard = wake_mx.lock();
-                            if let Some(t) = pending_ck {
-                                if progress() >= t {
-                                    continue;
-                                }
+                            if let Some(due) = telemetry.due_in() {
+                                wake_at = wake_at.min(now + due);
                             }
-                            if done.load(Ordering::Acquire) {
+                            if !gate.park(pending_ck, wake_at.saturating_duration_since(now)) {
                                 break;
                             }
-                            wake_cv.wait_for(&mut guard, Duration::from_millis(100));
                         }
                     })
                 };
@@ -1458,10 +1462,10 @@ impl Runtime {
                         let slot = &fault_slots[i];
                         let buffer = &buffers[i];
                         let snaps = &snapshots[i];
-                        let wake_mx = &wake_mx;
-                        let wake_cv = &wake_cv;
+                        let gate = &gate;
                         let injector = self.sup.injector.clone();
                         let pause_w = pause.clone();
+                        let abort_w = self.sup.abort.clone();
                         let total_iters = cfg.iters;
                         let chain = p.chain;
                         let attempt = p.attempt;
@@ -1532,8 +1536,20 @@ impl Runtime {
                                         cancel.store(true, Ordering::Release);
                                     }
                                 }
-                                drop(wake_mx.lock());
-                                wake_cv.notify_one();
+                                gate.advance(i, len);
+                                // An abort, or a pause whose boundary is
+                                // still to be picked, is the monitor's to
+                                // act on — at this draw, not at its next
+                                // boundary.
+                                if abort_w
+                                    .as_deref()
+                                    .is_some_and(|a| a.load(Ordering::Acquire))
+                                    || pause_w
+                                        .as_deref()
+                                        .is_some_and(|pc| pc.is_requested() && pc.limit() == 0)
+                                {
+                                    gate.wake();
+                                }
                                 // Pause park: once a pause is
                                 // requested, a chain at or past the
                                 // published boundary (0 until the
@@ -1568,18 +1584,18 @@ impl Runtime {
                                 sampler
                                     .sample_chain_resumable(model, init, &cfg_c, seed, from, &hooks)
                             }));
+                            // Chain end, faults included: the monitor may
+                            // be waiting on a boundary this chain will
+                            // never reach.
                             finished.store(true, Ordering::Release);
-                            drop(wake_mx.lock());
-                            wake_cv.notify_all();
+                            gate.wake();
                             result
                         })
                     })
                     .collect();
 
                 let joined: Vec<_> = workers.into_iter().map(|h| h.join()).collect();
-                done.store(true, Ordering::Release);
-                drop(wake_mx.lock());
-                wake_cv.notify_all();
+                gate.finish();
                 let monitor_result = monitor.join();
 
                 let mut outcomes = Vec::with_capacity(n);
@@ -1973,6 +1989,154 @@ mod tests {
         for (a, b) in resumed.run.chains.iter().zip(&reference.run.chains) {
             assert_eq!(a.draws, b.draws, "resumed draws must be bit-identical");
         }
+    }
+
+    /// Acts when chain 0 completes iteration `at`; injects no fault.
+    /// How a test raises an abort or requests a pause at an exact draw.
+    struct Trigger<F>(usize, F);
+
+    impl<F: Fn() + Send + Sync> FaultInjector for Trigger<F> {
+        fn inject(&self, chain: usize, _attempt: u32, iter: usize) -> Option<InjectedFault> {
+            if chain == 0 && iter == self.0 {
+                (self.1)();
+            }
+            None
+        }
+    }
+
+    #[test]
+    fn monitor_wakes_for_boundaries_not_for_draws() {
+        use bayes_obs::{RecorderHandle, TelemetrySampler};
+        // A sampler that fires on every monitor pass that finds
+        // progress (stride 1) and on no timer: with one chain, every
+        // wake of the monitor is one sample.
+        let telemetry = TelemetryHandle::new(
+            TelemetrySampler::new(RecorderHandle::null())
+                .with_iter_stride(1)
+                .with_wall_interval(Duration::from_secs(3600)),
+        );
+        let model = AdModel::new("g", Gauss);
+        let path = std::env::temp_dir().join("bayes_mcmc_supervisor_wake_count_ck.json");
+        let det = unreachable_detector()
+            .with_check_every(50)
+            .with_min_iters(50);
+        let cfg = RunConfig::new(400).with_chains(1).with_warmup(0);
+        let boundaries = det.checkpoints(cfg.iters).count();
+        assert_eq!(boundaries, 8);
+        // A millisecond a draw: slow enough that a monitor woken by
+        // every draw would finish a pass, and sample, between any two.
+        let sampler = SleepyCounter {
+            slow_ms: 1,
+            fast_ms: 1,
+        };
+        let report = Runtime::new(det)
+            .with_config(
+                SupervisorConfig::new()
+                    .with_min_quorum(1)
+                    .with_checkpoint_path(&path)
+                    .with_telemetry(telemetry.clone()),
+            )
+            .run(&sampler, &model, &cfg)
+            .expect("healthy run");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(crate::checkpoint::previous_checkpoint_path(&path));
+        assert_eq!(report.run.chains[0].draws.len(), 400);
+        // At most one per boundary, the run's final forced sample, and
+        // slack for a wake that lands on a pass already under way.
+        // Woken by every draw, the monitor samples some 400 times.
+        let samples = telemetry.samples_emitted() as usize;
+        assert!(
+            samples <= boundaries + 3,
+            "{samples} monitor passes for {boundaries} boundaries"
+        );
+    }
+
+    #[test]
+    fn abort_is_honoured_within_a_draw() {
+        let model = AdModel::new("g", Gauss);
+        let abort = Arc::new(AtomicBool::new(false));
+        let raise = abort.clone();
+        // No checkpoint schedule at all: nothing but the abort's own
+        // wake can tell the monitor before its 100 ms nap ends.
+        let rt = Runtime::new(unreachable_detector()).with_config(
+            SupervisorConfig::new()
+                .with_min_quorum(1)
+                .with_abort(abort)
+                .with_injector(Arc::new(Trigger(10, move || {
+                    raise.store(true, Ordering::Release)
+                }))),
+        );
+        let cfg = RunConfig::new(200).with_chains(1).with_warmup(0);
+        let sampler = SleepyCounter {
+            slow_ms: 10,
+            fast_ms: 10,
+        };
+        let report = rt.run(&sampler, &model, &cfg).expect("aborted run returns");
+        assert_eq!(report.interrupted, Some(Interrupt::Aborted));
+        // Raised while draw 10 is reported: the monitor cancels during
+        // draw 11 and the chain stops after it — as when every draw
+        // woke the monitor (one more is allowed for, should the monitor
+        // be slow to get a core). Its nap alone would let ten more pass.
+        let draws = report.run.chains[0].draws.len();
+        assert!((11..=13).contains(&draws), "stopped after {draws} draws");
+    }
+
+    #[test]
+    fn run_deadline_is_the_monitors_alarm() {
+        let model = AdModel::new("g", Gauss);
+        let rt = Runtime::new(unreachable_detector()).with_config(
+            SupervisorConfig::new()
+                .with_min_quorum(1)
+                .with_deadline(Duration::from_millis(110)),
+        );
+        let cfg = RunConfig::new(200).with_chains(1).with_warmup(0);
+        let sampler = SleepyCounter {
+            slow_ms: 10,
+            fast_ms: 10,
+        };
+        let report = rt.run(&sampler, &model, &cfg).expect("expired run returns");
+        assert_eq!(report.interrupted, Some(Interrupt::DeadlineExpired));
+        // 11 draws fit in the deadline and one more is in flight when
+        // it passes; a monitor that noticed only at the end of its next
+        // 100 ms nap (200 ms) would let 20 through.
+        let draws = report.run.chains[0].draws.len();
+        assert!(draws <= 16, "stopped after {draws} draws");
+    }
+
+    #[test]
+    fn pause_requested_mid_segment_is_noticed_at_that_draw() {
+        let model = AdModel::new("g", Gauss);
+        let path = std::env::temp_dir().join("bayes_mcmc_supervisor_midsegment_ck.json");
+        let det = unreachable_detector()
+            .with_check_every(10)
+            .with_min_iters(10);
+        let pause = PauseControl::new();
+        let request = pause.clone();
+        let rt = Runtime::new(det).with_config(
+            SupervisorConfig::new()
+                .with_min_quorum(1)
+                .with_checkpoint_path(&path)
+                .with_pause(pause.clone())
+                .with_injector(Arc::new(Trigger(3, move || request.request()))),
+        );
+        let cfg = RunConfig::new(100).with_chains(1).with_warmup(0);
+        let sampler = SleepyCounter {
+            slow_ms: 1,
+            fast_ms: 1,
+        };
+        let started = Instant::now();
+        let report = rt.run(&sampler, &model, &cfg).expect("pause commits");
+        let took = started.elapsed();
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(crate::checkpoint::previous_checkpoint_path(&path));
+        // The chain freezes at draw 4 until the monitor has picked the
+        // boundary, so the pause lands on 10 however late that is —
+        // what a late monitor costs is time: it parked at the start for
+        // 100 ms, and the chain would sit out the rest of them. Woken
+        // at the draw, the whole run is some ten 1 ms draws.
+        assert_eq!(report.paused_at, Some(10));
+        assert!(pause.is_paused());
+        assert!(took < Duration::from_millis(75), "pause took {took:?}");
     }
 
     #[test]

@@ -230,6 +230,13 @@ impl TelemetrySampler {
         true
     }
 
+    /// Time left until the wall-clock cadence next fires a sample — how
+    /// long a thread that only polls for this sampler may sleep.
+    pub fn due_in(&self) -> Duration {
+        self.wall_interval
+            .saturating_sub(lock(&self.state).last_wall.elapsed())
+    }
+
     /// Samples unconditionally (e.g. one final sample at run end).
     pub fn force_sample(&self, source: &str, iter: u64, snap: &MetricsSnapshot) {
         let mut st = lock(&self.state);
@@ -369,6 +376,12 @@ impl TelemetryHandle {
             Some(s) => s.maybe_sample(source, iter, snap),
             None => false,
         }
+    }
+
+    /// See [`TelemetrySampler::due_in`]; `None` when disabled (nothing
+    /// to wake for).
+    pub fn due_in(&self) -> Option<Duration> {
+        self.inner.as_ref().map(|s| s.due_in())
     }
 
     /// See [`TelemetrySampler::force_sample`]; no-op when disabled.

@@ -3,7 +3,8 @@
 //!
 //! One scheduler thread owns all state and is the only writer of
 //! `job_*` lifecycle events, so every trace and client stream observes
-//! transitions in a single consistent order. Each placement runs on
+//! transitions in a single consistent order. It blocks until a message
+//! or the earliest deadline it owns; nothing polls. Each placement runs on
 //! its own worker thread under the fault-tolerant supervisor
 //! ([`bayes_mcmc::supervisor::Runtime`]); workers report back over a
 //! channel and never touch scheduler state.
@@ -22,7 +23,9 @@
 //!    inner threads would only stall on memory); a cache-resident job
 //!    gets up to two per chain. The grant flows into
 //!    [`bayes_mcmc::RunConfig::with_core_allotment`], which derives
-//!    per-chain inner threads without oversubscribing the slice.
+//!    per-chain inner threads without oversubscribing the slice — a
+//!    cap the model uses only if its gradient is long enough to repay
+//!    a pool dispatch ([`bayes_mcmc::POOL_CROSSOVER_NODES`]).
 //! 4. Preemption: when the highest-priority pending job cannot fit,
 //!    the newest lowest-priority *preemptible* running job below that
 //!    priority is paused bit-exactly at its next checkpoint boundary
@@ -81,9 +84,9 @@ static SERVER_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Ceiling on the per-restart exponential backoff.
 const MAX_BACKOFF: Duration = Duration::from_secs(2);
 
-/// Scheduler poll period: how often deadlines, backoff eligibility,
-/// and placement are re-evaluated when no message arrives.
-const POLL: Duration = Duration::from_millis(20);
+/// Longest an `Iteration` event waits on the server side of a job's
+/// stream for later ones to travel with it (see [`ClientRecorder`]).
+const COALESCE: Duration = Duration::from_millis(1);
 
 /// Events each per-job flight recorder retains (the last-N window a
 /// fault dump carries).
@@ -116,7 +119,8 @@ pub struct ServerConfig {
     pub shed_bytes: Option<usize>,
     /// Deterministic journal fault injector (chaos tests only).
     pub wal_injector: Option<Arc<dyn WalFaultInjector>>,
-    /// Server-level live telemetry: polled once per scheduler pass,
+    /// Server-level live telemetry: polled once per scheduler pass —
+    /// one per message, and one per sampler interval when idle —
     /// emitting `metrics_sample` events with source `"server"` (WAL
     /// append-latency rollups, scheduler tick rate) into the sampler's
     /// recorder. The null handle (default) is free.
@@ -249,6 +253,9 @@ pub struct ServerStatus {
     pub running: usize,
     /// Running jobs draining toward a preemption checkpoint.
     pub preempting: usize,
+    /// Placement worker threads not yet joined: one per running job,
+    /// however many jobs the server has served.
+    pub worker_threads: usize,
     /// Cores currently granted to running jobs.
     pub cores_busy: usize,
     /// Total cores the server schedules over.
@@ -582,14 +589,49 @@ impl Drop for JobServer {
 /// the job's flight-recorder ring, keeps the live progress cell
 /// current, and dumps the flight ring the moment a `chain_fault`
 /// arrives — while the fault event is guaranteed still in the window.
+///
+/// The stream coalesces: waking a client parked in [`JobHandle::recv`]
+/// costs more than an iteration of a small model, so `Iteration` events
+/// are held and sent as one burst, which wakes it once. Held events
+/// leave in the order recorded — with the placement's first iteration,
+/// with any other event, with [`Recorder::flush`] and drop, and with an
+/// iteration recorded [`COALESCE`] or more after the last that left at
+/// once — so nothing is reordered or dropped or waits past the later of
+/// 1 ms and the next record, and a model slower than 1 ms an iteration
+/// streams exactly as if nothing were held.
 struct ClientRecorder {
     job: u64,
-    tx: Mutex<mpsc::Sender<JobUpdate>>,
+    stream: Mutex<ClientStream>,
     sched: Mutex<mpsc::Sender<Msg>>,
     progress: Arc<ProgressCell>,
     flight: Arc<FlightRecorder>,
     /// Where a fault-triggered dump lands.
     fault_dump: PathBuf,
+}
+
+struct ClientStream {
+    tx: mpsc::Sender<JobUpdate>,
+    /// Events recorded since the last delivery, oldest first.
+    held: Vec<Event>,
+    /// When an iteration last left without waiting; `None` until the
+    /// placement's first one has.
+    delivered: Option<Instant>,
+}
+
+impl ClientStream {
+    fn new(tx: mpsc::Sender<JobUpdate>) -> Mutex<Self> {
+        Mutex::new(Self {
+            tx,
+            held: Vec::new(),
+            delivered: None,
+        })
+    }
+
+    fn deliver(&mut self) {
+        for event in self.held.drain(..) {
+            let _ = self.tx.send(JobUpdate::Event(event));
+        }
+    }
 }
 
 impl Recorder for ClientRecorder {
@@ -619,11 +661,24 @@ impl Recorder for ClientRecorder {
             }
             _ => {}
         }
-        let _ = self
-            .tx
-            .lock()
-            .expect("client sender lock")
-            .send(JobUpdate::Event(event.clone()));
+        let mut stream = self.stream.lock().expect("client stream lock");
+        stream.held.push(event.clone());
+        if !matches!(event, Event::Iteration { .. }) {
+            stream.deliver();
+        } else if stream.delivered.is_none_or(|at| at.elapsed() >= COALESCE) {
+            stream.deliver();
+            stream.delivered = Some(Instant::now());
+        }
+    }
+
+    fn flush(&self) {
+        self.stream.lock().expect("client stream lock").deliver();
+    }
+}
+
+impl Drop for ClientRecorder {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -646,7 +701,8 @@ struct Scheduler {
     tx: mpsc::Sender<Msg>,
     jobs: BTreeMap<u64, JobState>,
     phases: BTreeMap<u64, Phase>,
-    workers: Vec<JoinHandle<()>>,
+    /// The worker of every placement yet to report back, by job.
+    workers: BTreeMap<u64, JoinHandle<()>>,
     drain: Option<mpsc::Sender<()>>,
     journal: Option<Journal>,
     store: CheckpointStore,
@@ -677,7 +733,7 @@ impl Scheduler {
             tx,
             jobs: BTreeMap::new(),
             phases: BTreeMap::new(),
-            workers: Vec::new(),
+            workers: BTreeMap::new(),
             drain: None,
             journal,
             store,
@@ -692,18 +748,39 @@ impl Scheduler {
     fn run(mut self) {
         if let Some(recovery) = self.recovery.take() {
             self.readmit(recovery);
+            self.place();
         }
         loop {
-            match self.rx.recv_timeout(POLL) {
+            // Every state change that can unblock work arrives as a
+            // message; only what is gated on time — a pending job's
+            // deadline or backoff, the telemetry cadence — needs a
+            // timer, and with none of those the scheduler just blocks.
+            let msg = match self.next_timer() {
+                Some(at) => self
+                    .rx
+                    .recv_timeout(at.saturating_duration_since(Instant::now())),
+                None => self
+                    .rx
+                    .recv()
+                    .map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+            };
+            match msg {
                 Ok(Msg::Submit(id, spec, tx)) => self.admit(id, spec, tx),
-                Ok(Msg::Done(id, outcome)) => self.settle(id, outcome),
+                Ok(Msg::Done(id, outcome)) => {
+                    // `Msg::Done` is a worker's last act: the join
+                    // returns at once, and frees the thread's stack.
+                    if let Some(worker) = self.workers.remove(&id) {
+                        let _ = worker.join();
+                    }
+                    self.settle(id, outcome);
+                }
                 Ok(Msg::Ckpt(id, iter)) => self.note_checkpoint(id, iter),
                 Ok(Msg::Status(tx)) => {
                     let _ = tx.send(self.status_snapshot());
                 }
                 Ok(Msg::Drain(ack)) => self.drain = Some(ack),
                 Ok(Msg::Shutdown) => break,
-                // Idle tick: deadlines and backoff gates still advance.
+                // A timer fired: deadlines and backoff gates advance.
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
@@ -731,9 +808,26 @@ impl Scheduler {
         for job in self.jobs.values() {
             let _ = job.tx.send(JobUpdate::ServerLost);
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
+        for worker in std::mem::take(&mut self.workers).into_values() {
+            let _ = worker.join();
         }
+    }
+
+    /// The earliest instant at which something the scheduler owns
+    /// becomes due without a message announcing it.
+    fn next_timer(&self) -> Option<Instant> {
+        let now = Instant::now();
+        let pending = self
+            .phases
+            .iter()
+            .filter(|(_, p)| matches!(p, Phase::Pending))
+            .map(|(id, _)| &self.jobs[id]);
+        let gates = pending.flat_map(|job| {
+            let deadline = job.spec.deadline.map(|d| job.submitted_at + d);
+            [deadline, job.not_before.filter(|&gate| gate > now)]
+        });
+        let telemetry = self.cfg.telemetry.due_in().map(|d| now + d);
+        gates.flatten().chain(telemetry).min()
     }
 
     /// Best-effort journal append: the WAL protects restarts, but a
@@ -823,6 +917,7 @@ impl Scheduler {
             pending,
             running,
             preempting,
+            worker_threads: self.workers.len(),
             cores_busy,
             cores_total: self.cfg.cores,
             resident_bytes,
@@ -1408,7 +1503,7 @@ impl Scheduler {
                 let _ = done.send(Msg::Done(id, outcome));
             })
             .expect("spawn job worker");
-        self.workers.push(worker);
+        self.workers.insert(id, worker);
     }
 }
 
@@ -1465,7 +1560,7 @@ fn run_placement(
     };
     let recorder = RecorderHandle::new(Arc::new(ClientRecorder {
         job: id,
-        tx: Mutex::new(updates),
+        stream: ClientStream::new(updates),
         sched: Mutex::new(sched),
         progress,
         flight,
@@ -1587,17 +1682,7 @@ mod tests {
 
     #[test]
     fn rejects_zero_shapes_and_unknown_workloads() {
-        let predictor = LlcMissPredictor::fit(&[
-            bayes_sched::predictor::MissSample {
-                data_bytes: 64 * 1024,
-                mpki: 0.2,
-            },
-            bayes_sched::predictor::MissSample {
-                data_bytes: 16 * 1024 * 1024,
-                mpki: 12.0,
-            },
-        ]);
-        let server = JobServer::start(ServerConfig::new(4, predictor));
+        let server = JobServer::start(ServerConfig::new(4, predictor()));
         let bad_shape = server.submit(JobSpec::new("empty", "12cities").with_chains(0));
         let bad_name = server.submit(JobSpec::new("typo", "13cities"));
         for handle in [bad_shape, bad_name] {
@@ -1609,9 +1694,8 @@ mod tests {
         server.join();
     }
 
-    #[test]
-    fn recover_without_a_journal_is_an_error() {
-        let predictor = LlcMissPredictor::fit(&[
+    fn predictor() -> LlcMissPredictor {
+        LlcMissPredictor::fit(&[
             bayes_sched::predictor::MissSample {
                 data_bytes: 64 * 1024,
                 mpki: 0.2,
@@ -1620,7 +1704,132 @@ mod tests {
                 data_bytes: 16 * 1024 * 1024,
                 mpki: 12.0,
             },
-        ]);
-        assert!(JobServer::recover(ServerConfig::new(4, predictor)).is_err());
+        ])
+    }
+
+    #[test]
+    fn finished_workers_are_joined_as_they_report() {
+        let server = JobServer::start(ServerConfig::new(2, predictor()));
+        for i in 0..6 {
+            let spec = JobSpec::new(format!("job-{i}"), "votes")
+                .with_chains(1)
+                .with_iters(20);
+            let done = server.submit(spec).wait();
+            assert!(matches!(done.outcome, crate::job::JobOutcome::Completed(_)));
+            // The worker is joined before its job is settled, so by the
+            // time the client has the outcome nothing of it is left.
+            let status = server.status().expect("scheduler is running");
+            assert_eq!((status.running, status.worker_threads), (0, 0), "job {i}");
+        }
+        server.join();
+    }
+
+    fn iteration(iter: u64) -> Event {
+        Event::Iteration {
+            chain: 0,
+            iter,
+            step_size: 0.1,
+            tree_depth: 2,
+            leapfrogs: 3,
+            divergent: false,
+            accept: 0.9,
+        }
+    }
+
+    /// The events `handle` can take without waiting.
+    fn ready(handle: &JobHandle) -> Vec<Event> {
+        std::iter::from_fn(|| handle.rx.try_recv().ok())
+            .map(|update| match update {
+                JobUpdate::Event(event) => event,
+                other => panic!("unexpected update {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn client_stream_batches_iterations_and_nothing_else() {
+        let (tx, rx) = mpsc::channel();
+        let handle = JobHandle { id: 1, rx };
+        let (sched, _sched_rx) = mpsc::channel();
+        let recorder = ClientRecorder {
+            job: 1,
+            stream: ClientStream::new(tx),
+            sched: Mutex::new(sched),
+            progress: Arc::default(),
+            flight: Arc::new(FlightRecorder::new(FLIGHT_CAPACITY)),
+            fault_dump: std::env::temp_dir().join("bayes-serve-client-stream-test.jsonl"),
+        };
+        let mut recorded = Vec::new();
+        let mut received = Vec::new();
+        let record = |recorded: &mut Vec<Event>, event: Event| {
+            recorder.record(&event);
+            recorded.push(event);
+        };
+
+        // Events ahead of the first iteration pass straight through,
+        // and so does the placement's first iteration.
+        record(
+            &mut recorded,
+            Event::RunStart {
+                model: "m".into(),
+                chains: 1,
+                iters: 400,
+                seed: 7,
+            },
+        );
+        record(&mut recorded, iteration(0));
+        received.extend(ready(&handle));
+        assert_eq!(received, recorded, "first iteration is not held");
+
+        // A run of iterations faster than the window travels together:
+        // the client cannot have all hundred unless every one of them
+        // took a millisecond to record.
+        for iter in 1..=100 {
+            record(&mut recorded, iteration(iter));
+        }
+        received.extend(ready(&handle));
+        assert!(received.len() < recorded.len(), "nothing was held");
+
+        // An iteration recorded a window or more after the last one
+        // that left at once leaves at once, with everything held.
+        std::thread::sleep(2 * COALESCE);
+        record(&mut recorded, iteration(101));
+        received.extend(ready(&handle));
+        assert_eq!(received, recorded, "a slow iteration is not held");
+
+        // Any other event takes the held iterations with it, in order.
+        record(&mut recorded, iteration(102));
+        record(&mut recorded, iteration(103));
+        record(
+            &mut recorded,
+            Event::CheckpointSaved {
+                path: "p".into(),
+                iter: 104,
+                chains: 1,
+            },
+        );
+        received.extend(ready(&handle));
+        assert_eq!(received, recorded, "another event flushes");
+
+        // So do `flush` and drop.
+        record(&mut recorded, iteration(104));
+        recorder.flush();
+        received.extend(ready(&handle));
+        assert_eq!(received, recorded, "flush delivers");
+        record(&mut recorded, iteration(105));
+        drop(recorder);
+        // Through the blocking entry this time: the last event, then
+        // the end of the stream.
+        match handle.recv() {
+            Some(JobUpdate::Event(event)) => received.push(event),
+            other => panic!("unexpected update {other:?}"),
+        }
+        assert_eq!(received, recorded, "drop delivers");
+        assert!(handle.recv().is_none());
+    }
+
+    #[test]
+    fn recover_without_a_journal_is_an_error() {
+        assert!(JobServer::recover(ServerConfig::new(4, predictor())).is_err());
     }
 }

@@ -443,3 +443,70 @@ fn multiple_chains_fault_and_all_recover() {
         assert_eq!(c.draws.len(), ITERS);
     }
 }
+
+// ------------------------------------------------------- monitor wake-ups
+
+/// The monitor sleeps until the draw that completes the boundary it
+/// waits for wakes it; a wake it missed costs it the 100 ms safety-net
+/// timeout. A free-running chain would not notice — the monitor would
+/// only fall behind — so the chains here are made to wait for it: a
+/// pause is requested before every placement, the chains park at the
+/// next boundary, and the run returns once the monitor has written the
+/// checkpoint there. Every one of the boundaries, resumed from one
+/// after another, must be committed well inside that timeout: a 1%
+/// miss rate would show as ten placements of 100 ms among placements of
+/// about one (two are allowed for — a thousand placements write two
+/// thousand files, and a disk may stall once). Requesting the pause
+/// before a resumed placement has drawn is also what used to park it
+/// for good: the boundary picked was the one it resumed at.
+#[test]
+fn no_boundary_wake_is_missed_across_a_thousand_pauses() {
+    let model = AdModel::new("gauss", Gauss);
+    // R̂ over a handful of draws can dip below 1; a streak no run is
+    // long enough for keeps every run full-length all the same.
+    let det = detector()
+        .with_check_every(1)
+        .with_min_iters(4)
+        .with_consecutive(1000);
+    let cfg = RunConfig::new(64).with_chains(2).with_seed(SEED);
+    let boundaries: Vec<usize> = det.checkpoints(cfg.iters).collect();
+    let path = std::env::temp_dir().join(format!(
+        "bayes-fault-tolerance-{}-pauses.ckpt.json",
+        std::process::id()
+    ));
+    let mut slow = Vec::new();
+    let mut pauses = 0;
+    while pauses < 1000 {
+        let mut resume = false;
+        for &boundary in &boundaries[..boundaries.len() - 1] {
+            let pause = bayes_mcmc::supervisor::PauseControl::new();
+            pause.request();
+            let runtime = Runtime::new(det.clone()).with_config(
+                SupervisorConfig::new()
+                    .with_checkpoint_path(&path)
+                    .with_pause(pause),
+            );
+            let started = std::time::Instant::now();
+            let report = if resume {
+                runtime.resume(&Nuts::default(), &model, &cfg, &path)
+            } else {
+                runtime.run(&Nuts::default(), &model, &cfg)
+            }
+            .expect("clean placement");
+            let took = started.elapsed();
+            if took >= Duration::from_millis(90) {
+                slow.push(took);
+            }
+            assert_eq!(report.paused_at, Some(boundary));
+            resume = true;
+            pauses += 1;
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(bayes_mcmc::checkpoint::previous_checkpoint_path(&path));
+    assert!(
+        slow.len() <= 2,
+        "{} of {pauses} paused placements sat out a timeout: {slow:?}",
+        slow.len()
+    );
+}

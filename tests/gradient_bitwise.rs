@@ -8,6 +8,13 @@
 //! behind one set of leaves on one long-lived tape per thread and
 //! sweep each as a segment; nothing in value or gradient may move.
 //!
+//! A model decides for itself whether a granted pool pays
+//! (`POOL_CROSSOVER_NODES`), and at this scale most answer serially
+//! whatever `set_inner_threads` says — so the pooled path is also
+//! entered directly, through `ln_posterior_grad_on`: serial,
+//! forced-pooled at 2 and 4 threads, and the private-tape reference
+//! must all agree, on every sharded density.
+//!
 //! The reference needs the densities, which the registry hides behind
 //! `dyn Model`, so each dataset is rebuilt the way its `workload()`
 //! constructor in `crates/suite/src/workloads/` builds it. A count that
@@ -95,6 +102,19 @@ fn assert_bitwise(
                 "{what}, {threads} threads: value {v} vs {value}"
             );
             assert_eq!(bits(&g), bits(&grad), "{what}, {threads} threads: gradient");
+            // The pooled path, entered whatever the dispatch rule says.
+            let mut g = vec![f64::NAN; model.dim()];
+            let v = model.ln_posterior_grad_on(&theta, &mut g, threads);
+            assert_eq!(
+                v.to_bits(),
+                value.to_bits(),
+                "{what}, forced onto {threads} threads: value {v} vs {value}"
+            );
+            assert_eq!(
+                bits(&g),
+                bits(&grad),
+                "{what}, forced onto {threads} threads: gradient"
+            );
         }
     }
 }

@@ -720,3 +720,99 @@ fn chain_fault_dumps_the_flight_recorder() {
         "the window carries the iterations leading up to the fault"
     );
 }
+
+/// A served job's stream is, event for event and in order, what the
+/// same job records under an isolated supervised run, between its
+/// lifecycle rows: the server may hold iteration events back to send
+/// them together, never reorder, drop or alter one.
+#[test]
+fn served_stream_is_the_isolated_run_event_for_event() {
+    let dir = checkpoint_dir("stream");
+    let server = JobServer::start(
+        ServerConfig::new(2, cache_resident_predictor()).with_checkpoint_dir(&dir),
+    );
+    let served = server
+        .submit(
+            JobSpec::new("stream", "12cities")
+                .with_chains(1)
+                .with_iters(120)
+                .with_seed(21)
+                .with_detector(full_length_detector()),
+        )
+        .wait();
+    server.join();
+    assert!(matches!(served.outcome, JobOutcome::Completed(_)));
+    let [Event::JobSubmitted { .. }, Event::JobPlaced { cores, .. }, run @ .., Event::JobCompleted { .. }] =
+        &served.events[..]
+    else {
+        panic!("lifecycle rows are missing: {:?}", served.events);
+    };
+
+    // The isolated run writes its checkpoints where the served one did,
+    // so that `checkpoint_saved` rows compare equal too.
+    let ckpt = run
+        .iter()
+        .find_map(|e| match e {
+            Event::CheckpointSaved { path, .. } => Some(PathBuf::from(path)),
+            _ => None,
+        })
+        .expect("the served job checkpointed");
+    let memory = Arc::new(MemoryRecorder::new());
+    let recorder = RecorderHandle::new(memory.clone());
+    let wl = registry::workload("12cities", 0.25, 21).expect("registry workload");
+    wl.attach_recorder(&recorder);
+    let cfg = RunConfig::new(120)
+        .with_chains(1)
+        .with_seed(21)
+        .with_core_allotment(*cores as usize)
+        .with_recorder(recorder);
+    Runtime::new(full_length_detector())
+        .with_config(
+            SupervisorConfig::new()
+                .with_min_quorum(1)
+                .with_checkpoint_path(&ckpt),
+        )
+        .run(&Nuts::default(), wl.dynamics_model(), &cfg)
+        .expect("isolated run");
+    wl.flush_telemetry();
+
+    // Wall-clock fields are one thing two runs may differ in; where
+    // the monitor thread's `checkpoint_saved` rows fall among the chain
+    // thread's iterations is the other. Each thread's rows, though,
+    // arrive complete and in the order it recorded them, and a
+    // checkpoint row never overtakes the iteration that completed it.
+    let isolated = memory.take();
+    let split = |events: &[Event]| -> (Vec<Event>, Vec<Event>) {
+        let mut events = events.to_vec();
+        for event in &mut events {
+            if let Event::ShardAggregate { elapsed_ns, .. } = event {
+                *elapsed_ns = 0;
+            }
+        }
+        events
+            .into_iter()
+            .partition(|e| matches!(e, Event::CheckpointSaved { .. }))
+    };
+    let (served_saves, served_rest) = split(run);
+    let (isolated_saves, isolated_rest) = split(&isolated);
+    assert_eq!(served_rest, isolated_rest);
+    assert_eq!(served_saves, isolated_saves);
+    let iterations = served_rest
+        .iter()
+        .filter(|e| matches!(e, Event::Iteration { .. }));
+    assert_eq!(iterations.count(), 120);
+    assert!(served_rest
+        .iter()
+        .any(|e| matches!(e, Event::ShardAggregate { threads: 1, .. })));
+    for (at, event) in run.iter().enumerate() {
+        if let Event::CheckpointSaved { iter: saved, .. } = event {
+            let completed = run[..at]
+                .iter()
+                .any(|e| matches!(e, Event::Iteration { iter, .. } if iter + 1 == *saved));
+            assert!(
+                completed,
+                "checkpoint {saved} arrived ahead of its iteration"
+            );
+        }
+    }
+}
