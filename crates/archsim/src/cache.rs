@@ -5,6 +5,8 @@
 //! a hit rate of roughly `capacity / working-set` instead of LRU's
 //! pathological zero.
 
+use crate::stream::CHAIN_SPACING;
+
 /// Replacement policy for a [`CacheSim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Replacement {
@@ -17,6 +19,10 @@ pub enum Replacement {
 /// Bytes per cache line, on every level of every platform modelled.
 const LINE_BYTES: usize = 64;
 
+/// Accesses a core issues per turn when [`Hierarchy::replay`]
+/// interleaves the cores' streams: one bit each of a `u32` mask word.
+pub const CHUNK: usize = u32::BITS as usize;
+
 /// One level of set-associative cache.
 #[derive(Debug, Clone)]
 pub struct CacheSim {
@@ -27,11 +33,10 @@ pub struct CacheSim {
     sets_log2: Option<u32>,
     ways: usize,
     policy: Replacement,
-    /// tags[set * ways + way]; `u64::MAX` = invalid.
+    /// tags[set * ways + way]; `u64::MAX` = invalid. Under LRU each set
+    /// is kept in recency order, most recent first (invalid ways last),
+    /// so the tags alone are the whole replacement state.
     tags: Vec<u64>,
-    /// LRU stamps, parallel to `tags`.
-    stamps: Vec<u64>,
-    clock: u64,
     rng_state: u64,
     accesses: u64,
     misses: u64,
@@ -58,8 +63,6 @@ impl CacheSim {
             ways,
             policy,
             tags: vec![u64::MAX; sets * ways],
-            stamps: vec![0; sets * ways],
-            clock: 0,
             rng_state: 0x9E37_79B9_7F4A_7C15,
             accesses: 0,
             misses: 0,
@@ -75,45 +78,41 @@ impl CacheSim {
     /// line is installed (allocate-on-miss).
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
-        self.clock += 1;
         let line = addr / LINE_BYTES as u64;
         let (set, tag) = match self.sets_log2 {
             Some(shift) => ((line & (self.sets as u64 - 1)) as usize, line >> shift),
             None => ((line % self.sets as u64) as usize, line / self.sets as u64),
         };
-        let base = set * self.ways;
-        for w in 0..self.ways {
-            if self.tags[base + w] == tag {
-                self.stamps[base + w] = self.clock;
-                return true;
+        let ways = &mut self.tags[set * self.ways..(set + 1) * self.ways];
+        if let Some(w) = ways.iter().position(|&t| t == tag) {
+            if self.policy == Replacement::Lru {
+                ways.copy_within(..w, 1);
+                ways[0] = tag;
             }
+            return true;
         }
         self.misses += 1;
-        // Choose a victim.
-        let victim = match self.policy {
+        match self.policy {
+            // The least recently used way — or an invalid one, which
+            // sits behind every valid way — drops off the end.
             Replacement::Lru => {
-                let mut best = 0;
-                for w in 1..self.ways {
-                    if self.stamps[base + w] < self.stamps[base + best] {
-                        best = w;
-                    }
-                }
-                best
+                ways.copy_within(..ways.len() - 1, 1);
+                ways[0] = tag;
             }
             Replacement::Random => {
-                // Prefer an invalid way if present.
-                if let Some(w) = (0..self.ways).find(|&w| self.tags[base + w] == u64::MAX) {
-                    w
+                // Prefer the first invalid way. Ways fill lowest first
+                // and never empty again, so the invalid ones are a suffix.
+                let victim = if ways[ways.len() - 1] == u64::MAX {
+                    ways.partition_point(|&t| t != u64::MAX)
                 } else {
                     self.rng_state ^= self.rng_state << 13;
                     self.rng_state ^= self.rng_state >> 7;
                     self.rng_state ^= self.rng_state << 17;
                     (self.rng_state % self.ways as u64) as usize
-                }
+                };
+                ways[victim] = tag;
             }
-        };
-        self.tags[base + victim] = tag;
-        self.stamps[base + victim] = self.clock;
+        }
         false
     }
 
@@ -133,6 +132,53 @@ impl CacheSim {
         self.accesses = 0;
         self.misses = 0;
     }
+
+    /// Whether `self` answers any access sequence as `other` does: the
+    /// same tags in the same order and the same victim stream.
+    fn same_state(&self, other: &Self) -> bool {
+        self.tags == other.tags && self.rng_state == other.rng_state
+    }
+}
+
+/// One core's private levels: L1d, L2 and, when the LLC is
+/// way-partitioned, the core's slice of it.
+#[derive(Debug, Clone)]
+struct Private {
+    l1: CacheSim,
+    l2: CacheSim,
+    llc_slice: Option<CacheSim>,
+}
+
+impl Private {
+    fn levels(&self) -> impl Iterator<Item = &CacheSim> {
+        [&self.l1, &self.l2].into_iter().chain(&self.llc_slice)
+    }
+
+    /// Routes one access through the private levels, counting it in
+    /// `s`; returns `true` when it misses them all and goes on to the
+    /// shared LLC.
+    fn access(&mut self, addr: u64, s: &mut LevelStats) -> bool {
+        s.accesses += 1;
+        if self.l1.access(addr) {
+            return false;
+        }
+        s.l1_misses += 1;
+        if self.l2.access(addr) {
+            return false;
+        }
+        s.l2_misses += 1;
+        match &mut self.llc_slice {
+            Some(slice) => s.llc_misses += u64::from(!slice.access(addr)),
+            None => return true,
+        }
+        false
+    }
+
+    fn same_state(&self, other: &Self) -> bool {
+        self.levels()
+            .zip(other.levels())
+            .all(|(a, b)| a.same_state(b))
+    }
 }
 
 /// A private L1d + private L2 + shared LLC hierarchy for `cores`
@@ -140,11 +186,10 @@ impl CacheSim {
 /// simulator does not model coherence traffic).
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
-    l1: Vec<CacheSim>,
-    l2: Vec<CacheSim>,
-    /// One shared LLC, or one partition per core.
-    llc: Vec<CacheSim>,
-    partitioned: bool,
+    private: Vec<Private>,
+    /// The LLC every core shares; `None` when it is way-partitioned
+    /// into the cores' private slices.
+    shared_llc: Option<CacheSim>,
     /// Per-core counters: accesses, l1 misses, l2 misses, llc misses.
     stats: Vec<LevelStats>,
 }
@@ -160,6 +205,15 @@ pub struct LevelStats {
     pub l2_misses: u64,
     /// Misses leaving the shared LLC (off-chip transfers).
     pub llc_misses: u64,
+}
+
+impl std::ops::AddAssign for LevelStats {
+    fn add_assign(&mut self, o: Self) {
+        self.accesses += o.accesses;
+        self.l1_misses += o.l1_misses;
+        self.l2_misses += o.l2_misses;
+        self.llc_misses += o.llc_misses;
+    }
 }
 
 impl Hierarchy {
@@ -186,24 +240,20 @@ impl Hierarchy {
         llc_ways: usize,
         partitioned: bool,
     ) -> Self {
-        let llc = if partitioned {
+        let llc_slice = partitioned.then(|| {
             let ways = (llc_ways / cores).max(1);
             let bytes = (llc_bytes / cores / (ways * 64)).max(1) * ways * 64;
-            (0..cores)
-                .map(|_| CacheSim::new(bytes, ways, Replacement::Random))
-                .collect()
-        } else {
-            vec![CacheSim::new(llc_bytes, llc_ways, Replacement::Random)]
+            CacheSim::new(bytes, ways, Replacement::Random)
+        });
+        let private = Private {
+            l1: CacheSim::new(l1_bytes, 8, Replacement::Lru),
+            l2: CacheSim::new(l2_bytes, 8, Replacement::Lru),
+            llc_slice,
         };
         Self {
-            l1: (0..cores)
-                .map(|_| CacheSim::new(l1_bytes, 8, Replacement::Lru))
-                .collect(),
-            l2: (0..cores)
-                .map(|_| CacheSim::new(l2_bytes, 8, Replacement::Lru))
-                .collect(),
-            llc,
-            partitioned,
+            private: vec![private; cores],
+            shared_llc: (!partitioned)
+                .then(|| CacheSim::new(llc_bytes, llc_ways, Replacement::Random)),
             stats: vec![LevelStats::default(); cores],
         }
     }
@@ -211,40 +261,83 @@ impl Hierarchy {
     /// Routes one access from `core` through the hierarchy.
     pub fn access(&mut self, core: usize, addr: u64) {
         let s = &mut self.stats[core];
-        s.accesses += 1;
-        if self.l1[core].access(addr) {
-            return;
+        if self.private[core].access(addr, s) {
+            let llc = self.shared_llc.as_mut().expect("no slice, so a shared LLC");
+            s.llc_misses += u64::from(!llc.access(addr));
         }
-        s.l1_misses += 1;
-        if self.l2[core].access(addr) {
-            return;
+    }
+
+    /// Replays `warmup` then `measured` passes in which every core
+    /// issues `stream`, core `c` shifted by `c × CHAIN_SPACING`, in
+    /// turns of [`CHUNK`] accesses, and returns each core's counts over
+    /// the measured passes, as [`Hierarchy::access`] would count them.
+    ///
+    /// The shift moves no line to another set of a private level whose
+    /// set span divides the spacing, so all cores' private levels answer
+    /// alike and are simulated once; a pass that starts where the
+    /// previous one started is not simulated again (DESIGN.md §5).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a used hierarchy, or on several cores with a private
+    /// level whose set span does not divide the spacing.
+    pub fn replay(mut self, stream: &[u64], warmup: usize, measured: usize) -> Vec<LevelStats> {
+        let fresh = self.stats.iter().all(|s| s.accesses == 0);
+        assert!(fresh, "replay needs a fresh hierarchy");
+        let mut private = self.private.swap_remove(0);
+        let span_divides =
+            |c: &CacheSim| CHAIN_SPACING.is_multiple_of((c.sets * LINE_BYTES) as u64);
+        assert!(
+            self.stats.len() == 1 || private.levels().all(span_divides),
+            "a private level's set span does not divide the chain spacing"
+        );
+        // Core 0's private counts and private-miss bits (one word per
+        // chunk) in the last simulated pass, and the state it began in.
+        let mut pass = LevelStats::default();
+        let mut missed: Vec<u32> = Vec::new();
+        let mut began: Option<Private> = None;
+        for p in 0..warmup + measured {
+            if !began.as_ref().is_some_and(|b| b.same_state(&private)) {
+                began = Some(private.clone());
+                pass = LevelStats::default();
+                missed.clear();
+                for chunk in stream.chunks(CHUNK) {
+                    let mut word = 0u32;
+                    for (j, &addr) in chunk.iter().enumerate() {
+                        if private.access(addr, &mut pass) {
+                            word |= 1 << j;
+                        }
+                    }
+                    missed.push(word);
+                }
+            }
+            let measuring = p >= warmup;
+            if measuring {
+                for s in &mut self.stats {
+                    *s += pass;
+                }
+            }
+            let Some(llc) = &mut self.shared_llc else {
+                continue;
+            };
+            for (chunk, &word) in stream.chunks(CHUNK).zip(&missed) {
+                for (c, s) in self.stats.iter_mut().enumerate() {
+                    let shift = c as u64 * CHAIN_SPACING;
+                    let mut bits = word;
+                    while bits != 0 {
+                        let miss = !llc.access(chunk[bits.trailing_zeros() as usize] + shift);
+                        s.llc_misses += u64::from(miss && measuring);
+                        bits &= bits - 1;
+                    }
+                }
+            }
         }
-        s.l2_misses += 1;
-        let llc = if self.partitioned {
-            &mut self.llc[core]
-        } else {
-            &mut self.llc[0]
-        };
-        if !llc.access(addr) {
-            s.llc_misses += 1;
-        }
+        self.stats
     }
 
     /// Per-core statistics.
     pub fn stats(&self, core: usize) -> LevelStats {
         self.stats[core]
-    }
-
-    /// Sum of all cores' statistics.
-    pub fn total(&self) -> LevelStats {
-        let mut t = LevelStats::default();
-        for s in &self.stats {
-            t.accesses += s.accesses;
-            t.l1_misses += s.l1_misses;
-            t.l2_misses += s.l2_misses;
-            t.llc_misses += s.llc_misses;
-        }
-        t
     }
 
     /// Clears statistics (contents stay warm).
@@ -370,20 +463,39 @@ mod tests {
         assert_eq!(s.llc_misses, 1);
         // Core 1 is untouched.
         assert_eq!(h.stats(1), LevelStats::default());
-        assert_eq!(h.total().accesses, 2);
     }
 
     #[test]
     fn llc_is_shared_between_cores() {
-        let mut h = Hierarchy::new(2, 1024, 4096, 1024 * 1024, 16);
-        // Core 0 brings a line into the LLC; evict it from core 0's
-        // private levels by sweeping, then access the same line from
-        // core 1 — wait, addresses must be disjoint per core in our
-        // usage, so instead check the LLC miss counter is global:
-        h.access(0, 0);
-        h.access(1, 1 << 30);
-        assert_eq!(h.total().llc_misses, 2);
-        h.reset_stats();
-        assert_eq!(h.total().accesses, 0);
+        // One-set, 8-way L1 and L2 and a 64-set LLC. Core 0 caches line
+        // 0, then pushes it out of its private levels with eight lines
+        // that land in other LLC sets; core 1 then floods LLC set 0.
+        // Returns whether core 0's second touch of line 0 missed the LLC.
+        let second_touch_misses_llc = |partitioned| {
+            let mut h = Hierarchy::with_partitioning(2, 512, 512, 64 * 1024, 16, partitioned);
+            for line in 0..=8u64 {
+                h.access(0, line * 64);
+            }
+            for k in 0..256u64 {
+                h.access(1, (1 << 30) + k * 64 * 64);
+            }
+            let before = h.stats(0);
+            h.access(0, 0);
+            let after = h.stats(0);
+            assert_eq!(
+                after.l2_misses,
+                before.l2_misses + 1,
+                "left the private levels"
+            );
+            after.llc_misses > before.llc_misses
+        };
+        assert!(
+            second_touch_misses_llc(false),
+            "core 1 evicted it from the shared LLC"
+        );
+        assert!(
+            !second_touch_misses_llc(true),
+            "core 1 cannot reach core 0's slice"
+        );
     }
 }

@@ -2,10 +2,10 @@
 //! sweeps through the simulated cache hierarchy and scales the
 //! steady-state per-leapfrog costs to a full multi-chain execution.
 
-use crate::cache::Hierarchy;
+use crate::cache::{Hierarchy, LevelStats};
 use crate::platform::Platform;
 use crate::signature::WorkloadSignature;
-use crate::stream::{interleave, leapfrog_stream, ChainLayout};
+use crate::stream::{leapfrog_stream, ChainLayout, CHAIN_SPACING};
 
 /// Dynamic instructions charged per AD-tape node (forward record +
 /// reverse accumulate).
@@ -91,8 +91,9 @@ impl PerfReport {
 ///
 /// # Panics
 ///
-/// Panics if `cores` is zero or exceeds the platform's core count, or
-/// if `chains`/`iters` is zero.
+/// Panics if `cores` is zero or exceeds the platform's core count, if
+/// `chains`/`iters` is zero, or if a chain's working set exceeds the
+/// 1 GiB spacing between chains ([`CHAIN_SPACING`]).
 pub fn characterize(sig: &WorkloadSignature, plat: &Platform, cfg: &SimConfig) -> PerfReport {
     assert!(
         cfg.cores >= 1 && cfg.cores <= plat.cores,
@@ -102,15 +103,15 @@ pub fn characterize(sig: &WorkloadSignature, plat: &Platform, cfg: &SimConfig) -
     assert!(cfg.iters >= 1, "need at least one iteration");
 
     // --- Cache behaviour: steady-state misses per leapfrog, with
-    // `active` chains running concurrently on separate cores.
+    // `active` chains running concurrently on separate cores, each with
+    // chain 0's layout `CHAIN_SPACING` further on.
+    let layout = ChainLayout::for_chain(0, sig.data_bytes, sig.tape_bytes, sig.dim);
+    assert!(
+        layout.working_set() <= CHAIN_SPACING,
+        "working set exceeds the 1 GiB chain spacing"
+    );
     let active = cfg.cores.min(cfg.chains);
-    let layouts: Vec<ChainLayout> = (0..active)
-        .map(|c| ChainLayout::for_chain(c, sig.data_bytes, sig.tape_bytes, sig.dim))
-        .collect();
-    let streams: Vec<Vec<u64>> = layouts.iter().map(leapfrog_stream).collect();
-    let pattern = interleave(&streams, 32);
-
-    let mut hier = Hierarchy::with_partitioning(
+    let hier = Hierarchy::with_partitioning(
         active,
         plat.l1d_bytes,
         plat.l2_bytes,
@@ -119,21 +120,13 @@ pub fn characterize(sig: &WorkloadSignature, plat: &Platform, cfg: &SimConfig) -
         plat.llc_partitioned,
     );
     // Two warmup sweeps to populate, two measured sweeps.
-    for _ in 0..2 {
-        for &(core, addr) in &pattern {
-            hier.access(core, addr);
-        }
-    }
-    hier.reset_stats();
-    const MEASURED: u64 = 2;
-    for _ in 0..MEASURED {
-        for &(core, addr) in &pattern {
-            hier.access(core, addr);
-        }
+    const MEASURED: usize = 2;
+    let mut t = LevelStats::default();
+    for s in hier.replay(&leapfrog_stream(&layout), 2, MEASURED) {
+        t += s;
     }
     // Average per-chain, per-leapfrog counts.
-    let t = hier.total();
-    let denom = (active as u64 * MEASURED) as f64;
+    let denom = (active * MEASURED) as f64;
     let l1m = t.l1_misses as f64 / denom;
     let l2m = t.l2_misses as f64 / denom;
     let llcm_raw = t.llc_misses as f64 / denom;
@@ -427,6 +420,21 @@ mod tests {
         assert!(branch_model(0.5) > branch_model(0.05));
         assert!(branch_model(0.8) < 2.0);
         assert!(branch_model(0.8) > 0.2);
+    }
+
+    #[test]
+    #[should_panic(expected = "working set exceeds the 1 GiB chain spacing")]
+    fn rejects_working_set_wider_than_chain_spacing() {
+        let sig = toy_signature(1 << 30, 64 * 1024);
+        let _ = characterize(
+            &sig,
+            &Platform::skylake(),
+            &SimConfig {
+                cores: 2,
+                chains: 2,
+                iters: 10,
+            },
+        );
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //! * reverse: a sequential sweep over the tape region, backwards;
 //! * plus a small parameter/momentum region touched at both ends.
 //!
-//! Every chain gets a disjoint base address (chains share no state).
+//! Chain `c` starts at `c × CHAIN_SPACING` (chains share no state).
+
+/// Bytes between consecutive chains' base addresses. A chain's working
+/// set must fit in it, or neighbouring chains would share lines.
+pub const CHAIN_SPACING: u64 = 1 << 30;
 
 /// Memory layout of one chain's working set.
 #[derive(Debug, Clone, Copy)]
@@ -28,21 +32,25 @@ pub struct ChainLayout {
 
 impl ChainLayout {
     /// Lays out chain `chain` for a workload with the given footprint.
-    /// Chains are spaced 1 GiB apart so their lines never alias as the
-    /// same address (they may still conflict in cache sets, as in
-    /// reality).
+    /// Chains are spaced [`CHAIN_SPACING`] apart so that, while the
+    /// working set fits in it, their lines never alias as the same
+    /// address (they may still conflict in cache sets, as in reality).
     pub fn for_chain(chain: usize, data_bytes: usize, tape_bytes: usize, dim: usize) -> Self {
         Self {
-            base: (chain as u64) << 30,
+            base: chain as u64 * CHAIN_SPACING,
             data_bytes: data_bytes as u64,
             tape_bytes: tape_bytes as u64,
             state_bytes: (dim * 8 * 4) as u64,
         }
     }
 
-    /// Total working-set bytes of the chain.
+    /// Working-set bytes of the chain, from `base` to the end of its
+    /// last line: each region starts on a line and the state takes at
+    /// least one.
     pub fn working_set(&self) -> u64 {
-        self.data_bytes + self.tape_bytes + self.state_bytes
+        self.data_bytes.next_multiple_of(LINE)
+            + self.tape_bytes.next_multiple_of(LINE)
+            + (self.state_bytes / LINE).max(1) * LINE
     }
 }
 
@@ -98,29 +106,6 @@ pub fn leapfrog_stream(l: &ChainLayout) -> Vec<u64> {
     out
 }
 
-/// Interleaves the streams of concurrently running chains in chunks of
-/// `chunk` accesses (round-robin), yielding `(core, addr)` pairs — the
-/// multicore contention pattern of Section IV-B.
-pub fn interleave(streams: &[Vec<u64>], chunk: usize) -> Vec<(usize, u64)> {
-    assert!(chunk > 0, "chunk must be positive");
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut cursors = vec![0usize; streams.len()];
-    let mut remaining = total;
-    while remaining > 0 {
-        for (core, s) in streams.iter().enumerate() {
-            let c = cursors[core];
-            let take = chunk.min(s.len() - c);
-            for &addr in &s[c..c + take] {
-                out.push((core, addr));
-            }
-            cursors[core] += take;
-            remaining -= take;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,34 +139,5 @@ mod tests {
             assert_eq!(a % 64, 0);
             assert!(a >= l.base);
         }
-    }
-
-    #[test]
-    fn interleave_preserves_all_accesses_and_order_within_core() {
-        let s0: Vec<u64> = (0..10).map(|i| i * 64).collect();
-        let s1: Vec<u64> = (0..4).map(|i| (1 << 30) + i * 64).collect();
-        let mixed = interleave(&[s0.clone(), s1.clone()], 3);
-        assert_eq!(mixed.len(), 14);
-        let got0: Vec<u64> = mixed
-            .iter()
-            .filter(|(c, _)| *c == 0)
-            .map(|&(_, a)| a)
-            .collect();
-        let got1: Vec<u64> = mixed
-            .iter()
-            .filter(|(c, _)| *c == 1)
-            .map(|&(_, a)| a)
-            .collect();
-        assert_eq!(got0, s0);
-        assert_eq!(got1, s1);
-        // Chunked: the first three accesses come from core 0.
-        assert!(mixed[..3].iter().all(|(c, _)| *c == 0));
-        assert!(mixed[3..6].iter().all(|(c, _)| *c == 1 || *c == 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk must be positive")]
-    fn interleave_rejects_zero_chunk() {
-        let _ = interleave(&[vec![0]], 0);
     }
 }
