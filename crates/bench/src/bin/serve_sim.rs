@@ -107,27 +107,30 @@ fn full_length_detector() -> ConvergenceDetector {
         .with_min_iters(20)
 }
 
-/// The job mix, in submission order (server ids 1..=4). `durable`
-/// scales the iteration budgets up so a `--kill-after-ms` strike
-/// reliably lands while jobs are still in flight.
+/// The job mix, in submission order (server ids 1..=4). The MH job is
+/// placed first and fills the box, so the urgent job preempts it: an MH
+/// job has a checkpoint to resume from almost at once, which is what a
+/// `--kill-after-ms` strike leaves `--recover`. `durable` scales the
+/// iteration budgets up so the strike reliably lands while jobs are
+/// still in flight.
 fn mix(durable: bool) -> Vec<JobSpec> {
     let scale = if durable { 8 } else { 1 };
     vec![
-        JobSpec::new("batch-12cities", "12cities")
-            .with_iters(240 * scale)
-            .with_priority(1)
-            .with_seed(11)
+        JobSpec::new("mh-butterfly", "butterfly")
+            .with_iters(400 * scale)
+            .with_priority(2)
+            .with_seed(13)
+            .with_sampler(SamplerKind::Mh)
             .with_detector(full_length_detector()),
         JobSpec::new("batch-votes", "votes")
             .with_iters(160 * scale)
             .with_priority(1)
             .with_seed(12)
             .with_detector(full_length_detector()),
-        JobSpec::new("mh-butterfly", "butterfly")
-            .with_iters(400 * scale)
-            .with_priority(2)
-            .with_seed(13)
-            .with_sampler(SamplerKind::Mh)
+        JobSpec::new("batch-12cities", "12cities")
+            .with_iters(240 * scale)
+            .with_priority(1)
+            .with_seed(11)
             .with_detector(full_length_detector()),
         JobSpec::new("urgent-ad", "ad")
             .with_iters(120 * scale)
@@ -290,9 +293,9 @@ fn run_mix(args: &Args, memory: &MemoryRecorder, trace: RecorderHandle) -> bool 
     let checkpoint_dir = cfg.checkpoint_dir.clone();
     let server = JobServer::start(cfg);
 
-    // The mix: two low-priority batch jobs that saturate the box, one
-    // non-preemptible MH job, then a high-priority job that must
-    // preempt a batch job to get on.
+    // The mix: an MH job that fills the box, two low-priority batch
+    // jobs queued behind it, then a high-priority job that must preempt
+    // the MH job to get on.
     let mut specs = mix(false);
     if args.inject_fault {
         // The votes batch job (server id 2) takes the chain panic; one
@@ -381,7 +384,7 @@ fn run_mix(args: &Args, memory: &MemoryRecorder, trace: RecorderHandle) -> bool 
         ok = false;
     }
     if preempted == 0 || resumed == 0 {
-        eprintln!("FAIL: the high-priority job should have preempted a batch job");
+        eprintln!("FAIL: the high-priority job should have preempted the MH job");
         ok = false;
     }
     if placed < submitted + preempted {

@@ -43,6 +43,12 @@ impl DualAveraging {
         self.log_eps.exp()
     }
 
+    /// Starts over from `eps`, as after a metric switch, keeping the
+    /// target.
+    pub(crate) fn restart(&mut self, eps: f64) {
+        *self = Self::new(eps, self.target);
+    }
+
     /// Smoothed step size to freeze after warmup.
     pub(crate) fn final_eps(&self) -> f64 {
         self.log_eps_bar.exp()

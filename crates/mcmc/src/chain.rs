@@ -1,11 +1,18 @@
-//! Multi-chain execution: the outer loop of Algorithm 1.
+//! Chain execution: both loops of Algorithm 1.
 //!
-//! Chains are independent, so they can run sequentially (the paper's
-//! 1-core configuration) or one OS thread per chain (the 4-core
-//! configuration whose LLC contention Section IV-B analyzes).
+//! A [`Sampler`] supplies an initial state and one transition on it;
+//! `run_chain` is the sequential inner loop around that transition,
+//! the only one in the crate. The outer loop over chains is
+//! embarrassingly parallel, so [`run`] drives the chains sequentially
+//! (the paper's 1-core configuration) or one OS thread per chain (the
+//! 4-core configuration whose LLC contention Section IV-B analyzes),
+//! and the supervisor ([`crate::supervisor::Runtime`]) drives them under
+//! its monitor.
 
+use crate::checkpoint::{segment_seed, ChainCheckpoint, SamplerCheckpoint};
 use crate::model::Model;
 use crate::stream::{Purpose, StreamKey};
+use crate::supervisor::Watch;
 use bayes_obs::{Event, ProfilerHandle, RecorderHandle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,7 +23,7 @@ pub enum Parallelism {
     /// All chains on the calling thread, one after another.
     #[default]
     Sequential,
-    /// One OS thread per chain (crossbeam scoped threads).
+    /// One OS thread per chain (scoped threads).
     Threads,
 }
 
@@ -49,9 +56,6 @@ pub enum ConfigError {
         /// Configured chain count.
         chains: usize,
     },
-    /// Checkpointing or resume was requested of a sampler that does
-    /// not implement resumable checkpoints.
-    ResumeUnsupported,
     /// A pause control was attached without a checkpoint path; a pause
     /// can only be honoured by serializing a resume point.
     PauseWithoutCheckpoint,
@@ -74,9 +78,6 @@ impl std::fmt::Display for ConfigError {
             Self::ZeroQuorum => write!(f, "minimum chain quorum is zero"),
             Self::QuorumExceedsChains { quorum, chains } => {
                 write!(f, "quorum {quorum} exceeds chain count {chains}")
-            }
-            Self::ResumeUnsupported => {
-                write!(f, "sampler does not support checkpoint/resume")
             }
             Self::PauseWithoutCheckpoint => {
                 write!(f, "pause control requires a checkpoint path")
@@ -324,11 +325,10 @@ pub struct ChainOutput {
     pub grad_evals: u64,
     /// Divergent transitions encountered.
     pub divergences: u64,
-    /// Gradient evaluations per iteration (empty for samplers that do
-    /// exactly one density evaluation per iteration). Used by the
-    /// elision study: stopping at iteration `t` saves the *work* after
-    /// `t`, which is not proportional to iterations because NUTS trees
-    /// shrink after convergence (Section VI-A).
+    /// Gradient evaluations per iteration, as the chain loop counted
+    /// them. Used by the elision study: stopping at iteration `t` saves
+    /// the *work* after `t`, which is not proportional to iterations
+    /// because NUTS trees shrink after convergence (Section VI-A).
     pub evals_per_iter: Vec<u32>,
 }
 
@@ -346,18 +346,10 @@ impl ChainOutput {
         self.sampling_draws().iter().map(|d| d[j]).collect()
     }
 
-    /// Gradient evaluations spent in iterations `[0, t)`; falls back to
-    /// a proportional estimate when no per-iteration trace is recorded.
+    /// Gradient evaluations spent in iterations `[0, t)`.
     pub fn evals_until(&self, t: usize) -> u64 {
-        if self.evals_per_iter.is_empty() {
-            let frac = t.min(self.draws.len()) as f64 / self.draws.len().max(1) as f64;
-            (self.grad_evals as f64 * frac) as u64
-        } else {
-            self.evals_per_iter[..t.min(self.evals_per_iter.len())]
-                .iter()
-                .map(|&e| e as u64)
-                .sum()
-        }
+        let until = &self.evals_per_iter[..t.min(self.evals_per_iter.len())];
+        until.iter().map(|&e| u64::from(e)).sum()
     }
 }
 
@@ -424,16 +416,174 @@ impl MultiChainRun {
     }
 }
 
-/// A sampler that can advance one chain from an initial point.
+/// What one transition reports besides the new state.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Info {
+    /// Metropolis acceptance statistic (NUTS: the mean over the
+    /// trajectory's candidates; MH: 1 if the proposal was accepted).
+    pub accept_stat: f64,
+    /// The transition diverged.
+    pub diverged: bool,
+    /// Doublings of the NUTS tree (0 for samplers that build none).
+    pub tree_depth: usize,
+    /// Step size (MH: proposal scale) the transition used.
+    pub step_size: f64,
+}
+
+/// What a transition runs against: the model, the chain's config, and
+/// the chain's random stream and count of density evaluations, which
+/// the chain loop owns and carries from one transition to the next.
+pub struct Env<'a> {
+    /// The model the chain samples.
+    pub model: &'a dyn Model,
+    /// The chain's config ([`RunConfig::for_chain`]).
+    pub cfg: &'a RunConfig,
+    /// The chain's random stream.
+    pub rng: StdRng,
+    /// Density (or gradient) evaluations so far.
+    pub evals: u64,
+}
+
+/// A transition kernel: an initial state and one transition on it. The
+/// chain loop (`run_chain`) does everything else — streams, events,
+/// draws, counters, checkpoints, stopping — so every sampler is run,
+/// supervised, checkpointed, paused and resumed the same way.
+///
+/// Every implementation must draw from `env.rng` in an order that
+/// depends only on its state, its inputs and the draws it makes: that
+/// is what makes a chain a pure function of its seed.
 pub trait Sampler: Sync {
-    /// Runs one chain of `cfg.iters` iterations starting at `init`.
-    fn sample_chain(
-        &self,
-        model: &dyn Model,
-        init: &[f64],
-        cfg: &RunConfig,
-        seed: u64,
-    ) -> ChainOutput;
+    /// Everything a chain carries from one transition to the next:
+    /// plain owned data, so that [`Sampler::snapshot`] and
+    /// [`Sampler::restore`] can be lossless.
+    type State;
+
+    /// The state at the initial point `init`, with every density
+    /// evaluation it makes counted into `env.evals`.
+    fn init(&self, init: &[f64], env: &mut Env<'_>) -> Self::State;
+
+    /// One transition of `state` at iteration `iter`, warm-up
+    /// adaptation included, with its density evaluations counted into
+    /// `env.evals`.
+    fn step(&self, state: &mut Self::State, iter: usize, env: &mut Env<'_>) -> Info;
+
+    /// The draw `state` stands at.
+    fn position<'s>(&self, state: &'s Self::State) -> &'s [f64];
+
+    /// The sampler's share of a checkpoint of `state`; the chain loop
+    /// fills in `iter` and the counters.
+    fn snapshot(&self, state: &Self::State) -> SamplerCheckpoint;
+
+    /// The exact state a [`Sampler::snapshot`] was taken of.
+    fn restore(&self, ck: &SamplerCheckpoint) -> Self::State;
+}
+
+/// Runs one chain: `sampler`'s state at `init` (or restored from
+/// `from`, whose draws it continues), then one transition per
+/// iteration up to `cfg.iters`, all on the stream `seed`. Around each
+/// transition the loop records the `iteration` event, keeps the draw
+/// row and its evaluation count, and — under supervision (`watch`) —
+/// re-derives the stream at segment boundaries, hands the supervisor a
+/// snapshot there and every draw after it, and stops when told to.
+pub(crate) fn run_chain<S: Sampler>(
+    sampler: &S,
+    model: &dyn Model,
+    init: &[f64],
+    cfg: &RunConfig,
+    seed: u64,
+    from: Option<&ChainCheckpoint>,
+    watch: Option<&Watch<'_>>,
+) -> ChainOutput {
+    let _scope = cfg.profiler.install(Some(cfg.chain_index as u64));
+    let mut draws = Vec::with_capacity(cfg.iters);
+    let mut evals_per_iter = Vec::with_capacity(cfg.iters);
+    let mut env = Env {
+        model,
+        cfg,
+        rng: StdRng::seed_from_u64(seed),
+        evals: 0,
+    };
+    let (mut state, mut accept_sum, mut divergences) = match from {
+        None => (sampler.init(init, &mut env), 0.0, 0),
+        // A resumed chain starts on the segment stream of its resume
+        // boundary, exactly the stream an uninterrupted run is on there.
+        Some(ck) => {
+            let s = &ck.sampler;
+            draws.extend_from_slice(&ck.draws);
+            evals_per_iter.extend_from_slice(&ck.evals_per_iter);
+            env.rng = StdRng::seed_from_u64(segment_seed(seed, s.iter));
+            env.evals = s.grad_evals;
+            (sampler.restore(s), s.accept_sum, s.divergences)
+        }
+    };
+    // Recording is observation only: the event is built from values the
+    // transition computed anyway, after all RNG use, so an attached
+    // recorder cannot perturb the draw stream.
+    let recording = cfg.recorder.enabled();
+
+    for iter in draws.len()..cfg.iters {
+        // Segmented streams: re-derive the generator at every
+        // checkpoint boundary so a resume from iteration t replays the
+        // identical randomness for [t, ...). Re-seeding at the resume
+        // boundary itself is idempotent.
+        if watch.is_some_and(|w| w.reseeds_at(iter)) {
+            env.rng = StdRng::seed_from_u64(segment_seed(seed, iter));
+        }
+        let before = env.evals;
+        let info = sampler.step(&mut state, iter, &mut env);
+        let spent = env.evals - before;
+        // Stan convention: acceptance and divergences are reported after
+        // warmup only (large trial step sizes make divergences routine
+        // during adaptation).
+        if iter >= cfg.warmup {
+            accept_sum += info.accept_stat;
+            divergences += u64::from(info.diverged);
+        }
+        if recording {
+            cfg.recorder.record(Event::Iteration {
+                chain: cfg.chain_index as u64,
+                iter: iter as u64,
+                step_size: info.step_size,
+                tree_depth: info.tree_depth as u64,
+                leapfrogs: spent,
+                divergent: info.diverged,
+                accept: info.accept_stat,
+            });
+        }
+        let draw = sampler.position(&state);
+        draws.push(draw.to_vec());
+        evals_per_iter.push(spent as u32);
+        if let Some(w) = watch {
+            // With iterations [0, completed) done, the chain can resume
+            // at `completed` on that boundary's stream. Snapshot before
+            // the draw is handed over, so the supervisor observes state
+            // before progress.
+            let completed = iter + 1;
+            w.snapshot(completed, || SamplerCheckpoint {
+                iter: completed,
+                accept_sum,
+                divergences,
+                grad_evals: env.evals,
+                evals_per_iter: evals_per_iter.clone(),
+                ..sampler.snapshot(&state)
+            });
+            if !w.on_draw(iter, draw) {
+                break;
+            }
+        }
+    }
+
+    // Post-warm-up iterations actually completed: a supervisor's stop
+    // ends the chain before `cfg.iters`.
+    let sampling = draws.len().saturating_sub(cfg.warmup).max(1) as f64;
+    ChainOutput {
+        draws,
+        warmup: cfg.warmup,
+        accept_mean: accept_sum / sampling,
+        grad_evals: env.evals,
+        divergences,
+        evals_per_iter,
+    }
 }
 
 /// Draws Stan-style uniform(-2, 2) initial points, one per chain, from
@@ -472,10 +622,6 @@ pub fn try_run<S: Sampler>(
     cfg: &RunConfig,
 ) -> Result<MultiChainRun, ConfigError> {
     cfg.validate()?;
-    Ok(run_validated(sampler, model, cfg))
-}
-
-fn run_validated<S: Sampler>(sampler: &S, model: &dyn Model, cfg: &RunConfig) -> MultiChainRun {
     model.set_inner_threads(cfg.effective_inner_threads());
     model.set_recorder(&cfg.recorder);
     model.set_fast_path(cfg.effective_fast_path());
@@ -488,40 +634,37 @@ fn run_validated<S: Sampler>(sampler: &S, model: &dyn Model, cfg: &RunConfig) ->
         });
     }
     let inits = initial_points(cfg, model.dim());
-
+    let chain = |c: usize| {
+        run_chain(
+            sampler,
+            model,
+            &inits[c],
+            &cfg.for_chain(c),
+            cfg.chain_seed(c),
+            None,
+            None,
+        )
+    };
     let chains: Vec<ChainOutput> = match cfg.parallelism {
-        Parallelism::Sequential => inits
-            .iter()
-            .enumerate()
-            .map(|(c, init)| {
-                let _scope = cfg.profiler.install(Some(c as u64));
-                sampler.sample_chain(model, init, &cfg.for_chain(c), cfg.chain_seed(c))
-            })
-            .collect(),
-        Parallelism::Threads => {
-            // Join every handle and collect the per-chain results so a
-            // panicking chain can be reported with its index — an
-            // unjoined panicked child would otherwise surface only as
-            // an opaque scope error.
-            let results: Vec<Result<ChainOutput, Box<dyn std::any::Any + Send>>> =
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = inits
-                        .iter()
-                        .enumerate()
-                        .map(|(c, init)| {
-                            let cfg_c = cfg.for_chain(c);
-                            let seed = cfg.chain_seed(c);
-                            scope.spawn(move |_| {
-                                let _scope = cfg_c.profiler.install(Some(c as u64));
-                                sampler.sample_chain(model, init, &cfg_c, seed)
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join()).collect()
+        Parallelism::Sequential => (0..cfg.chains).map(chain).collect(),
+        Parallelism::Threads => std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..cfg.chains)
+                .map(|c| scope.spawn(move || chain(c)))
+                .collect();
+            // Joined in chain order: the first chain that died is
+            // reported with its index, the workload's name and its own
+            // panic message.
+            let joined = handles.into_iter().enumerate().map(|(c, h)| {
+                h.join().unwrap_or_else(|payload| {
+                    panic!(
+                        "chain {c} of workload '{}' panicked: {}",
+                        model.name(),
+                        panic_message(payload.as_ref())
+                    )
                 })
-                .expect("crossbeam scope failed after all children were joined");
-            collect_chain_results(results, model.name())
-        }
+            });
+            joined.collect()
+        }),
     };
 
     model.flush_telemetry();
@@ -539,29 +682,10 @@ fn run_validated<S: Sampler>(sampler: &S, model: &dyn Model, cfg: &RunConfig) ->
         cfg.recorder.flush();
     }
 
-    MultiChainRun {
+    Ok(MultiChainRun {
         chains,
         dim: model.dim(),
-    }
-}
-
-/// Unwraps per-chain results, panicking with the chain index, workload
-/// name, and original payload message if any chain died.
-pub(crate) fn collect_chain_results(
-    results: Vec<Result<ChainOutput, Box<dyn std::any::Any + Send>>>,
-    model_name: &str,
-) -> Vec<ChainOutput> {
-    let mut chains = Vec::with_capacity(results.len());
-    for (c, result) in results.into_iter().enumerate() {
-        match result {
-            Ok(out) => chains.push(out),
-            Err(payload) => panic!(
-                "chain {c} of workload '{model_name}' panicked: {}",
-                panic_message(payload.as_ref())
-            ),
-        }
-    }
-    chains
+    })
 }
 
 /// Extracts the human-readable message from a panic payload (the
@@ -577,7 +701,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::{AdModel, EvalProfile, LogDensity};
     use bayes_autodiff::Real;
@@ -597,31 +721,47 @@ mod tests {
         }
     }
 
-    /// A deterministic toy sampler: ignores the model and emits the
-    /// iteration index, letting us test the plumbing exactly.
-    struct CountingSampler;
+    /// A sampler whose draw is written by a function of the chain's
+    /// environment and the iteration, at one evaluation per iteration:
+    /// the loop and its drivers without a real kernel.
+    pub(crate) struct Scripted<F>(pub F);
 
-    impl Sampler for CountingSampler {
-        fn sample_chain(
-            &self,
-            model: &dyn Model,
-            _init: &[f64],
-            cfg: &RunConfig,
-            _seed: u64,
-        ) -> ChainOutput {
-            let draws = (0..cfg.iters)
-                .map(|i| vec![i as f64; model.dim()])
-                .collect();
-            ChainOutput {
-                draws,
-                warmup: cfg.warmup,
-                accept_mean: 1.0,
-                grad_evals: cfg.iters as u64,
-                divergences: 0,
-                evals_per_iter: vec![1; cfg.iters],
+    impl<F: Fn(&mut Env<'_>, usize, &mut [f64]) + Sync> Sampler for Scripted<F> {
+        type State = Vec<f64>;
+
+        fn init(&self, _: &[f64], env: &mut Env<'_>) -> Vec<f64> {
+            vec![0.0; env.model.dim()]
+        }
+
+        fn step(&self, draw: &mut Vec<f64>, iter: usize, env: &mut Env<'_>) -> Info {
+            (self.0)(env, iter, draw);
+            env.evals += 1;
+            Info {
+                accept_stat: 1.0,
+                ..Info::default()
             }
         }
+
+        fn position<'s>(&self, draw: &'s Vec<f64>) -> &'s [f64] {
+            draw
+        }
+
+        fn snapshot(&self, draw: &Vec<f64>) -> SamplerCheckpoint {
+            SamplerCheckpoint {
+                q: draw.clone(),
+                ..SamplerCheckpoint::default()
+            }
+        }
+
+        fn restore(&self, ck: &SamplerCheckpoint) -> Vec<f64> {
+            ck.q.clone()
+        }
     }
+
+    /// Ignores the model and emits the iteration index, letting us test
+    /// the plumbing exactly.
+    const COUNTING: Scripted<fn(&mut Env<'_>, usize, &mut [f64])> =
+        Scripted(|_, iter, draw| draw.fill(iter as f64));
 
     #[test]
     fn run_config_builder() {
@@ -637,8 +777,8 @@ mod tests {
         let model = AdModel::new("n", StdNormalNd(2));
         let cfg_seq = RunConfig::new(10).with_chains(3);
         let cfg_thr = RunConfig::new(10).with_chains(3).threaded();
-        let a = run(&CountingSampler, &model, &cfg_seq);
-        let b = run(&CountingSampler, &model, &cfg_thr);
+        let a = run(&COUNTING, &model, &cfg_seq);
+        let b = run(&COUNTING, &model, &cfg_thr);
         for (ca, cb) in a.chains.iter().zip(&b.chains) {
             assert_eq!(ca.draws, cb.draws);
         }
@@ -648,7 +788,7 @@ mod tests {
     fn warmup_is_excluded_from_sampling_draws() {
         let model = AdModel::new("n", StdNormalNd(1));
         let cfg = RunConfig::new(10).with_chains(1); // warmup 5
-        let out = run(&CountingSampler, &model, &cfg);
+        let out = run(&COUNTING, &model, &cfg);
         assert_eq!(out.chains[0].sampling_draws().len(), 5);
         assert_eq!(out.chains[0].param_trace(0), vec![5.0, 6.0, 7.0, 8.0, 9.0]);
     }
@@ -657,7 +797,7 @@ mod tests {
     fn pooled_statistics() {
         let model = AdModel::new("n", StdNormalNd(1));
         let cfg = RunConfig::new(4).with_chains(2).with_warmup(0);
-        let out = run(&CountingSampler, &model, &cfg);
+        let out = run(&COUNTING, &model, &cfg);
         // Both chains emit {0,1,2,3}; pooled mean is 1.5.
         assert!((out.mean(0) - 1.5).abs() < 1e-12);
         assert_eq!(out.total_grad_evals(), 8);
@@ -678,7 +818,7 @@ mod tests {
 
     /// A model whose gradient always panics, for the thread-failure
     /// reporting regression tests.
-    struct Kaboom;
+    pub(crate) struct Kaboom;
 
     impl Model for Kaboom {
         fn dim(&self) -> usize {
@@ -702,24 +842,9 @@ mod tests {
     fn chain_panic_resurfaces_with_index_and_name() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
-        struct PanickingSampler;
-        impl Sampler for PanickingSampler {
-            fn sample_chain(
-                &self,
-                model: &dyn Model,
-                init: &[f64],
-                _cfg: &RunConfig,
-                _seed: u64,
-            ) -> ChainOutput {
-                let mut g = vec![0.0; model.dim()];
-                model.ln_posterior_grad(init, &mut g);
-                unreachable!("the model panics first")
-            }
-        }
-
         let cfg = RunConfig::new(4).with_chains(2).threaded();
         let err = catch_unwind(AssertUnwindSafe(|| {
-            run(&PanickingSampler, &Kaboom, &cfg);
+            run(&crate::nuts::Nuts::default(), &Kaboom, &cfg);
         }))
         .expect_err("a panicking chain must fail the run");
         let msg = panic_message(err.as_ref());
@@ -728,6 +853,67 @@ mod tests {
         assert!(
             msg.contains("deliberate gradient failure"),
             "missing original payload: {msg}"
+        );
+    }
+
+    /// A standard normal walled off at |x| = 2.1, just outside every
+    /// initial point: a trajectory that crosses the wall ends there.
+    struct Walled;
+
+    impl Model for Walled {
+        fn dim(&self) -> usize {
+            2
+        }
+        fn name(&self) -> &str {
+            "walled"
+        }
+        fn ln_posterior(&self, theta: &[f64]) -> f64 {
+            self.ln_posterior_grad(theta, &mut [0.0; 2])
+        }
+        fn ln_posterior_grad(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
+            for (g, t) in grad.iter_mut().zip(theta) {
+                *g = -t;
+            }
+            if theta.iter().any(|t| t.abs() > 2.1) {
+                return f64::NEG_INFINITY;
+            }
+            -0.5 * theta.iter().map(|t| t * t).sum::<f64>()
+        }
+        fn grad_profile(&self, _theta: &[f64]) -> EvalProfile {
+            EvalProfile::default()
+        }
+    }
+
+    /// Runs one chain and checks that its `grad_evals` is what `init`
+    /// spent plus every entry of `evals_per_iter`.
+    fn evals_add_up<S: Sampler>(sampler: &S, model: &dyn Model) -> ChainOutput {
+        let cfg = RunConfig::new(300).with_chains(1).with_seed(3);
+        let mut env = Env {
+            model,
+            cfg: &cfg,
+            rng: StdRng::seed_from_u64(cfg.chain_seed(0)),
+            evals: 0,
+        };
+        sampler.init(&initial_points(&cfg, model.dim())[0], &mut env);
+        let out = run(sampler, model, &cfg).chains.remove(0);
+        let per_iteration: u64 = out.evals_per_iter.iter().map(|&e| u64::from(e)).sum();
+        assert_eq!(out.grad_evals, env.evals + per_iteration);
+        out
+    }
+
+    #[test]
+    fn grad_evals_are_what_init_and_every_iteration_spent() {
+        evals_add_up(&crate::nuts::Nuts::default(), &Walled);
+        evals_add_up(&crate::mh::MetropolisHastings::new(), &Walled);
+        // Static HMC's count is measured, not `steps` per iteration: the
+        // metric switch re-probes the step size, and a trajectory that
+        // hits the wall stops short.
+        let steps = 8;
+        let out = evals_add_up(&crate::hmc::StaticHmc::new(steps), &Walled);
+        assert!(
+            out.evals_per_iter.iter().any(|&e| e < steps as u32),
+            "no trajectory was cut short: {:?}",
+            out.evals_per_iter
         );
     }
 
@@ -782,7 +968,7 @@ mod tests {
         let zero_chains = RunConfig::new(10).with_chains(0);
         assert_eq!(zero_chains.validate(), Err(ConfigError::ZeroChains));
         assert_eq!(
-            try_run(&CountingSampler, &model, &zero_chains).unwrap_err(),
+            try_run(&COUNTING, &model, &zero_chains).unwrap_err(),
             ConfigError::ZeroChains
         );
         let zero_iters = RunConfig::new(0);
@@ -806,7 +992,7 @@ mod tests {
         let model = AdModel::new("n", StdNormalNd(1));
         let cfg = RunConfig::new(10).with_chains(0);
         let err = catch_unwind(AssertUnwindSafe(|| {
-            run(&CountingSampler, &model, &cfg);
+            run(&COUNTING, &model, &cfg);
         }))
         .expect_err("zero chains must fail");
         let msg = panic_message(err.as_ref());

@@ -63,7 +63,7 @@ pub fn segment_seed(chain_stream_seed: u64, iter: usize) -> u64 {
 }
 
 /// Serialized dual-averaging step-size adapter state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DualAveragingState {
     /// Shrinkage anchor `ln(10 ε₀)`.
     pub mu: f64,
@@ -86,7 +86,7 @@ pub struct DualAveragingState {
 }
 
 /// Serialized Welford variance-accumulator state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WelfordState {
     /// Samples accumulated.
     pub n: f64,
@@ -99,7 +99,14 @@ pub struct WelfordState {
 /// Everything one sampler needs to continue a chain from iteration
 /// [`SamplerCheckpoint::iter`] bit-identically (together with the
 /// segmented RNG stream — see [`segment_seed`]).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The chain loop fills `iter` and the four counters below the
+/// adaptation states; [`crate::Sampler::snapshot`] fills the rest with
+/// what its state is. NUTS and static HMC use every field as named.
+/// Metropolis–Hastings keeps its position and log density in `q` and
+/// `lp` and its proposal scale in `eps`; its `grad` and `inv_mass` are
+/// empty and its adaptation states zero (DESIGN.md §8).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SamplerCheckpoint {
     /// Iteration the checkpoint was taken at: the chain has completed
     /// iterations `[0, iter)` and resumes at `iter`, which must be a
@@ -125,11 +132,10 @@ pub struct SamplerCheckpoint {
     pub divergences: u64,
     /// Cumulative gradient evaluations so far.
     pub grad_evals: u64,
-    /// Per-iteration gradient evaluations for the iterations this
-    /// sampler invocation executed. The supervisor merges this with any
-    /// resume prefix into [`ChainCheckpoint::evals_per_iter`] and
-    /// clears it in the serialized form, where the merged array is
-    /// authoritative.
+    /// Per-iteration gradient evaluations of iterations `[0, iter)`, as
+    /// the chain hands it to the supervisor. The supervisor moves it
+    /// into [`ChainCheckpoint::evals_per_iter`], so it is empty in the
+    /// serialized form.
     pub evals_per_iter: Vec<u32>,
 }
 

@@ -224,13 +224,23 @@ impl ConvergenceDetector {
         recorder: &RecorderHandle,
     ) -> ConvergenceReport {
         let chains: Vec<&[Vec<f64>]> = run.chains.iter().map(|c| c.draws.as_slice()).collect();
+        self.replay(&chains, recorder)
+    }
+
+    /// [`ConvergenceDetector::detect_recorded`] over chains' draws,
+    /// indexed `[chain][iteration][param]`.
+    pub(crate) fn replay(
+        &self,
+        chains: &[&[Vec<f64>]],
+        recorder: &RecorderHandle,
+    ) -> ConvergenceReport {
         let total = chains.iter().map(|c| c.len()).min().unwrap_or(0);
         let mut trace = Vec::new();
         let mut converged_at = None;
         let mut streak = 0usize;
         for t in self.checkpoints(total) {
             let _span = bayes_obs::span(bayes_obs::Phase::CheckpointDiag);
-            let r = self.rhat_at(&chains, t);
+            let r = self.rhat_at(chains, t);
             trace.push((t, r));
             if r.is_finite() && r < self.threshold {
                 streak += 1;

@@ -1,7 +1,11 @@
 //! Shared Hamiltonian machinery for HMC and NUTS: diagonal-metric
-//! kinetic energy, leapfrog integration, and the initial step-size
-//! heuristic.
+//! kinetic energy, leapfrog integration, the initial step-size
+//! heuristic, and the chain state and warm-up schedule both samplers
+//! carry between transitions.
 
+use crate::adapt::{DualAveraging, WelfordVar};
+use crate::chain::Env;
+use crate::checkpoint::SamplerCheckpoint;
 use crate::model::Model;
 use rand::Rng;
 
@@ -41,22 +45,14 @@ impl State {
 }
 
 /// Diagonal-metric Hamiltonian over a model.
-pub(crate) struct Hamiltonian<'m> {
-    pub model: &'m dyn Model,
+pub(crate) struct Hamiltonian<'a> {
+    pub model: &'a dyn Model,
     /// Inverse mass diagonal (posterior variance estimate); kinetic
     /// energy is `½ Σ inv_mass_i p_i²`.
-    pub inv_mass: Vec<f64>,
+    pub inv_mass: &'a [f64],
 }
 
-impl<'m> Hamiltonian<'m> {
-    pub(crate) fn unit(model: &'m dyn Model) -> Self {
-        let dim = model.dim();
-        Self {
-            model,
-            inv_mass: vec![1.0; dim],
-        }
-    }
-
+impl Hamiltonian<'_> {
     /// Draws `p ~ N(0, M)` with `M = diag(1 / inv_mass)` into `p`,
     /// whatever it held.
     pub(crate) fn draw_momentum_into<R: Rng + ?Sized>(&self, rng: &mut R, p: &mut Vec<f64>) {
@@ -71,7 +67,7 @@ impl<'m> Hamiltonian<'m> {
     pub(crate) fn kinetic(&self, p: &[f64]) -> f64 {
         0.5 * p
             .iter()
-            .zip(&self.inv_mass)
+            .zip(self.inv_mass)
             .map(|(&pi, &im)| im * pi * pi)
             .sum::<f64>()
     }
@@ -101,7 +97,7 @@ impl<'m> Hamiltonian<'m> {
         s_out.q.clear();
         s_out.q.extend(
             s.q.iter()
-                .zip(&self.inv_mass)
+                .zip(self.inv_mass)
                 .zip(p_out.iter())
                 .map(|((&qi, &im), &ph)| qi + eps * im * ph),
         );
@@ -153,6 +149,104 @@ impl<'m> Hamiltonian<'m> {
     }
 }
 
+/// A NUTS or static HMC chain between transitions, scratch buffers
+/// aside: its point, metric, step size and warm-up accumulators. Plain
+/// owned data, so it snapshots and restores losslessly.
+#[derive(Debug)]
+pub(crate) struct HamiltonianChain {
+    pub point: State,
+    pub inv_mass: Vec<f64>,
+    /// Step size of the next transition.
+    pub eps: f64,
+    da: DualAveraging,
+    welford: WelfordVar,
+}
+
+impl HamiltonianChain {
+    /// The point `init` (one gradient) under the unit metric, with the
+    /// Hoffman–Gelman initial step size.
+    pub(crate) fn init(init: &[f64], target_accept: f64, env: &mut Env<'_>) -> Self {
+        let point = State::at(env.model, init.to_vec());
+        env.evals += 1;
+        let inv_mass = vec![1.0; point.q.len()];
+        let eps = Hamiltonian {
+            model: env.model,
+            inv_mass: &inv_mass,
+        }
+        .find_initial_eps(&point, &mut env.rng, &mut env.evals);
+        Self {
+            point,
+            eps,
+            da: DualAveraging::new(eps, target_accept),
+            welford: WelfordVar::new(inv_mass.len()),
+            inv_mass,
+        }
+    }
+
+    /// The warm-up schedule, after the transition of iteration `iter`
+    /// accepted with `accept_stat`: dual averaging on every warm-up
+    /// iteration, Welford pushes over the middle half, the diagonal
+    /// metric switched at the end of that window — where dual
+    /// averaging restarts from the step size `at_switch` picks under
+    /// the new metric — and the smoothed step size frozen at the last
+    /// warm-up iteration. Nothing after warm-up.
+    pub(crate) fn adapt(
+        &mut self,
+        iter: usize,
+        warmup: usize,
+        accept_stat: f64,
+        at_switch: impl FnOnce(&Self) -> f64,
+    ) {
+        if iter >= warmup {
+            return;
+        }
+        let _span = bayes_obs::span(bayes_obs::Phase::Adaptation);
+        let window = (warmup / 4, warmup * 3 / 4);
+        self.eps = self.da.update(accept_stat);
+        if iter >= window.0 && iter < window.1 {
+            self.welford.push(&self.point.q);
+        }
+        if iter + 1 == window.1 && self.welford.count() >= 10 {
+            self.inv_mass = self.welford.regularized_variance();
+            self.eps = at_switch(self);
+            self.da.restart(self.eps);
+        }
+        if iter + 1 == warmup {
+            self.eps = self.da.final_eps();
+        }
+    }
+
+    /// The sampler's share of a [`SamplerCheckpoint`]; the chain loop
+    /// fills in the iteration and counters.
+    pub(crate) fn snapshot(&self) -> SamplerCheckpoint {
+        SamplerCheckpoint {
+            q: self.point.q.clone(),
+            lp: self.point.lp,
+            grad: self.point.grad.clone(),
+            eps: self.eps,
+            inv_mass: self.inv_mass.clone(),
+            step_adapt: self.da.snapshot(),
+            mass_adapt: self.welford.snapshot(),
+            ..SamplerCheckpoint::default()
+        }
+    }
+
+    /// The exact chain a [`HamiltonianChain::snapshot`] came from.
+    pub(crate) fn restore(ck: &SamplerCheckpoint) -> Self {
+        Self {
+            point: State {
+                q: ck.q.clone(),
+                lp: ck.lp,
+                grad: ck.grad.clone(),
+            },
+            inv_mass: ck.inv_mass.clone(),
+            eps: ck.eps,
+            da: DualAveraging::restore(&ck.step_adapt),
+            welford: WelfordVar::restore(&ck.mass_adapt),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,6 +262,13 @@ mod tests {
         }
         fn eval<R: Real>(&self, t: &[R]) -> R {
             -(t[0].square() + t[1].square()) * 0.5
+        }
+    }
+
+    fn unit(model: &dyn Model) -> Hamiltonian<'_> {
+        Hamiltonian {
+            model,
+            inv_mass: &[1.0, 1.0],
         }
     }
 
@@ -187,7 +288,7 @@ mod tests {
     #[test]
     fn leapfrog_is_reversible() {
         let model = AdModel::new("n", StdNormal2);
-        let h = Hamiltonian::unit(&model);
+        let h = unit(&model);
         let s0 = State::at(&model, vec![0.3, -0.7]);
         let p0 = vec![1.0, 0.5];
         let mut evals = 0;
@@ -205,7 +306,7 @@ mod tests {
     #[test]
     fn leapfrog_approximately_conserves_energy() {
         let model = AdModel::new("n", StdNormal2);
-        let h = Hamiltonian::unit(&model);
+        let h = unit(&model);
         let mut s = State::at(&model, vec![1.0, 0.0]);
         let mut p = vec![0.0, 1.0];
         let h0 = h.log_joint(&s, &p);
@@ -219,8 +320,10 @@ mod tests {
     #[test]
     fn leapfrog_into_dirty_buffers_equals_fresh_buffers_bitwise() {
         let model = AdModel::new("n", StdNormal2);
-        let mut h = Hamiltonian::unit(&model);
-        h.inv_mass = vec![0.7, 1.9];
+        let h = Hamiltonian {
+            model: &model,
+            inv_mass: &[0.7, 1.9],
+        };
         let s0 = State::at(&model, vec![0.3, -0.7]);
         let p0 = [1.0, 0.5];
         let mut evals = 0;
@@ -249,8 +352,10 @@ mod tests {
     #[test]
     fn mass_matrix_scales_momentum() {
         let model = AdModel::new("n", StdNormal2);
-        let mut h = Hamiltonian::unit(&model);
-        h.inv_mass = vec![100.0, 0.01];
+        let h = Hamiltonian {
+            model: &model,
+            inv_mass: &[100.0, 0.01],
+        };
         let mut rng = StdRng::seed_from_u64(1);
         let n = 4000;
         let (mut v0, mut v1) = (0.0, 0.0);
@@ -268,7 +373,7 @@ mod tests {
     #[test]
     fn initial_eps_is_sane_for_std_normal() {
         let model = AdModel::new("n", StdNormal2);
-        let h = Hamiltonian::unit(&model);
+        let h = unit(&model);
         let s = State::at(&model, vec![0.1, 0.1]);
         let mut rng = StdRng::seed_from_u64(3);
         let mut evals = 0;

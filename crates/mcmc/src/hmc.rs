@@ -6,12 +6,10 @@
 //! leapfrog steps per iteration with warmup step-size and mass-matrix
 //! adaptation.
 
-use crate::adapt::{DualAveraging, WelfordVar};
-use crate::chain::{ChainOutput, RunConfig, Sampler};
-use crate::dynamics::{Hamiltonian, State};
-use crate::model::Model;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::chain::{Env, Info, Sampler};
+use crate::checkpoint::SamplerCheckpoint;
+use crate::dynamics::{Hamiltonian, HamiltonianChain, State};
+use rand::Rng;
 use std::mem;
 
 /// Static HMC with `steps` leapfrog steps per proposal.
@@ -47,168 +45,115 @@ impl StaticHmc {
     }
 }
 
+/// A static HMC chain between transitions: the state it shares with
+/// NUTS, plus the trajectory's end point and the step being taken from
+/// it — the only phase-space buffers it owns besides its point
+/// (DESIGN.md §5d).
+#[derive(Debug)]
+pub struct HmcState {
+    chain: HamiltonianChain,
+    s: State,
+    p: Vec<f64>,
+    s1: State,
+    p1: Vec<f64>,
+}
+
+impl HmcState {
+    fn new(chain: HamiltonianChain) -> Self {
+        let dim = chain.point.q.len();
+        Self {
+            chain,
+            s: State::zeros(dim),
+            p: Vec::new(),
+            s1: State::zeros(dim),
+            p1: Vec::new(),
+        }
+    }
+}
+
 impl Sampler for StaticHmc {
-    fn sample_chain(
-        &self,
-        model: &dyn Model,
-        init: &[f64],
-        cfg: &RunConfig,
-        seed: u64,
-    ) -> ChainOutput {
-        self.sample_chain_core(model, init, cfg, seed, None, None)
+    type State = HmcState;
+
+    fn init(&self, init: &[f64], env: &mut Env<'_>) -> HmcState {
+        HmcState::new(HamiltonianChain::init(init, self.target_accept, env))
     }
-}
 
-impl crate::runtime::StoppableSampler for StaticHmc {
-    fn sample_chain_stoppable(
-        &self,
-        model: &dyn Model,
-        init: &[f64],
-        cfg: &RunConfig,
-        seed: u64,
-        stop: &std::sync::atomic::AtomicBool,
-        on_draw: &(dyn Fn(usize, &[f64]) + Sync),
-    ) -> ChainOutput {
-        self.sample_chain_core(model, init, cfg, seed, Some(stop), Some(on_draw))
-    }
-}
-
-/// Checkpoint/resume stays NUTS-only for now; the default
-/// implementation reports `supports_resume() == false` and the
-/// supervisor refuses checkpointing configs for this sampler.
-impl crate::supervisor::ResumableSampler for StaticHmc {}
-
-impl StaticHmc {
-    fn sample_chain_core(
-        &self,
-        model: &dyn Model,
-        init: &[f64],
-        cfg: &RunConfig,
-        seed: u64,
-        stop: Option<&std::sync::atomic::AtomicBool>,
-        on_draw: Option<&(dyn Fn(usize, &[f64]) + Sync)>,
-    ) -> ChainOutput {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut ham = Hamiltonian::unit(model);
-        let mut state = State::at(model, init.to_vec());
-        let mut grad_evals = 1u64;
-
-        let eps0 = ham.find_initial_eps(&state, &mut rng, &mut grad_evals);
-        let mut da = DualAveraging::new(eps0, self.target_accept);
-        let mut eps = eps0;
-        let mut welford = WelfordVar::new(model.dim());
-        let window = (cfg.warmup / 4, cfg.warmup * 3 / 4);
-
-        // The trajectory's end point and the step being taken from it:
-        // the only phase-space buffers a chain owns besides `state`
-        // (DESIGN.md §5d).
-        let (mut s, mut s1) = (State::zeros(model.dim()), State::zeros(model.dim()));
-        let (mut p, mut p1) = (Vec::new(), Vec::new());
-
-        let mut draws = Vec::with_capacity(cfg.iters);
-        let mut accept_sum = 0.0;
-        let mut divergences = 0u64;
-        // Observation only: events are built from values the iteration
-        // computed anyway, after all RNG use (see `bayes_obs`).
-        let recording = cfg.recorder.enabled();
-
-        for iter in 0..cfg.iters {
-            let evals_at_start = grad_evals;
-            // Fixed eps·L trajectories can resonate with the target's
-            // period (near-periodic orbits accept ~1 but barely move);
-            // ±10% step-size jitter breaks the resonance (Neal 2011,
-            // Section 5.4.2.2).
-            let eps_used = eps * rng.gen_range(0.9..1.1);
-            ham.draw_momentum_into(&mut rng, &mut p);
-            let h0 = ham.log_joint(&state, &p);
-            s.copy_from(&state);
-            let mut diverged = false;
-            for _ in 0..self.steps {
-                ham.leapfrog_into(&s, &p, eps_used, &mut grad_evals, &mut s1, &mut p1);
-                if !s1.lp.is_finite() {
-                    diverged = true;
-                    break;
-                }
-                mem::swap(&mut s, &mut s1);
-                mem::swap(&mut p, &mut p1);
+    fn step(&self, st: &mut HmcState, iter: usize, env: &mut Env<'_>) -> Info {
+        let HmcState {
+            chain,
+            s,
+            p,
+            s1,
+            p1,
+        } = st;
+        // Fixed eps·L trajectories can resonate with the target's
+        // period (near-periodic orbits accept ~1 but barely move);
+        // ±10% step-size jitter breaks the resonance (Neal 2011,
+        // Section 5.4.2.2).
+        let eps = chain.eps * env.rng.gen_range(0.9..1.1);
+        let ham = Hamiltonian {
+            model: env.model,
+            inv_mass: &chain.inv_mass,
+        };
+        ham.draw_momentum_into(&mut env.rng, p);
+        let h0 = ham.log_joint(&chain.point, p);
+        s.copy_from(&chain.point);
+        let mut diverged = false;
+        for _ in 0..self.steps {
+            ham.leapfrog_into(s, p, eps, &mut env.evals, s1, p1);
+            if !s1.lp.is_finite() {
+                diverged = true;
+                break;
             }
-            let accept_prob = if diverged {
-                0.0
-            } else {
-                (ham.log_joint(&s, &p) - h0).exp().min(1.0)
+            mem::swap(s, s1);
+            mem::swap(p, p1);
+        }
+        let accept_stat = if diverged {
+            0.0
+        } else {
+            (ham.log_joint(s, p) - h0).exp().min(1.0)
+        };
+        if !diverged && env.rng.gen_range(0.0..1.0) < accept_stat {
+            mem::swap(&mut chain.point, s);
+        }
+        // At the metric switch: the running step size was tuned under
+        // the unit metric, and trusting it as the anchor for the rest of
+        // warmup left dual averaging converging from a badly scaled
+        // start on anisotropic targets. Probe a fresh eps under the new
+        // metric and re-anchor on that.
+        chain.adapt(iter, env.cfg.warmup, accept_stat, |c| {
+            let ham = Hamiltonian {
+                model: env.model,
+                inv_mass: &c.inv_mass,
             };
-            if diverged {
-                divergences += 1;
-            }
-            if !diverged && rng.gen_range(0.0..1.0) < accept_prob {
-                mem::swap(&mut state, &mut s);
-            }
-            if iter >= cfg.warmup {
-                accept_sum += accept_prob;
-            }
-            if recording {
-                cfg.recorder.record(bayes_obs::Event::Iteration {
-                    chain: cfg.chain_index as u64,
-                    iter: iter as u64,
-                    step_size: eps_used,
-                    tree_depth: 0, // static HMC builds no tree
-                    leapfrogs: grad_evals - evals_at_start,
-                    divergent: diverged,
-                    accept: accept_prob,
-                });
-            }
-
-            if iter < cfg.warmup {
-                let _span = bayes_obs::span(bayes_obs::Phase::Adaptation);
-                eps = da.update(accept_prob);
-                if iter >= window.0 && iter < window.1 {
-                    welford.push(&state.q);
-                }
-                if iter + 1 == window.1 && welford.count() >= 10 {
-                    ham.inv_mass = welford.regularized_variance();
-                    // The running step size was tuned under the unit
-                    // metric; trusting it as the anchor for the rest of
-                    // warmup left dual averaging converging from a badly
-                    // scaled start on anisotropic targets. Probe a fresh
-                    // eps under the new metric and re-anchor on that.
-                    eps = ham.find_initial_eps(&state, &mut rng, &mut grad_evals);
-                    da = DualAveraging::new(eps, self.target_accept);
-                }
-                if iter + 1 == cfg.warmup {
-                    eps = da.final_eps();
-                }
-            }
-            draws.push(state.q.clone());
-            if let Some(cb) = on_draw {
-                cb(iter, &state.q);
-            }
-            if let Some(flag) = stop {
-                if flag.load(std::sync::atomic::Ordering::Acquire) {
-                    break;
-                }
-            }
+            ham.find_initial_eps(&c.point, &mut env.rng, &mut env.evals)
+        });
+        // Static HMC builds no tree.
+        Info {
+            accept_stat,
+            diverged,
+            step_size: eps,
+            ..Info::default()
         }
+    }
 
-        // Post-warm-up iterations actually completed: a raised stop
-        // flag ends the chain before `cfg.iters`.
-        let sampling = draws.len().saturating_sub(cfg.warmup).max(1) as f64;
-        // Static HMC does a fixed number of leapfrogs per iteration.
-        let evals_per_iter = vec![self.steps as u32; draws.len()];
-        ChainOutput {
-            draws,
-            warmup: cfg.warmup,
-            accept_mean: accept_sum / sampling,
-            grad_evals,
-            divergences,
-            evals_per_iter,
-        }
+    fn position<'s>(&self, st: &'s HmcState) -> &'s [f64] {
+        &st.chain.point.q
+    }
+
+    fn snapshot(&self, st: &HmcState) -> SamplerCheckpoint {
+        st.chain.snapshot()
+    }
+
+    fn restore(&self, ck: &SamplerCheckpoint) -> HmcState {
+        HmcState::new(HamiltonianChain::restore(ck))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain;
+    use crate::chain::{self, RunConfig};
     use crate::model::{AdModel, LogDensity};
     use bayes_autodiff::Real;
 
@@ -285,47 +230,5 @@ mod tests {
     #[should_panic(expected = "at least one leapfrog")]
     fn rejects_zero_steps() {
         let _ = StaticHmc::new(0);
-    }
-
-    #[test]
-    fn stoppable_override_halts_at_the_flag() {
-        use crate::runtime::StoppableSampler;
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let model = AdModel::new("g", CorrGauss);
-        let cfg = RunConfig::new(200).with_chains(1).with_seed(2);
-        // Start from the same Stan-style init `chain::run` draws for
-        // chain 0 so the draw-for-draw comparison below is exact.
-        let init = chain::initial_points(&cfg, model.dim())[0].clone();
-        let stop = AtomicBool::new(false);
-        let out = StaticHmc::new(4).sample_chain_stoppable(
-            &model,
-            &init,
-            &cfg,
-            cfg.chain_seed(0),
-            &stop,
-            &|iter, _| {
-                if iter + 1 == 50 {
-                    stop.store(true, Ordering::Release);
-                }
-            },
-        );
-        assert_eq!(out.draws.len(), 50, "must halt at the flag");
-        assert_eq!(out.evals_per_iter.len(), 50);
-        // The unstopped run matches the plain sampler draw-for-draw.
-        let full = StaticHmc::new(4).sample_chain_stoppable(
-            &model,
-            &init,
-            &cfg,
-            cfg.chain_seed(0),
-            &AtomicBool::new(false),
-            &|_, _| {},
-        );
-        let plain = chain::run(
-            &StaticHmc::new(4),
-            &model,
-            &RunConfig::new(200).with_chains(1).with_seed(2),
-        );
-        assert_eq!(full.draws, plain.chains[0].draws);
-        assert_eq!(&full.draws[..50], &out.draws[..]);
     }
 }

@@ -13,8 +13,10 @@
 //! * [`nuts`] — the No-U-Turn Sampler with dual-averaging step-size and
 //!   diagonal mass-matrix adaptation (Stan's default engine and the one
 //!   the paper characterizes);
-//! * [`chain`] — multi-chain runner (sequential or one OS thread per
-//!   chain, the paper's multicore execution model);
+//! * [`chain`] — the [`Sampler`] trait (`init` and one-transition
+//!   `step` on owned state) and the one chain loop every runner drives,
+//!   sequentially or one OS thread per chain (the paper's multicore
+//!   execution model);
 //! * [`par`] — persistent per-chain worker pool evaluating
 //!   [`ShardedModel`] likelihood shards in parallel with a fixed-order
 //!   reduction, so results are bit-identical for any
@@ -34,15 +36,14 @@
 //!
 //! Observability: attach a [`bayes_obs::RecorderHandle`] via
 //! [`RunConfig::with_recorder`] and the runtime emits structured
-//! events — per-iteration sampler stats from NUTS/HMC, checkpoint
+//! events — per-iteration sampler stats from every sampler, checkpoint
 //! events from both convergence walkers, and shard-sweep aggregates
 //! from [`ShardedModel`]. Recording is observation only and never
 //! perturbs draws (`bayes_obs` is re-exported as [`obs`]).
 
 // Leapfrog/adaptation kernels index several coordinate slices in
-// lock-step (indexed form stays); the `on_draw` hook type is spelled
-// out at each sampler override rather than hidden behind an alias.
-#![allow(clippy::needless_range_loop, clippy::type_complexity)]
+// lock-step (indexed form stays).
+#![allow(clippy::needless_range_loop)]
 
 pub mod chain;
 pub mod checkpoint;
@@ -65,7 +66,7 @@ mod dynamics;
 
 pub use bayes_obs as obs;
 
-pub use chain::{ConfigError, MultiChainRun, Parallelism, RunConfig};
+pub use chain::{ConfigError, Env, Info, MultiChainRun, Parallelism, RunConfig, Sampler};
 pub use checkpoint::{RunCheckpoint, SamplerCheckpoint};
 pub use converge::{CheckpointSchedule, ConvergenceDetector, ConvergenceReport};
 pub use model::{
@@ -74,9 +75,17 @@ pub use model::{
 };
 pub use nuts::NutsConfig;
 pub use par::WorkerPool;
-pub use runtime::{run_until_converged, ElidedRun, StoppableSampler};
+pub use runtime::run_until_converged;
 pub use stream::{Purpose, StreamKey};
 pub use supervisor::{
-    ChainFault, FaultInjector, FaultKind, InjectedFault, PauseControl, ReseedPolicy,
-    ResumableSampler, RetryPolicy, RunError, RunReport, Runtime, SupervisorConfig,
+    ChainFault, FaultInjector, FaultKind, InjectedFault, PauseControl, ReseedPolicy, RetryPolicy,
+    RunError, RunReport, Runtime, SupervisorConfig,
 };
+
+/// Locks `m`, taking the guard back from a poisoned lock: every mutex
+/// here guards data that stays consistent when a holder unwinds (a
+/// buffer, a slot, a handle), and the supervisor and the worker pool
+/// catch those unwinds and carry on.
+pub(crate) fn lock<T: ?Sized>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -6,10 +6,9 @@
 //! data (line 5), and an embarrassingly parallel outer loop over chains
 //! (line 1).
 
-use crate::chain::{ChainOutput, RunConfig, Sampler};
-use crate::model::Model;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::chain::{Env, Info, Sampler};
+use crate::checkpoint::SamplerCheckpoint;
+use rand::Rng;
 
 /// Random-walk Metropolis–Hastings with an isotropic Gaussian proposal.
 ///
@@ -73,69 +72,82 @@ impl Default for MetropolisHastings {
     }
 }
 
+/// A Metropolis–Hastings chain between iterations: the current point,
+/// its log density, the proposal scale, and a buffer the next proposal
+/// is drawn into.
+#[derive(Debug)]
+pub struct MhState {
+    theta: Vec<f64>,
+    lp: f64,
+    scale: f64,
+    proposal: Vec<f64>,
+}
+
 impl Sampler for MetropolisHastings {
-    fn sample_chain(
-        &self,
-        model: &dyn Model,
-        init: &[f64],
-        cfg: &RunConfig,
-        seed: u64,
-    ) -> ChainOutput {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut theta = init.to_vec();
-        let mut lp = model.ln_posterior(&theta);
-        let mut scale = self.initial_scale;
-        let mut draws = Vec::with_capacity(cfg.iters);
-        let mut accepts_sampling = 0u64;
-        let mut evals = 0u64;
+    type State = MhState;
 
-        for iter in 0..cfg.iters {
-            // θ' ~ q(θ'|θ(t−1)) — line 4 of Algorithm 1.
-            let proposal: Vec<f64> = theta
-                .iter()
-                .map(|&t| t + scale * super::mh::draw_std_normal(&mut rng))
-                .collect();
-            // r = P(θ')P(D|θ') / P(θ)P(D|θ) in log space — line 5.
-            let lp_new = model.ln_posterior(&proposal);
-            evals += 1;
-            // u ~ uniform(0,1); accept if u < min{r, 1} — lines 6–12.
-            let u: f64 = rng.gen_range(0.0..1.0);
-            let accepted = u.ln() < lp_new - lp;
-            if accepted {
-                theta = proposal;
-                lp = lp_new;
-            }
-            if iter >= cfg.warmup && accepted {
-                accepts_sampling += 1;
-            }
-            if self.adapt && iter < cfg.warmup {
-                // Robbins–Monro toward 0.234 acceptance.
-                let gain = (iter as f64 + 10.0).powf(-0.6);
-                let a = if accepted { 1.0 } else { 0.0 };
-                scale *= ((a - 0.234) * gain).exp();
-                scale = scale.clamp(1e-6, 1e3);
-            }
-            draws.push(theta.clone());
+    /// Algorithm 1 charges one likelihood evaluation per iteration
+    /// (line 5); the density of the initial point is not counted.
+    fn init(&self, init: &[f64], env: &mut Env<'_>) -> MhState {
+        MhState {
+            theta: init.to_vec(),
+            lp: env.model.ln_posterior(init),
+            scale: self.initial_scale,
+            proposal: Vec::new(),
         }
+    }
 
-        // Post-warm-up iterations actually completed, as in NUTS and HMC.
-        let sampling_iters = draws.len().saturating_sub(cfg.warmup).max(1) as u64;
-        ChainOutput {
-            draws,
-            warmup: cfg.warmup,
-            accept_mean: accepts_sampling as f64 / sampling_iters as f64,
-            grad_evals: evals,
-            divergences: 0,
-            evals_per_iter: vec![1; cfg.iters],
+    fn step(&self, st: &mut MhState, iter: usize, env: &mut Env<'_>) -> Info {
+        let (scale, rng) = (st.scale, &mut env.rng);
+        // θ' ~ q(θ'|θ(t−1)) — line 4 of Algorithm 1.
+        st.proposal.clear();
+        st.proposal
+            .extend(st.theta.iter().map(|&t| t + scale * draw_std_normal(rng)));
+        // r = P(θ')P(D|θ') / P(θ)P(D|θ) in log space — line 5.
+        let lp_new = env.model.ln_posterior(&st.proposal);
+        env.evals += 1;
+        // u ~ uniform(0,1); accept if u < min{r, 1} — lines 6–12.
+        let u: f64 = env.rng.gen_range(0.0..1.0);
+        let accepted = u.ln() < lp_new - st.lp;
+        if accepted {
+            std::mem::swap(&mut st.theta, &mut st.proposal);
+            st.lp = lp_new;
+        }
+        let a = if accepted { 1.0 } else { 0.0 };
+        if self.adapt && iter < env.cfg.warmup {
+            // Robbins–Monro toward 0.234 acceptance.
+            let gain = (iter as f64 + 10.0).powf(-0.6);
+            st.scale = (st.scale * ((a - 0.234) * gain).exp()).clamp(1e-6, 1e3);
+        }
+        Info {
+            accept_stat: a,
+            step_size: scale,
+            ..Info::default()
+        }
+    }
+
+    fn position<'s>(&self, st: &'s MhState) -> &'s [f64] {
+        &st.theta
+    }
+
+    fn snapshot(&self, st: &MhState) -> SamplerCheckpoint {
+        SamplerCheckpoint {
+            q: st.theta.clone(),
+            lp: st.lp,
+            eps: st.scale,
+            ..SamplerCheckpoint::default()
+        }
+    }
+
+    fn restore(&self, ck: &SamplerCheckpoint) -> MhState {
+        MhState {
+            theta: ck.q.clone(),
+            lp: ck.lp,
+            scale: ck.eps,
+            proposal: Vec::new(),
         }
     }
 }
-
-impl crate::runtime::StoppableSampler for MetropolisHastings {}
-
-/// MH runs under the supervisor with fault isolation and retry, but
-/// without checkpoint/resume (`supports_resume() == false`).
-impl crate::supervisor::ResumableSampler for MetropolisHastings {}
 
 pub(crate) fn draw_std_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
@@ -151,7 +163,7 @@ pub(crate) fn draw_std_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain;
+    use crate::chain::{self, RunConfig};
     use crate::model::{AdModel, LogDensity};
     use bayes_autodiff::Real;
 

@@ -1,13 +1,14 @@
 //! The [`Model`] trait, the autodiff adapter, and the sharded
 //! data-parallel layer.
 
-use crate::par;
+use crate::{lock, par};
 use bayes_autodiff::{grad_forward_into, grad_into, grad_of, Leaves, Real, Tape, TapeStats, Var};
 use bayes_obs::{Event, RecorderHandle};
 use rand::Rng;
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Cost profile of one gradient evaluation, used by the architecture
@@ -281,7 +282,7 @@ thread_local! {
     static SERIAL_TERM: RefCell<ShardTerm> = RefCell::default();
     /// One slot per shard for a pool to fill and the caller to add up
     /// afterwards; kept between gradients for their allocations.
-    static POOLED_TERMS: RefCell<Vec<parking_lot::Mutex<ShardTerm>>> = RefCell::default();
+    static POOLED_TERMS: RefCell<Vec<Mutex<ShardTerm>>> = RefCell::default();
 }
 
 /// Aggregate shard-sweep telemetry, accumulated with relaxed atomics
@@ -298,7 +299,7 @@ struct ShardTelemetry {
     transcendental: AtomicU64,
     /// Widest dispatch among the accumulated sweeps (1 = all serial).
     threads: AtomicU64,
-    recorder: parking_lot::Mutex<RecorderHandle>,
+    recorder: Mutex<RecorderHandle>,
 }
 
 impl ShardTelemetry {
@@ -453,14 +454,14 @@ impl<D: ShardedDensity> ShardedModel<D> {
                 par::with_pool(threads, |pool| {
                     pool.run(self.ranges.len(), &|shard| {
                         GRAD_TAPE.with(|tape| {
-                            self.shard_term(&tape.leaves(theta), shard, &mut terms[shard].lock());
+                            self.shard_term(&tape.leaves(theta), shard, &mut lock(&terms[shard]));
                         });
                     });
                 });
             }
             let _span = bayes_obs::span(bayes_obs::Phase::ShardReduce);
             for term in terms.iter() {
-                term.lock().add_to(&mut sum, grad);
+                lock(term).add_to(&mut sum, grad);
             }
         });
         sum
@@ -551,7 +552,7 @@ impl<D: ShardedDensity> Model for ShardedModel<D> {
     }
 
     fn set_recorder(&self, recorder: &RecorderHandle) {
-        *self.telemetry.recorder.lock() = recorder.clone();
+        *lock(&self.telemetry.recorder) = recorder.clone();
         self.telemetry
             .on
             .store(recorder.enabled(), Ordering::Relaxed);
@@ -567,7 +568,7 @@ impl<D: ShardedDensity> Model for ShardedModel<D> {
         if sweeps == 0 {
             return;
         }
-        let recorder = self.telemetry.recorder.lock().clone();
+        let recorder = lock(&self.telemetry.recorder).clone();
         recorder.record(Event::ShardAggregate {
             model: self.name.clone(),
             sweeps,

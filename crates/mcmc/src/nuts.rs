@@ -10,13 +10,11 @@
 //! candidate set, exactly as in the Stan implementation the paper
 //! describes.
 
-use crate::adapt::{DualAveraging, WelfordVar};
-use crate::chain::{ChainOutput, RunConfig, Sampler};
-use crate::checkpoint::{segment_seed, SamplerCheckpoint};
-use crate::dynamics::{Hamiltonian, State};
-use crate::model::Model;
+use crate::chain::{Env, Info, Sampler};
+use crate::checkpoint::SamplerCheckpoint;
+use crate::dynamics::{Hamiltonian, HamiltonianChain, State};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::mem;
 
 /// Divergence threshold on the joint-density error (Stan's default).
@@ -121,6 +119,7 @@ impl Tree {
 /// root, one finished half per recursion level below it, and the leaf
 /// being stepped — so the lists are filled once for that many and
 /// tree building never allocates (DESIGN.md §5d).
+#[derive(Debug)]
 struct Workspace {
     states: Vec<State>,
     momenta: Vec<Vec<f64>>,
@@ -165,7 +164,7 @@ fn no_uturn(ham: &Hamiltonian<'_>, tree: &Tree) -> bool {
             .iter()
             .zip(&tree.s_minus.q)
             .zip(p)
-            .zip(&ham.inv_mass)
+            .zip(ham.inv_mass)
             .map(|(((a, b), pi), im)| (a - b) * pi * im)
             .sum()
     };
@@ -235,13 +234,6 @@ impl Doubling<'_, '_> {
     }
 }
 
-/// What one transition reports besides the new state.
-struct Transition {
-    depth: usize,
-    diverged: bool,
-    accept_stat: f64,
-}
-
 /// One NUTS transition: doubles a trajectory around `state` until it
 /// turns back, diverges or reaches `max_depth`, and leaves the selected
 /// point in `state`. Every buffer it takes from `ws` is back there
@@ -254,7 +246,7 @@ fn transition(
     max_depth: usize,
     rng: &mut StdRng,
     grad_evals: &mut u64,
-) -> Transition {
+) -> Info {
     let mut tree = ws.tree();
     ham.draw_momentum_into(rng, &mut tree.p_plus);
     let h0 = ham.log_joint(state, &tree.p_plus);
@@ -306,261 +298,71 @@ fn transition(
     }
 
     mem::swap(state, &mut tree.s_prop);
-    let out = Transition {
-        depth: depth_reached,
-        diverged: tree.diverged,
+    let out = Info {
         accept_stat: if tree.n_alpha > 0.0 {
             tree.alpha / tree.n_alpha
         } else {
             0.0
         },
+        diverged: tree.diverged,
+        tree_depth: depth_reached,
+        step_size: eps,
     };
     doubling.ws.recycle(tree);
     out
 }
 
+/// A NUTS chain between transitions: the state it shares with static
+/// HMC and the buffers its trees are built from.
+#[derive(Debug)]
+pub struct NutsState {
+    chain: HamiltonianChain,
+    ws: Workspace,
+}
+
 impl Sampler for Nuts {
-    fn sample_chain(
-        &self,
-        model: &dyn Model,
-        init: &[f64],
-        cfg: &RunConfig,
-        seed: u64,
-    ) -> ChainOutput {
-        self.sample_chain_core(model, init, cfg, seed, None, &[], None, None, None)
-    }
-}
+    type State = NutsState;
 
-impl crate::runtime::StoppableSampler for Nuts {
-    fn sample_chain_stoppable(
-        &self,
-        model: &dyn Model,
-        init: &[f64],
-        cfg: &RunConfig,
-        seed: u64,
-        stop: &std::sync::atomic::AtomicBool,
-        on_draw: &(dyn Fn(usize, &[f64]) + Sync),
-    ) -> ChainOutput {
-        self.sample_chain_core(
-            model,
-            init,
-            cfg,
-            seed,
-            None,
-            &[],
-            None,
-            Some(stop),
-            Some(on_draw),
-        )
-    }
-}
-
-impl crate::supervisor::ResumableSampler for Nuts {
-    fn supports_resume(&self) -> bool {
-        true
-    }
-
-    fn sample_chain_resumable(
-        &self,
-        model: &dyn Model,
-        init: &[f64],
-        cfg: &RunConfig,
-        seed: u64,
-        from: Option<&SamplerCheckpoint>,
-        hooks: &crate::supervisor::ChainHooks<'_>,
-    ) -> ChainOutput {
-        self.sample_chain_core(
-            model,
-            init,
-            cfg,
-            seed,
-            from,
-            hooks.segments,
-            Some(hooks.on_snapshot),
-            Some(hooks.stop),
-            Some(hooks.on_draw),
-        )
-    }
-}
-
-impl Nuts {
-    #[allow(clippy::too_many_arguments)]
-    fn sample_chain_core(
-        &self,
-        model: &dyn Model,
-        init: &[f64],
-        cfg: &RunConfig,
-        seed: u64,
-        from: Option<&SamplerCheckpoint>,
-        segments: &[usize],
-        on_snapshot: Option<&(dyn Fn(SamplerCheckpoint) + Sync)>,
-        stop: Option<&std::sync::atomic::AtomicBool>,
-        on_draw: Option<&(dyn Fn(usize, &[f64]) + Sync)>,
-    ) -> ChainOutput {
-        // Fresh chains start on the base stream; resumed chains start
-        // on the segment stream of their resume boundary, exactly the
-        // stream an uninterrupted segmented run would be on there.
-        #[allow(clippy::type_complexity)]
-        let (
-            mut rng,
-            mut ham,
-            mut state,
-            mut grad_evals,
-            mut da,
-            mut eps,
-            mut welford,
-            start,
-            mut accept_sum,
-            mut divergences,
-        ) = match from {
-            None => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let ham = Hamiltonian::unit(model);
-                let state = State::at(model, init.to_vec());
-                let mut grad_evals = 1u64;
-                let eps0 = ham.find_initial_eps(&state, &mut rng, &mut grad_evals);
-                let da = DualAveraging::new(eps0, self.cfg.target_accept);
-                let welford = WelfordVar::new(model.dim());
-                (
-                    rng, ham, state, grad_evals, da, eps0, welford, 0usize, 0.0f64, 0u64,
-                )
-            }
-            Some(ck) => {
-                let rng = StdRng::seed_from_u64(segment_seed(seed, ck.iter));
-                let mut ham = Hamiltonian::unit(model);
-                ham.inv_mass = ck.inv_mass.clone();
-                let state = State {
-                    q: ck.q.clone(),
-                    lp: ck.lp,
-                    grad: ck.grad.clone(),
-                };
-                (
-                    rng,
-                    ham,
-                    state,
-                    ck.grad_evals,
-                    DualAveraging::restore(&ck.step_adapt),
-                    ck.eps,
-                    WelfordVar::restore(&ck.mass_adapt),
-                    ck.iter,
-                    ck.accept_sum,
-                    ck.divergences,
-                )
-            }
-        };
-        let window = (cfg.warmup / 4, cfg.warmup * 3 / 4);
-        let mut ws = Workspace::new(model.dim(), self.cfg.max_depth);
-
-        let mut draws = Vec::with_capacity(cfg.iters - start);
-        let mut evals_per_iter = Vec::with_capacity(cfg.iters - start);
-        // Recording is observation only: event payloads are built from
-        // values the iteration computed anyway, after all RNG use, so
-        // an attached recorder cannot perturb the draw stream.
-        let recording = cfg.recorder.enabled();
-
-        for iter in start..cfg.iters {
-            // Segmented streams: re-derive the generator at every
-            // checkpoint boundary so a resume from iteration t replays
-            // the identical randomness for [t, ...). Re-seeding at the
-            // resume boundary itself is idempotent.
-            if !segments.is_empty() && segments.binary_search(&iter).is_ok() {
-                rng = StdRng::seed_from_u64(segment_seed(seed, iter));
-            }
-            let evals_at_start = grad_evals;
-            let eps_used = eps;
-            let Transition {
-                depth: depth_reached,
-                diverged,
-                accept_stat,
-            } = transition(
-                &ham,
-                &mut ws,
-                &mut state,
-                eps,
-                self.cfg.max_depth,
-                &mut rng,
-                &mut grad_evals,
-            );
-            // Stan convention: report divergences only after warmup
-            // (large trial step sizes make them routine during
-            // adaptation).
-            if diverged && iter >= cfg.warmup {
-                divergences += 1;
-            }
-            if iter >= cfg.warmup {
-                accept_sum += accept_stat;
-            }
-            if recording {
-                cfg.recorder.record(bayes_obs::Event::Iteration {
-                    chain: cfg.chain_index as u64,
-                    iter: iter as u64,
-                    step_size: eps_used,
-                    tree_depth: depth_reached as u64,
-                    leapfrogs: grad_evals - evals_at_start,
-                    divergent: diverged,
-                    accept: accept_stat,
-                });
-            }
-
-            if iter < cfg.warmup {
-                let _span = bayes_obs::span(bayes_obs::Phase::Adaptation);
-                eps = da.update(accept_stat);
-                if iter >= window.0 && iter < window.1 {
-                    welford.push(&state.q);
-                }
-                if iter + 1 == window.1 && welford.count() >= 10 {
-                    ham.inv_mass = welford.regularized_variance();
-                    da = DualAveraging::new(eps, self.cfg.target_accept);
-                }
-                if iter + 1 == cfg.warmup {
-                    eps = da.final_eps();
-                }
-            }
-            draws.push(state.q.clone());
-            evals_per_iter.push((grad_evals - evals_at_start) as u32);
-            // Snapshot at segment boundaries: with iterations [0,
-            // completed) done, the chain can resume at `completed` on
-            // that boundary's segment stream. Captured before on_draw
-            // so the supervisor observes state before progress.
-            if let Some(snap) = on_snapshot {
-                let completed = iter + 1;
-                if segments.binary_search(&completed).is_ok() {
-                    snap(SamplerCheckpoint {
-                        iter: completed,
-                        q: state.q.clone(),
-                        lp: state.lp,
-                        grad: state.grad.clone(),
-                        eps,
-                        inv_mass: ham.inv_mass.clone(),
-                        step_adapt: da.snapshot(),
-                        mass_adapt: welford.snapshot(),
-                        accept_sum,
-                        divergences,
-                        grad_evals,
-                        evals_per_iter: evals_per_iter.clone(),
-                    });
-                }
-            }
-            if let Some(cb) = on_draw {
-                cb(iter, &state.q);
-            }
-            if let Some(flag) = stop {
-                if flag.load(std::sync::atomic::Ordering::Acquire) {
-                    break;
-                }
-            }
+    fn init(&self, init: &[f64], env: &mut Env<'_>) -> NutsState {
+        NutsState {
+            chain: HamiltonianChain::init(init, self.cfg.target_accept, env),
+            ws: Workspace::new(init.len(), self.cfg.max_depth),
         }
+    }
 
-        // Post-warm-up iterations actually completed: a raised stop
-        // flag ends the chain before `cfg.iters`.
-        let sampling = (start + draws.len()).saturating_sub(cfg.warmup).max(1) as f64;
-        ChainOutput {
-            draws,
-            warmup: cfg.warmup,
-            accept_mean: accept_sum / sampling,
-            grad_evals,
-            divergences,
-            evals_per_iter,
+    fn step(&self, st: &mut NutsState, iter: usize, env: &mut Env<'_>) -> Info {
+        let chain = &mut st.chain;
+        let ham = Hamiltonian {
+            model: env.model,
+            inv_mass: &chain.inv_mass,
+        };
+        let info = transition(
+            &ham,
+            &mut st.ws,
+            &mut chain.point,
+            chain.eps,
+            self.cfg.max_depth,
+            &mut env.rng,
+            &mut env.evals,
+        );
+        // At the metric switch dual averaging re-anchors on the step
+        // size it has reached.
+        chain.adapt(iter, env.cfg.warmup, info.accept_stat, |c| c.eps);
+        info
+    }
+
+    fn position<'s>(&self, st: &'s NutsState) -> &'s [f64] {
+        &st.chain.point.q
+    }
+
+    fn snapshot(&self, st: &NutsState) -> SamplerCheckpoint {
+        st.chain.snapshot()
+    }
+
+    fn restore(&self, ck: &SamplerCheckpoint) -> NutsState {
+        NutsState {
+            chain: HamiltonianChain::restore(ck),
+            ws: Workspace::new(ck.q.len(), self.cfg.max_depth),
         }
     }
 }
@@ -568,9 +370,10 @@ impl Nuts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain;
+    use crate::chain::{self, RunConfig};
     use crate::model::{AdModel, LogDensity};
     use bayes_autodiff::Real;
+    use rand::SeedableRng;
 
     struct Gauss3;
 
@@ -636,7 +439,10 @@ mod tests {
     #[test]
     fn every_transition_returns_its_buffers_to_the_workspace() {
         let model = AdModel::new("g3", Gauss3);
-        let ham = Hamiltonian::unit(&model);
+        let ham = Hamiltonian {
+            model: &model,
+            inv_mass: &[1.0; 3],
+        };
         let max_depth = 4;
         let mut ws = Workspace::new(3, max_depth);
         let full = (ws.states.len(), ws.momenta.len());
@@ -652,11 +458,11 @@ mod tests {
         // Steps too short to turn around: all four doublings, with as
         // many trees alive as there can be.
         let t = step(1e-4, &mut ws);
-        assert_eq!((t.depth, t.diverged), (max_depth, false));
+        assert_eq!((t.tree_depth, t.diverged), (max_depth, false));
         // A step that leaves the typical set: the first leaf diverges
         // and the early return hands everything back.
         let t = step(1e4, &mut ws);
-        assert_eq!((t.depth, t.diverged, t.accept_stat), (1, true, 0.0));
+        assert_eq!((t.tree_depth, t.diverged, t.accept_stat), (1, true, 0.0));
         // Ordinary transitions: U-turns inside subtrees and at the top.
         for _ in 0..200 {
             step(0.7, &mut ws);

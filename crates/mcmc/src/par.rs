@@ -24,9 +24,9 @@
 //! bumped epoch or an exhausted ticket counter and go back to sleep
 //! without touching the pointer.
 
-use parking_lot::{Condvar, Mutex};
+use crate::lock;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 
 /// Type-erased pointer to the current job closure. Only dereferenced by
@@ -130,7 +130,7 @@ impl WorkerPool {
         };
         let job = Job(f_static);
         let epoch = {
-            let mut st = self.shared.state.lock();
+            let mut st = lock(&self.shared.state);
             st.job = Some(job);
             st.epoch += 1;
             st.next = 0;
@@ -147,9 +147,13 @@ impl WorkerPool {
         participate(&self.shared, job, epoch);
 
         let panic_msg = {
-            let mut st = self.shared.state.lock();
+            let mut st = lock(&self.shared.state);
             while st.done < st.n_items {
-                self.shared.done_cv.wait(&mut st);
+                st = self
+                    .shared
+                    .done_cv
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
             st.job = None;
             st.panic.take()
@@ -163,7 +167,7 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         {
-            let mut st = self.shared.state.lock();
+            let mut st = lock(&self.shared.state);
             st.shutdown = true;
             self.shared.work_cv.notify_all();
         }
@@ -177,7 +181,7 @@ fn worker_loop(shared: &Shared) {
     let mut seen_epoch = 0u64;
     loop {
         let (job, epoch) = {
-            let mut st = shared.state.lock();
+            let mut st = lock(&shared.state);
             loop {
                 if st.shutdown {
                     return;
@@ -187,7 +191,10 @@ fn worker_loop(shared: &Shared) {
                         break (job, st.epoch);
                     }
                 }
-                shared.work_cv.wait(&mut st);
+                st = shared
+                    .work_cv
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         participate(shared, job, epoch);
@@ -200,7 +207,7 @@ fn worker_loop(shared: &Shared) {
 fn participate(shared: &Shared, job: Job, epoch: u64) {
     loop {
         let idx = {
-            let mut st = shared.state.lock();
+            let mut st = lock(&shared.state);
             if st.epoch != epoch || st.next >= st.n_items {
                 return;
             }
@@ -212,7 +219,7 @@ fn participate(shared: &Shared, job: Job, epoch: u64) {
         // of `run` is still blocked and the closure is alive.
         let f = unsafe { &*job.0 };
         let result = catch_unwind(AssertUnwindSafe(|| f(idx)));
-        let mut st = shared.state.lock();
+        let mut st = lock(&shared.state);
         if let Err(payload) = result {
             if st.panic.is_none() {
                 st.panic = Some(crate::chain::panic_message(payload.as_ref()).to_string());
@@ -282,13 +289,12 @@ mod tests {
     #[test]
     fn results_land_in_per_item_slots() {
         let pool = WorkerPool::new(3);
-        let slots: Vec<parking_lot::Mutex<Option<usize>>> =
-            (0..17).map(|_| parking_lot::Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<usize>>> = (0..17).map(|_| Mutex::new(None)).collect();
         pool.run(slots.len(), &|i| {
-            *slots[i].lock() = Some(i * i);
+            *lock(&slots[i]) = Some(i * i);
         });
         for (i, s) in slots.iter().enumerate() {
-            assert_eq!(*s.lock(), Some(i * i));
+            assert_eq!(*lock(s), Some(i * i));
         }
     }
 

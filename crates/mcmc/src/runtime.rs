@@ -4,12 +4,13 @@
 //! "Instead of executing a preset number of iterations, as in line 3
 //! of Algorithm 1, the workload exits … when it is determined to have
 //! converged." [`run_until_converged`] runs one OS thread per chain
-//! (the multicore execution model of Section IV-B); a monitor thread
-//! recomputes R̂ over the shared draw buffers at the detector cadence
-//! and raises a stop flag that every chain polls each iteration. The
-//! monitor sleeps on a condition variable and is woken by the draw that
-//! completes the checkpoint it waits for ([`MonitorGate`]), so neither
-//! it nor the chains spend anything on each other between checkpoints.
+//! (the multicore execution model of Section IV-B) under the
+//! supervisor's monitor ([`Runtime`]), which recomputes R̂ over the
+//! chains' draw buffers at the detector cadence and stops every chain
+//! once it converges. The monitor sleeps on a condition variable and is
+//! woken by the draw that completes the checkpoint it waits for
+//! ([`MonitorGate`]), so neither it nor the chains spend anything on
+//! each other between checkpoints.
 //!
 //! The stop decision is made purely in *iteration space*: checkpoints
 //! are evaluated in a fixed order over deterministic draw prefixes,
@@ -20,16 +21,18 @@
 //! Unlike [`crate::converge::ConvergenceDetector::detect`] (a post-hoc
 //! replay used by the studies), this never executes the elided
 //! iterations at all — but both walk the identical
-//! [`ConvergenceDetector::checkpoints`] schedule, so on a run where
-//! the stop flag never truncates mid-iteration the two report the
+//! [`ConvergenceDetector::checkpoints`] schedule, so the two report the
 //! same stop point.
 
-use crate::chain::{initial_points, ChainOutput, MultiChainRun, RunConfig, Sampler};
+use crate::chain::{RunConfig, Sampler};
 use crate::converge::ConvergenceDetector;
+use crate::lock;
 use crate::model::Model;
-use bayes_obs::{CheckpointSource, Event};
-use parking_lot::{Condvar, Mutex};
+use crate::supervisor::{
+    ReseedPolicy, RetryPolicy, RunError, RunReport, Runtime, SupervisorConfig,
+};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Longest a monitor sleeps when nothing it owns is due sooner: a
@@ -93,7 +96,7 @@ impl MonitorGate {
 
     /// Wakes the monitor, or keeps its next park from sleeping.
     pub(crate) fn wake(&self) {
-        *self.woken.lock() = true;
+        *lock(&self.woken) = true;
         self.cv.notify_one();
     }
 
@@ -108,270 +111,78 @@ impl MonitorGate {
     pub(crate) fn park(&self, boundary: Option<usize>, timeout: Duration) -> bool {
         let awaited = boundary.unwrap_or(usize::MAX);
         self.awaited.store(awaited, Ordering::SeqCst);
-        let mut woken = self.woken.lock();
+        let mut woken = lock(&self.woken);
         if self.progress() < awaited && !*woken {
             if self.done.load(Ordering::Acquire) {
                 return false;
             }
-            self.cv.wait_for(&mut woken, timeout);
+            let waited = self.cv.wait_timeout(woken, timeout);
+            woken = waited.unwrap_or_else(PoisonError::into_inner).0;
         }
         *woken = false;
         true
     }
 }
 
-/// A sampler that can be asked to stop between iterations.
-///
-/// The default implementation ignores the stop flag (full-length run),
-/// so every [`Sampler`] works; [`crate::nuts::Nuts`] overrides it.
-pub trait StoppableSampler: Sampler {
-    /// Like [`Sampler::sample_chain`], but polls `stop` each iteration
-    /// and reports every accepted draw through `on_draw(iter, draw)`.
-    fn sample_chain_stoppable(
-        &self,
-        model: &dyn Model,
-        init: &[f64],
-        cfg: &RunConfig,
-        seed: u64,
-        stop: &AtomicBool,
-        on_draw: &(dyn Fn(usize, &[f64]) + Sync),
-    ) -> ChainOutput {
-        let _ = stop; // default: run to completion
-        let out = self.sample_chain(model, init, cfg, seed);
-        for (i, d) in out.draws.iter().enumerate() {
-            on_draw(i, d);
-        }
-        out
-    }
-}
-
-/// Outcome of a runtime-elided run.
-#[derive(Debug, Clone)]
-pub struct ElidedRun {
-    /// The multi-chain run. When the monitor stopped the run, every
-    /// chain is truncated to exactly [`ElidedRun::stopped_at`] draws;
-    /// in-flight iterations past the decision are discarded so the
-    /// result is reproducible.
-    pub run: MultiChainRun,
-    /// Iteration at which the monitor raised the stop flag, if it did.
-    pub stopped_at: Option<usize>,
-    /// Iterations configured by the user.
-    pub configured_iters: usize,
-}
-
-impl ElidedRun {
-    /// Fraction of configured iterations that were never executed (or
-    /// were discarded as in-flight overrun past the stop decision).
-    pub fn iterations_elided(&self) -> f64 {
-        if self.stopped_at.is_none() {
-            return 0.0;
-        }
-        let executed = self
-            .run
-            .chains
-            .iter()
-            .map(|c| c.draws.len())
-            .max()
-            .unwrap_or(0);
-        (1.0 - executed as f64 / self.configured_iters as f64).max(0.0)
-    }
-}
-
 /// Runs `cfg.chains` chains on OS threads with a live convergence
 /// monitor; chains halt within one iteration of the stop decision and
-/// the output is truncated to the decision point.
+/// the output ([`RunReport::run`]) is truncated to the decision point
+/// ([`RunReport::stopped_at`]).
 ///
-/// The RNG streams are derived from `cfg.seed` exactly as in
-/// [`crate::chain::run`], so a run that never converges is
-/// draw-for-draw identical to the plain one, and two identical
-/// invocations are bit-identical regardless of thread interleaving.
-/// Note that per-chain statistics other than the draws (`accept_mean`,
-/// `divergences`) still cover the handful of in-flight iterations a
-/// chain completed before observing the stop flag; `accept_mean` is
-/// the mean over exactly those post-warm-up iterations the chain ran.
-pub fn run_until_converged<S: StoppableSampler + Sync>(
+/// This is [`Runtime::run`] with one attempt per chain and no
+/// checkpoints, so the RNG streams are those of
+/// [`crate::chain::run`]: a run that never converges is draw-for-draw
+/// identical to the plain one, and two identical invocations are
+/// bit-identical regardless of thread interleaving. Per-chain
+/// statistics other than the draws (`accept_mean`, `divergences`) cover
+/// the iterations each chain ran, the handful past the stop decision
+/// included.
+///
+/// # Panics
+///
+/// On an invalid `cfg`, and when a chain dies: the panic names the
+/// chain, the workload and the chain's own message.
+pub fn run_until_converged<S: Sampler>(
     sampler: &S,
     model: &dyn Model,
     cfg: &RunConfig,
     detector: &ConvergenceDetector,
-) -> ElidedRun {
-    if let Err(e) = cfg.validate() {
-        panic!("invalid RunConfig: {e}");
-    }
-    model.set_inner_threads(cfg.effective_inner_threads());
-    model.set_recorder(&cfg.recorder);
-    model.set_fast_path(cfg.effective_fast_path());
-    if cfg.recorder.enabled() {
-        cfg.recorder.record(Event::RunStart {
-            model: model.name().to_string(),
-            chains: cfg.chains as u64,
-            iters: cfg.iters as u64,
-            seed: cfg.seed,
+) -> RunReport {
+    let one_attempt = SupervisorConfig::new()
+        .with_min_quorum(1)
+        .with_retry(RetryPolicy {
+            max_attempts: 1,
+            reseed: ReseedPolicy::Never,
         });
-    }
-    let inits = initial_points(cfg, model.dim());
-
-    let stop = AtomicBool::new(false);
-    let stopped_at = Mutex::new(None::<usize>);
-    let buffers: Vec<Mutex<Vec<Vec<f64>>>> =
-        (0..cfg.chains).map(|_| Mutex::new(Vec::new())).collect();
-    let gate = MonitorGate::new(vec![0; cfg.chains]);
-
-    let mut chains: Vec<ChainOutput> = crossbeam::thread::scope(|scope| {
-        // Monitor thread: walk the checkpoint schedule in iteration
-        // space, evaluating each checkpoint as soon as every chain has
-        // reached it. The schedule — not wall-clock timing — decides
-        // where the run stops.
-        let monitor = {
-            let stop = &stop;
-            let stopped_at = &stopped_at;
-            let buffers = &buffers;
-            let gate = &gate;
-            scope.spawn(move |_| {
-                // The schedule is shared verbatim with the post-hoc
-                // `ConvergenceDetector::detect`, so the two walkers can
-                // never disagree on where a run stops.
-                let _prof_scope = cfg.profiler.install(None);
-                let mut schedule = detector.checkpoints(cfg.iters);
-                let mut pending = schedule.next();
-                let mut streak = 0usize;
-                while let Some(next_check) = pending {
-                    if gate.progress() >= next_check {
-                        let _span = bayes_obs::span(bayes_obs::Phase::CheckpointDiag);
-                        // Snapshot the prefixes and compute R̂ at t.
-                        let snaps: Vec<Vec<Vec<f64>>> = buffers
-                            .iter()
-                            .map(|b| b.lock()[..next_check].to_vec())
-                            .collect();
-                        let views: Vec<&[Vec<f64>]> = snaps.iter().map(|s| s.as_slice()).collect();
-                        let r = detector.rhat_at(&views, next_check);
-                        if r.is_finite() && r < detector.threshold() {
-                            streak += 1;
-                        } else {
-                            streak = 0;
-                        }
-                        let converged = streak >= detector.consecutive();
-                        if cfg.recorder.enabled() {
-                            cfg.recorder.record(Event::Checkpoint {
-                                source: CheckpointSource::Online,
-                                iter: next_check as u64,
-                                max_rhat: r,
-                                streak: streak as u64,
-                                converged,
-                            });
-                        }
-                        if converged {
-                            *stopped_at.lock() = Some(next_check);
-                            stop.store(true, Ordering::Release);
-                            break;
-                        }
-                        pending = schedule.next();
-                        continue;
-                    }
-                    // Sleep until the chains reach the checkpoint; the
-                    // timeout is only a safety net.
-                    if !gate.park(Some(next_check), MONITOR_NAP) {
-                        break; // chains finished short of the checkpoint
-                    }
-                }
-            })
-        };
-
-        let outs: Vec<_> = inits
-            .iter()
-            .enumerate()
-            .map(|(c, init)| {
-                let stop = &stop;
-                let buffer = &buffers[c];
-                let gate = &gate;
-                let cfg_c = cfg.for_chain(c);
-                let seed = cfg.chain_seed(c);
-                scope.spawn(move |_| {
-                    let _prof_scope = cfg_c.profiler.install(Some(c as u64));
-                    sampler.sample_chain_stoppable(
-                        model,
-                        init,
-                        &cfg_c,
-                        seed,
-                        stop,
-                        &move |_iter, draw: &[f64]| {
-                            let len = {
-                                let mut buffer = buffer.lock();
-                                buffer.push(draw.to_vec());
-                                buffer.len()
-                            };
-                            gate.advance(c, len);
-                        },
-                    )
-                })
-            })
-            .collect();
-        // Join every chain handle before deciding anything: collecting
-        // the `Result`s (instead of expecting each join) lets a panic
-        // be reported with its chain index and workload name after the
-        // monitor is shut down cleanly.
-        let results: Vec<Result<ChainOutput, Box<dyn std::any::Any + Send>>> =
-            outs.into_iter().map(|h| h.join()).collect();
-        gate.finish();
-        // Propagate a monitor panic the same way chain panics surface:
-        // one formatted message carrying the workload name and the
-        // original payload, not an opaque re-unwind of the boxed Any.
-        if let Err(payload) = monitor.join() {
-            panic!(
-                "convergence monitor of workload '{}' panicked: {}",
-                model.name(),
-                crate::chain::panic_message(payload.as_ref())
-            );
-        }
-        crate::chain::collect_chain_results(results, model.name())
-    })
-    .expect("crossbeam scope failed after all children were joined");
-
-    let stopped = *stopped_at.lock();
-    if let Some(t) = stopped {
-        // Discard in-flight overrun so the output depends only on the
-        // (deterministic) stop decision, not on thread timing.
-        for c in &mut chains {
-            if c.draws.len() > t {
-                c.grad_evals = c.evals_until(t);
-                c.draws.truncate(t);
-                c.evals_per_iter.truncate(t);
-            }
-        }
-    }
-    model.flush_telemetry();
-    let snapshot = cfg.profiler.emit_metrics(model.name());
-    if cfg.recorder.enabled() {
-        cfg.recorder.record(Event::RunEnd {
-            model: model.name().to_string(),
-            chains: chains.len() as u64,
-            stopped_at: stopped.map(|t| t as u64),
-            total_draws: chains.iter().map(|c| c.draws.len() as u64).sum(),
-            divergences: chains.iter().map(|c| c.divergences).sum(),
-            grad_evals: chains.iter().map(|c| c.grad_evals).sum(),
-            span_ns: snapshot.span_total_ns(),
-        });
-        cfg.recorder.flush();
-    }
-    ElidedRun {
-        run: MultiChainRun {
-            chains,
-            dim: model.dim(),
-        },
-        stopped_at: stopped,
-        configured_iters: cfg.iters,
-    }
+    let faults = match Runtime::new(detector.clone())
+        .with_config(one_attempt)
+        .run(sampler, model, cfg)
+    {
+        Ok(report) if report.faults.is_empty() => return report,
+        Ok(report) => report.faults,
+        Err(RunError::QuorumLost { faults, .. }) => faults,
+        Err(e) => panic!("invalid RunConfig: {e}"),
+    };
+    let first = &faults[0];
+    panic!(
+        "chain {} of workload '{}' panicked: {}",
+        first.chain,
+        model.name(),
+        first.message
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::tests::Scripted;
+    use crate::chain::Env;
     use crate::model::{AdModel, LogDensity};
     use crate::nuts::Nuts;
     use bayes_autodiff::Real;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::sync::atomic::AtomicUsize;
+    use bayes_obs::{Event, MemoryRecorder, RecorderHandle};
+    use rand::Rng;
+    use std::sync::Arc;
 
     struct Gauss;
     impl LogDensity for Gauss {
@@ -445,20 +256,6 @@ mod tests {
         assert_eq!(a.stopped_at, b.stopped_at);
         for (ca, cb) in a.run.chains.iter().zip(&b.run.chains) {
             assert_eq!(ca.draws, cb.draws, "draws must be bit-identical");
-        }
-    }
-
-    #[test]
-    fn default_stoppable_impl_runs_to_completion() {
-        // MetropolisHastings doesn't override the stoppable API; the
-        // default ignores the flag but still reports draws.
-        use crate::mh::MetropolisHastings;
-        let model = AdModel::new("g", Gauss);
-        let cfg = RunConfig::new(150).with_chains(2).with_seed(5);
-        let det = ConvergenceDetector::new();
-        let out = run_until_converged(&MetropolisHastings::new(), &model, &cfg, &det);
-        for c in &out.run.chains {
-            assert_eq!(c.draws.len(), 150);
         }
     }
 
@@ -574,109 +371,46 @@ mod tests {
         });
     }
 
-    /// A stoppable toy sampler: iid normal draws, one per `step_us`
-    /// microseconds, polling the stop flag after every draw. Records
-    /// the longest chain it actually generated (pre-truncation).
-    struct SlowWalker {
-        step_us: u64,
-        max_generated: AtomicUsize,
-    }
-
-    impl Sampler for SlowWalker {
-        fn sample_chain(
-            &self,
-            model: &dyn Model,
-            init: &[f64],
-            cfg: &RunConfig,
-            seed: u64,
-        ) -> ChainOutput {
-            let stop = AtomicBool::new(false);
-            self.sample_chain_stoppable(model, init, cfg, seed, &stop, &|_, _| {})
-        }
-    }
-
-    impl StoppableSampler for SlowWalker {
-        fn sample_chain_stoppable(
-            &self,
-            model: &dyn Model,
-            _init: &[f64],
-            cfg: &RunConfig,
-            seed: u64,
-            stop: &AtomicBool,
-            on_draw: &(dyn Fn(usize, &[f64]) + Sync),
-        ) -> ChainOutput {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut draws: Vec<Vec<f64>> = Vec::new();
-            for i in 0..cfg.iters {
-                std::thread::sleep(Duration::from_micros(self.step_us));
-                let d: Vec<f64> = (0..model.dim())
-                    .map(|_| {
-                        let s: f64 = (0..12).map(|_| rng.gen_range(0.0..1.0)).sum();
-                        s - 6.0
-                    })
-                    .collect();
-                on_draw(i, &d);
-                draws.push(d);
-                self.max_generated.fetch_max(draws.len(), Ordering::Relaxed);
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
-            let n = draws.len();
-            ChainOutput {
-                draws,
-                warmup: cfg.warmup.min(n),
-                accept_mean: 1.0,
-                grad_evals: n as u64,
-                divergences: 0,
-                evals_per_iter: vec![1; n],
-            }
-        }
-    }
-
-    /// Stops a chain `after` iterations past warm-up and compares its
-    /// `accept_mean` with the mean of the `accept` values it recorded.
-    fn accept_mean_of_a_stopped_chain<S: StoppableSampler>(sampler: &S, after: usize) {
-        use bayes_obs::{MemoryRecorder, RecorderHandle};
-        use std::sync::Arc;
-
+    /// Stops two chains by convergence `after` iterations past warm-up
+    /// and compares chain 0's `accept_mean` with the mean of the
+    /// `accept` values it recorded: every post-warm-up iteration it ran,
+    /// the overrun past the decision included.
+    fn accept_mean_of_a_stopped_chain<S: Sampler>(sampler: &S, after: usize) {
         let model = AdModel::new("gauss", Gauss);
         let memory = Arc::new(MemoryRecorder::new());
         let cfg = RunConfig::new(400)
+            .with_chains(2)
             .with_warmup(100)
             .with_seed(9)
             .with_recorder(RecorderHandle::new(memory.clone()));
-        let stop = AtomicBool::new(false);
-        let out = sampler.sample_chain_stoppable(
-            &model,
-            &[0.5, -0.5],
-            &cfg,
-            cfg.chain_seed(0),
-            &stop,
-            &|iter, _| {
-                if iter + 1 == cfg.warmup + after {
-                    stop.store(true, Ordering::Release);
-                }
-            },
-        );
-        assert_eq!(out.draws.len(), cfg.warmup + after);
+        let stop_at = cfg.warmup + after;
+        let det = ConvergenceDetector::new()
+            .with_threshold(50.0)
+            .with_check_every(10)
+            .with_min_iters(stop_at)
+            .with_consecutive(1);
+        let out = run_until_converged(sampler, &model, &cfg, &det);
+        assert_eq!(out.stopped_at, Some(stop_at));
         let accepts: Vec<f64> = memory
             .events()
             .iter()
             .filter_map(|e| match e {
-                Event::Iteration { iter, accept, .. } if *iter >= cfg.warmup as u64 => {
-                    Some(*accept)
-                }
+                Event::Iteration {
+                    chain: 0,
+                    iter,
+                    accept,
+                    ..
+                } if *iter >= cfg.warmup as u64 => Some(*accept),
                 _ => None,
             })
             .collect();
-        assert_eq!(accepts.len(), after);
-        let mean = accepts.iter().sum::<f64>() / after as f64;
-        assert!(mean > 0.3, "a diluted mean would sit near {}", mean * 0.1);
+        assert!(accepts.len() >= after, "{} iterations ran", accepts.len());
+        let mean = accepts.iter().sum::<f64>() / accepts.len() as f64;
+        assert!(mean > 0.1, "a diluted mean would sit near {}", mean * 0.1);
+        let accept_mean = out.run.chains[0].accept_mean;
         assert!(
-            (out.accept_mean - mean).abs() < 1e-12,
-            "accept_mean {} vs recorded mean {mean}",
-            out.accept_mean
+            (accept_mean - mean).abs() < 1e-12,
+            "accept_mean {accept_mean} vs recorded mean {mean}"
         );
     }
 
@@ -684,32 +418,13 @@ mod tests {
     fn accept_mean_of_a_stopped_chain_averages_the_iterations_it_ran() {
         accept_mean_of_a_stopped_chain(&Nuts::default(), 30);
         accept_mean_of_a_stopped_chain(&crate::hmc::StaticHmc::new(4), 30);
+        accept_mean_of_a_stopped_chain(&crate::mh::MetropolisHastings::new(), 30);
     }
 
     #[test]
     fn chain_panic_resurfaces_with_index_and_name() {
-        use crate::model::EvalProfile;
+        use crate::chain::tests::Kaboom;
         use std::panic::{catch_unwind, AssertUnwindSafe};
-
-        /// Panics on the very first gradient evaluation.
-        struct Kaboom;
-        impl Model for Kaboom {
-            fn dim(&self) -> usize {
-                1
-            }
-            fn name(&self) -> &str {
-                "kaboom"
-            }
-            fn ln_posterior(&self, _theta: &[f64]) -> f64 {
-                panic!("deliberate ln_posterior failure")
-            }
-            fn ln_posterior_grad(&self, _theta: &[f64], _grad: &mut [f64]) -> f64 {
-                panic!("deliberate gradient failure")
-            }
-            fn grad_profile(&self, _theta: &[f64]) -> EvalProfile {
-                EvalProfile::default()
-            }
-        }
 
         let cfg = RunConfig::new(50).with_chains(2).with_seed(1);
         let det = ConvergenceDetector::new();
@@ -738,17 +453,23 @@ mod tests {
             .with_check_every(10)
             .with_min_iters(20)
             .with_consecutive(1);
-        let walker = SlowWalker {
-            step_us: 1000,
-            max_generated: AtomicUsize::new(0),
-        };
+        // iid normal draws, one a millisecond; the longest chain
+        // actually generated (pre-truncation) is kept.
+        let max_generated = AtomicUsize::new(0);
+        let walker = Scripted(|env: &mut Env<'_>, iter, draw: &mut [f64]| {
+            std::thread::sleep(Duration::from_millis(1));
+            for d in draw.iter_mut() {
+                *d = (0..12).map(|_| env.rng.gen_range(0.0..1.0)).sum::<f64>() - 6.0;
+            }
+            max_generated.fetch_max(iter + 1, Ordering::Relaxed);
+        });
         let out = run_until_converged(&walker, &model, &cfg, &det);
         let at = out.stopped_at.expect("iid chains must converge");
         assert_eq!(at, 20, "first checkpoint should fire");
         for c in &out.run.chains {
             assert_eq!(c.draws.len(), at);
         }
-        let generated = walker.max_generated.load(Ordering::Relaxed);
+        let generated = max_generated.load(Ordering::Relaxed);
         assert!(
             generated <= at + det.check_every(),
             "chains overran the stop decision: generated {generated}, \

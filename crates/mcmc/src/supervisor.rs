@@ -9,7 +9,9 @@
 //!
 //! * **Isolation** — each chain runs under `catch_unwind`; panics,
 //!   non-finite draws, stalls, and divergence overruns become typed
-//!   [`ChainFault`]s instead of aborting the run.
+//!   [`ChainFault`]s instead of aborting the run. Every [`Sampler`] is
+//!   supervised the same way: the chain loop consults the round's
+//!   `Watch` after every draw.
 //! * **Deterministic retry** — a failed attempt reruns the chain from
 //!   its last resume point. With reseeding, attempt `n` moves to the
 //!   [`Purpose::Retry`]`(n)` stream so it never silently reuses the
@@ -44,22 +46,23 @@
 //! `resume`, and degraded completions `degraded_report` (`bayes_obs`).
 
 use crate::chain::{
-    initial_points, panic_message, ChainOutput, ConfigError, MultiChainRun, RunConfig,
+    initial_points, panic_message, run_chain, ChainOutput, ConfigError, MultiChainRun, RunConfig,
+    Sampler,
 };
 use crate::checkpoint::{
     ChainCheckpoint, DetectorFingerprint, RunCheckpoint, SamplerCheckpoint, CHECKPOINT_VERSION,
 };
 use crate::converge::ConvergenceDetector;
+use crate::lock;
 use crate::model::Model;
-use crate::runtime::{MonitorGate, StoppableSampler, MONITOR_NAP};
+use crate::runtime::{MonitorGate, MONITOR_NAP};
 use crate::stream::{Purpose, StreamKey};
 use bayes_obs::{CheckpointSource, Event, TelemetryHandle};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Cooperative pause shared between a supervised run and an external
@@ -233,59 +236,6 @@ pub trait FaultInjector: Send + Sync {
     /// The fault to inject when chain `chain`, on attempt `attempt`,
     /// completes iteration `iter` — or `None` to proceed normally.
     fn inject(&self, chain: usize, attempt: u32, iter: usize) -> Option<InjectedFault>;
-}
-
-/// Supervisor-side callbacks handed to a [`ResumableSampler`].
-pub struct ChainHooks<'a> {
-    /// Cooperative cancel flag, polled once per iteration.
-    pub stop: &'a AtomicBool,
-    /// Invoked with every accepted draw, in iteration order.
-    pub on_draw: &'a (dyn Fn(usize, &[f64]) + Sync),
-    /// Sorted RNG segment boundaries (empty when checkpointing is
-    /// off): the sampler re-derives its generator at each.
-    pub segments: &'a [usize],
-    /// Invoked with the sampler state at each segment boundary.
-    pub on_snapshot: &'a (dyn Fn(SamplerCheckpoint) + Sync),
-}
-
-impl std::fmt::Debug for ChainHooks<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChainHooks")
-            .field("segments", &self.segments)
-            .finish_non_exhaustive()
-    }
-}
-
-/// A sampler the supervisor can checkpoint and resume. The default
-/// implementation runs via [`StoppableSampler`] with no checkpoint
-/// support, so every existing sampler gains supervision (isolation,
-/// retry, watchdog) for free; [`crate::nuts::Nuts`] overrides both
-/// methods with real segmented-stream resume.
-pub trait ResumableSampler: StoppableSampler {
-    /// Whether [`ResumableSampler::sample_chain_resumable`] honours
-    /// `from` and the segment schedule. The supervisor rejects
-    /// checkpointing configs when this is `false`.
-    fn supports_resume(&self) -> bool {
-        false
-    }
-
-    /// Runs one chain, resuming from `from` when given, re-deriving
-    /// the RNG at each `hooks.segments` boundary, and reporting state
-    /// snapshots at those boundaries through `hooks.on_snapshot`. A
-    /// resumed invocation returns only the iterations it executed
-    /// (`[from.iter, ..)`); the supervisor re-attaches the prefix.
-    fn sample_chain_resumable(
-        &self,
-        model: &dyn Model,
-        init: &[f64],
-        cfg: &RunConfig,
-        seed: u64,
-        from: Option<&SamplerCheckpoint>,
-        hooks: &ChainHooks<'_>,
-    ) -> ChainOutput {
-        debug_assert!(from.is_none(), "default impl cannot resume");
-        self.sample_chain_stoppable(model, init, cfg, seed, hooks.stop, hooks.on_draw)
-    }
 }
 
 /// Fault-tolerance policy for a supervised run.
@@ -469,19 +419,10 @@ impl RunReport {
     /// Fraction of configured iterations never executed (or discarded
     /// as overrun past the stop decision).
     pub fn iterations_elided(&self) -> f64 {
-        match self.stopped_at {
-            None => 0.0,
-            Some(_) => {
-                let executed = self
-                    .run
-                    .chains
-                    .iter()
-                    .map(|c| c.draws.len())
-                    .max()
-                    .unwrap_or(0);
-                (1.0 - executed as f64 / self.configured_iters as f64).max(0.0)
-            }
-        }
+        // Every chain is truncated to exactly the stop decision.
+        let executed = |t: usize| t as f64 / self.configured_iters as f64;
+        self.stopped_at
+            .map_or(0.0, |t| (1.0 - executed(t)).max(0.0))
     }
 }
 
@@ -537,30 +478,193 @@ struct Attempt {
     chain: usize,
     attempt: u32,
     stream_seed: u64,
-    from: Option<SamplerCheckpoint>,
-    prefix_draws: Vec<Vec<f64>>,
-    prefix_evals: Vec<u32>,
+    /// The checkpointed chain it continues, draws included.
+    from: Option<ChainCheckpoint>,
+}
+
+impl Attempt {
+    /// Draws the attempt starts with.
+    fn prefix(&self) -> usize {
+        self.from.as_ref().map_or(0, |f| f.draws.len())
+    }
+
+    fn fault(&self, (kind, iter, message): FaultInfo) -> ChainFault {
+        ChainFault {
+            chain: self.chain,
+            attempt: self.attempt,
+            kind,
+            iter,
+            message,
+        }
+    }
 }
 
 /// Why one attempt failed: (kind, iteration, message).
 type FaultInfo = (FaultKind, Option<usize>, String);
 
-struct RoundResult {
-    /// Per attempt (same order as the round's input), the chain output
-    /// or the fault that ended it.
-    outcomes: Vec<Result<ChainOutput, FaultInfo>>,
-    /// Stop decision the round's monitor made, if any.
+/// What a round's monitor decided.
+#[derive(Default)]
+struct Monitored {
+    /// Stop decision, if any.
     decided: Option<usize>,
     /// A committed pause: the boundary and the chain states the pause
-    /// checkpoint was written from (authoritative over `outcomes`,
+    /// checkpoint was written from (authoritative over the outcomes,
     /// which may include post-boundary overrun or moot faults).
     paused: Option<(usize, Vec<ChainCheckpoint>)>,
     /// The round was cut short by the deadline or the abort token.
     interrupted: Option<Interrupt>,
 }
 
-/// The fault-tolerant counterpart of
-/// [`crate::runtime::run_until_converged`].
+/// One attempt's share of a round: what its chain and the monitor
+/// exchange.
+#[derive(Default)]
+struct Slot {
+    /// Cooperative cancel flag, read by the chain after every draw.
+    cancel: AtomicBool,
+    /// The chain has ended — finished, cancelled, faulted or unwound.
+    done: AtomicBool,
+    /// What ended the attempt, when it was not the chain's own end.
+    fault: Mutex<Option<FaultInfo>>,
+    /// Every draw so far, the resume prefix included: what R̂ and the
+    /// checkpoints read.
+    buffer: Mutex<Vec<Vec<f64>>>,
+    /// Sampler states at boundaries not written yet.
+    snapshots: Mutex<BTreeMap<usize, SamplerCheckpoint>>,
+}
+
+impl Slot {
+    fn len(&self) -> usize {
+        lock(&self.buffer).len()
+    }
+
+    fn cancel(&self) {
+        self.cancel.store(true, Ordering::Release);
+    }
+
+    fn cancelled(&self) -> bool {
+        self.cancel.load(Ordering::Acquire)
+    }
+
+    /// Records a fault, unless one is on record already, and cancels
+    /// the chain.
+    fn fail(&self, kind: FaultKind, iter: Option<usize>, message: String) {
+        lock(&self.fault).get_or_insert((kind, iter, message));
+        self.cancel();
+    }
+}
+
+/// What the chains of one round share with each other and its monitor.
+struct Round<'a> {
+    slots: Vec<Slot>,
+    gate: MonitorGate,
+    /// RNG segment boundaries (empty when checkpointing is off).
+    segments: &'a [usize],
+    /// The round writes checkpoints, so chains keep their snapshots.
+    write_checkpoints: bool,
+    /// A stop decided in an earlier round: chains need only reach it.
+    target: Option<usize>,
+    iters: usize,
+    injector: Option<&'a dyn FaultInjector>,
+    /// `None` in rounds that write no checkpoints: a pause can only
+    /// commit where one is written, so retry rounds never park.
+    pause: Option<&'a PauseControl>,
+    abort: Option<&'a AtomicBool>,
+}
+
+/// A supervised chain's view of its round, which the chain loop
+/// ([`crate::chain::run_chain`]) consults around every draw.
+pub(crate) struct Watch<'a> {
+    round: &'a Round<'a>,
+    slot: usize,
+    chain: usize,
+    attempt: u32,
+}
+
+impl Watch<'_> {
+    /// Whether the chain's stream is re-derived before iteration `iter`.
+    pub(crate) fn reseeds_at(&self, iter: usize) -> bool {
+        self.round.segments.binary_search(&iter).is_ok()
+    }
+
+    /// Keeps the chain's state for the monitor once `completed`
+    /// iterations are done, if the round writes a checkpoint there.
+    pub(crate) fn snapshot(&self, completed: usize, state: impl FnOnce() -> SamplerCheckpoint) {
+        if self.round.write_checkpoints && self.reseeds_at(completed) {
+            lock(&self.round.slots[self.slot].snapshots).insert(completed, state());
+        }
+    }
+
+    /// Takes the draw of iteration `iter`: fault injection, validation,
+    /// the monitor's buffer and gate, the pause park. False once the
+    /// chain must stop.
+    pub(crate) fn on_draw(&self, iter: usize, draw: &[f64]) -> bool {
+        let (round, slot) = (self.round, &self.round.slots[self.slot]);
+        let injected = round
+            .injector
+            .and_then(|i| i.inject(self.chain, self.attempt, iter));
+        match injected {
+            Some(InjectedFault::Panic) => {
+                panic!("injected panic (chain {}, iteration {iter})", self.chain)
+            }
+            Some(InjectedFault::Stall) => {
+                while !slot.cancelled() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                return false;
+            }
+            Some(InjectedFault::Diverge) => {
+                slot.fail(
+                    FaultKind::Diverged,
+                    Some(iter),
+                    "injected divergence".into(),
+                );
+                return false;
+            }
+            _ => {}
+        }
+        // Validate before the buffer sees the draw: a poisoned vector
+        // must never reach R̂ or a checkpoint.
+        if injected == Some(InjectedFault::NonFinite) || draw.iter().any(|v| !v.is_finite()) {
+            let message = format!("non-finite draw at iteration {iter}");
+            slot.fail(FaultKind::NonFinite, Some(iter), message);
+            return false;
+        }
+        let len = {
+            let mut buffer = lock(&slot.buffer);
+            buffer.push(draw.to_vec());
+            buffer.len()
+        };
+        if round.target.is_some_and(|t| len >= t) {
+            slot.cancel();
+        }
+        round.gate.advance(self.slot, len);
+        // An abort, or a pause whose boundary is still to be picked, is
+        // the monitor's to act on — at this draw, not at its next
+        // boundary.
+        if round.abort.is_some_and(|a| a.load(Ordering::Acquire))
+            || round
+                .pause
+                .is_some_and(|pc| pc.is_requested() && pc.limit() == 0)
+        {
+            round.gate.wake();
+        }
+        // Pause park: once a pause is requested, a chain at or past the
+        // published boundary (0 until the monitor picks it) idles here —
+        // after the draw and the snapshot are visible — until the pause
+        // commits (cancel) or is abandoned (limit raised to MAX). The
+        // hold touches no RNG, so draws are unaffected.
+        if let Some(pc) = round.pause {
+            while pc.is_requested() && len >= pc.limit() && len < round.iters && !slot.cancelled() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        !slot.cancelled()
+    }
+}
+
+/// The fault-tolerant multi-chain runner; the elision runtime
+/// ([`crate::runtime::run_until_converged`]) is it with one attempt per
+/// chain.
 #[derive(Debug, Clone)]
 pub struct Runtime {
     detector: ConvergenceDetector,
@@ -594,7 +698,7 @@ impl Runtime {
     /// [`RunError::Config`] for an invalid request, or
     /// [`RunError::QuorumLost`] when chain failures leave fewer than
     /// [`SupervisorConfig::min_quorum`] survivors.
-    pub fn run<S: ResumableSampler + Sync>(
+    pub fn run<S: Sampler>(
         &self,
         sampler: &S,
         model: &dyn Model,
@@ -613,7 +717,7 @@ impl Runtime {
     /// or parsed, [`ConfigError::CheckpointMismatch`] when it was
     /// taken under a different run, plus everything [`Runtime::run`]
     /// can return.
-    pub fn resume<S: ResumableSampler + Sync>(
+    pub fn resume<S: Sampler>(
         &self,
         sampler: &S,
         model: &dyn Model,
@@ -707,7 +811,7 @@ impl Runtime {
         Ok(())
     }
 
-    fn run_inner<S: ResumableSampler + Sync>(
+    fn run_inner<S: Sampler>(
         &self,
         sampler: &S,
         model: &dyn Model,
@@ -729,9 +833,6 @@ impl Runtime {
             .into());
         }
         let checkpointing = self.sup.checkpoint_path.is_some() || resume.is_some();
-        if checkpointing && !sampler.supports_resume() {
-            return Err(ConfigError::ResumeUnsupported.into());
-        }
         if self.sup.pause.is_some() && self.sup.checkpoint_path.is_none() {
             return Err(ConfigError::PauseWithoutCheckpoint.into());
         }
@@ -779,8 +880,6 @@ impl Runtime {
                     attempt: 0,
                     stream_seed: cfg.chain_seed(c),
                     from: None,
-                    prefix_draws: Vec::new(),
-                    prefix_evals: Vec::new(),
                 })
                 .collect(),
             Some((ck, _)) => ck
@@ -790,9 +889,7 @@ impl Runtime {
                     chain: cs.chain,
                     attempt: 0,
                     stream_seed: cs.stream_seed,
-                    from: Some(cs.sampler),
-                    prefix_draws: cs.draws,
-                    prefix_evals: cs.evals_per_iter,
+                    from: Some(cs),
                 })
                 .collect(),
         };
@@ -809,7 +906,7 @@ impl Runtime {
         while !pending.is_empty() {
             let all_pending = completed.is_empty() && pending.len() == cfg.chains;
             let write_checkpoints = all_pending && self.sup.checkpoint_path.is_some();
-            let round = self.run_round(
+            let (outcomes, monitored) = self.run_round(
                 sampler,
                 model,
                 cfg,
@@ -822,150 +919,101 @@ impl Runtime {
                 deadline_at,
             )?;
             if decided.is_none() {
-                decided = round.decided;
+                decided = monitored.decided;
             }
-            if let Some((t, states)) = round.paused {
+            if let Some((t, states)) = monitored.paused {
                 // A committed pause: every chain reached boundary `t`
                 // and the checkpoint is on disk. The checkpoint's
                 // chain states are authoritative — a chain may have
                 // overrun the boundary (or even faulted past it)
                 // between the write and its cancellation, and all of
                 // that is discarded territory a resume replays.
+                let sampling = t.saturating_sub(cfg.warmup).max(1) as f64;
                 for cs in states {
-                    let grad: u64 = cs.evals_per_iter.iter().map(|&e| u64::from(e)).sum();
-                    let sampling = t.saturating_sub(cfg.warmup).max(1) as f64;
-                    completed.insert(
-                        cs.chain,
-                        ChainOutput {
-                            draws: cs.draws,
-                            warmup: cfg.warmup,
-                            accept_mean: cs.sampler.accept_sum / sampling,
-                            grad_evals: grad,
-                            divergences: cs.sampler.divergences,
-                            evals_per_iter: cs.evals_per_iter,
-                        },
-                    );
+                    let out = ChainOutput {
+                        accept_mean: cs.sampler.accept_sum / sampling,
+                        grad_evals: cs.sampler.grad_evals,
+                        divergences: cs.sampler.divergences,
+                        draws: cs.draws,
+                        warmup: cfg.warmup,
+                        evals_per_iter: cs.evals_per_iter,
+                    };
+                    completed.insert(cs.chain, out);
                 }
-                for (p, outcome) in pending.iter().zip(round.outcomes) {
-                    if let Err((kind, iter, message)) = outcome {
-                        faults.push(ChainFault {
-                            chain: p.chain,
-                            attempt: p.attempt,
-                            kind,
-                            iter,
-                            message,
-                        });
-                    }
-                }
+                let moot = pending.iter().zip(outcomes);
+                faults.extend(moot.filter_map(|(p, o)| o.err().map(|info| p.fault(info))));
                 paused_at = Some(t);
-                break;
-            }
-            if let Some(reason) = round.interrupted {
-                // The cut is cooperative: chains were cancelled at a
-                // draw boundary and returned whatever they had. Keep
-                // the partial draws (prefix re-attached) and record
-                // faults without retrying — the run is over.
-                for (p, outcome) in pending.iter().zip(round.outcomes) {
-                    match outcome {
-                        Ok(mut out) => {
-                            if !p.prefix_draws.is_empty() {
-                                let mut draws = p.prefix_draws.clone();
-                                draws.append(&mut out.draws);
-                                out.draws = draws;
-                                let mut evals = p.prefix_evals.clone();
-                                evals.append(&mut out.evals_per_iter);
-                                out.evals_per_iter = evals;
-                            }
-                            completed.insert(p.chain, out);
-                        }
-                        Err((kind, iter, message)) => faults.push(ChainFault {
-                            chain: p.chain,
-                            attempt: p.attempt,
-                            kind,
-                            iter,
-                            message,
-                        }),
-                    }
-                }
-                interrupted = Some(reason);
                 break;
             }
 
             let mut next: Vec<Attempt> = Vec::new();
-            for (p, outcome) in pending.iter().zip(round.outcomes) {
-                match outcome {
-                    Ok(mut out) => {
-                        if !p.prefix_draws.is_empty() {
-                            let mut draws = p.prefix_draws.clone();
-                            draws.append(&mut out.draws);
-                            out.draws = draws;
-                            let mut evals = p.prefix_evals.clone();
-                            evals.append(&mut out.evals_per_iter);
-                            out.evals_per_iter = evals;
-                        }
+            for (p, outcome) in pending.iter().zip(outcomes) {
+                let fault = match outcome {
+                    Ok(out) => {
                         completed.insert(p.chain, out);
+                        continue;
                     }
-                    Err((kind, iter, message)) => {
-                        let fault = ChainFault {
-                            chain: p.chain,
-                            attempt: p.attempt,
-                            kind,
-                            iter,
-                            message,
-                        };
-                        if cfg.recorder.enabled() {
-                            cfg.recorder.record(Event::ChainFault {
-                                chain: fault.chain as u64,
-                                attempt: fault.attempt as u64,
-                                kind: kind.tag().to_string(),
-                                iter: fault.iter.map(|i| i as u64),
-                                message: fault.message.clone(),
-                            });
-                        }
-                        let next_attempt = p.attempt + 1;
-                        if next_attempt < self.sup.retry.max_attempts {
-                            let _span = bayes_obs::span(bayes_obs::Phase::Retry);
-                            // A reseed-eligible fault at/past an
-                            // already-decided stop point is retried on
-                            // the SAME stream: the chain only has to
-                            // reach the decision, and the fault lies in
-                            // draws that will be discarded anyway —
-                            // reseeding would perturb the kept prefix.
-                            let past_decision = matches!(
-                                (fault.iter, decided),
-                                (Some(i), Some(t)) if i >= t
-                            );
-                            let reseed = self.sup.retry.reseed.reseed_for(kind) && !past_decision;
-                            let stream_seed = if reseed {
-                                StreamKey::new(cfg.seed)
-                                    .chain(p.chain as u64)
-                                    .purpose(Purpose::Retry(next_attempt))
-                                    .derive()
-                            } else {
-                                p.stream_seed
-                            };
-                            if cfg.recorder.enabled() {
-                                cfg.recorder.record(Event::ChainRetry {
-                                    chain: p.chain as u64,
-                                    attempt: next_attempt as u64,
-                                    reseed,
-                                    seed: stream_seed,
-                                });
-                            }
-                            next.push(Attempt {
-                                chain: p.chain,
-                                attempt: next_attempt,
-                                stream_seed,
-                                from: p.from.clone(),
-                                prefix_draws: p.prefix_draws.clone(),
-                                prefix_evals: p.prefix_evals.clone(),
-                            });
-                        } else {
-                            lost.insert(p.chain);
-                        }
-                        faults.push(fault);
-                    }
+                    Err(info) => p.fault(info),
+                };
+                if monitored.interrupted.is_some() {
+                    // The cut is cooperative: chains were cancelled at a
+                    // draw boundary and returned whatever they had. Keep
+                    // the partial draws and record faults without
+                    // retrying — the run is over.
+                    faults.push(fault);
+                    continue;
                 }
+                if cfg.recorder.enabled() {
+                    cfg.recorder.record(Event::ChainFault {
+                        chain: fault.chain as u64,
+                        attempt: fault.attempt as u64,
+                        kind: fault.kind.tag().to_string(),
+                        iter: fault.iter.map(|i| i as u64),
+                        message: fault.message.clone(),
+                    });
+                }
+                let next_attempt = p.attempt + 1;
+                if next_attempt < self.sup.retry.max_attempts {
+                    let _span = bayes_obs::span(bayes_obs::Phase::Retry);
+                    // A reseed-eligible fault at/past an already-decided
+                    // stop point is retried on the SAME stream: the chain
+                    // only has to reach the decision, and the fault lies
+                    // in draws that will be discarded anyway — reseeding
+                    // would perturb the kept prefix.
+                    let past_decision = matches!(
+                        (fault.iter, decided),
+                        (Some(i), Some(t)) if i >= t
+                    );
+                    let reseed = self.sup.retry.reseed.reseed_for(fault.kind) && !past_decision;
+                    let stream_seed = if reseed {
+                        StreamKey::new(cfg.seed)
+                            .chain(p.chain as u64)
+                            .purpose(Purpose::Retry(next_attempt))
+                            .derive()
+                    } else {
+                        p.stream_seed
+                    };
+                    if cfg.recorder.enabled() {
+                        cfg.recorder.record(Event::ChainRetry {
+                            chain: p.chain as u64,
+                            attempt: next_attempt as u64,
+                            reseed,
+                            seed: stream_seed,
+                        });
+                    }
+                    next.push(Attempt {
+                        attempt: next_attempt,
+                        stream_seed,
+                        ..p.clone()
+                    });
+                } else {
+                    lost.insert(p.chain);
+                }
+                faults.push(fault);
+            }
+            if let Some(reason) = monitored.interrupted {
+                interrupted = Some(reason);
+                break;
             }
             pending = next;
 
@@ -991,23 +1039,8 @@ impl Runtime {
             && completed.len() >= self.sup.min_quorum.max(2)
         {
             let views: Vec<&[Vec<f64>]> = completed.values().map(|c| c.draws.as_slice()).collect();
-            let mut streak = 0usize;
-            for t in self.detector.checkpoints(cfg.iters) {
-                if views.iter().any(|v| v.len() < t) {
-                    break;
-                }
-                let _span = bayes_obs::span(bayes_obs::Phase::CheckpointDiag);
-                let r = self.detector.rhat_at(&views, t);
-                if r.is_finite() && r < self.detector.threshold() {
-                    streak += 1;
-                    if streak >= self.detector.consecutive() {
-                        decided = Some(t);
-                        break;
-                    }
-                } else {
-                    streak = 0;
-                }
-            }
+            let null = bayes_obs::RecorderHandle::null();
+            decided = self.detector.replay(&views, &null).converged_at;
         }
 
         if let Some(t) = decided {
@@ -1083,9 +1116,11 @@ impl Runtime {
 
     /// Runs one round: every pending attempt on its own OS thread, a
     /// monitor thread walking the checkpoint schedule (convergence +
-    /// checkpoint writes) and policing the stall deadline.
+    /// checkpoint writes) and policing the stall deadline. Returns each
+    /// attempt's chain output or the fault that ended it, in `pending`
+    /// order, and what the monitor decided.
     #[allow(clippy::too_many_arguments)]
-    fn run_round<S: ResumableSampler + Sync>(
+    fn run_round<S: Sampler>(
         &self,
         sampler: &S,
         model: &dyn Model,
@@ -1097,553 +1132,358 @@ impl Runtime {
         decided: Option<usize>,
         write_checkpoints: bool,
         deadline_at: Option<Instant>,
-    ) -> Result<RoundResult, RunError> {
-        let n = pending.len();
+    ) -> Result<(Vec<Result<ChainOutput, FaultInfo>>, Monitored), RunError> {
         // Convergence may only be decided while enough chains
         // participate (quorum, and ≥ 2 for R̂ itself).
-        let monitoring = decided.is_none() && (completed.len() + n) >= self.sup.min_quorum.max(2);
-        let walk = monitoring || write_checkpoints;
-
-        let cancels: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let chain_done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let fault_slots: Vec<Mutex<Option<FaultInfo>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let buffers: Vec<Mutex<Vec<Vec<f64>>>> = pending
-            .iter()
-            .map(|p| Mutex::new(p.prefix_draws.clone()))
-            .collect();
-        let snapshots: Vec<Mutex<BTreeMap<usize, SamplerCheckpoint>>> =
-            (0..n).map(|_| Mutex::new(BTreeMap::new())).collect();
-        let round_stopped: Mutex<Option<usize>> = Mutex::new(None);
-        // A pause can only commit in a round that writes checkpoints;
-        // retry rounds run with the control inert (no chain parks).
-        let pause: Option<Arc<PauseControl>> = if write_checkpoints {
-            self.sup.pause.clone()
-        } else {
-            None
+        let monitoring =
+            decided.is_none() && (completed.len() + pending.len()) >= self.sup.min_quorum.max(2);
+        let round = Round {
+            slots: pending
+                .iter()
+                .map(|p| Slot {
+                    buffer: Mutex::new(p.from.as_ref().map_or_else(Vec::new, |f| f.draws.clone())),
+                    ..Slot::default()
+                })
+                .collect(),
+            gate: MonitorGate::new(pending.iter().map(Attempt::prefix)),
+            segments,
+            write_checkpoints,
+            target: decided,
+            iters: cfg.iters,
+            injector: self.sup.injector.as_deref(),
+            pause: self.sup.pause.as_deref().filter(|_| write_checkpoints),
+            abort: self.sup.abort.as_deref(),
         };
-        let round_paused: Mutex<Option<(usize, Vec<ChainCheckpoint>)>> = Mutex::new(None);
-        let round_interrupted: Mutex<Option<Interrupt>> = Mutex::new(None);
-        let gate = MonitorGate::new(pending.iter().map(|p| p.prefix_draws.len()));
-        // Chain index → pending slot, for assembling R̂ snapshots in
-        // chain order.
-        let mut slot_of: Vec<Option<usize>> = vec![None; cfg.chains];
-        for (i, p) in pending.iter().enumerate() {
-            slot_of[p.chain] = Some(i);
-        }
+        let detector = &self.detector;
+        let cancel_all = || round.slots.iter().for_each(Slot::cancel);
 
-        let outcomes: Result<Vec<Result<ChainOutput, FaultInfo>>, RunError> =
-            crossbeam::thread::scope(|scope| {
-                let monitor = {
-                    let cancels = &cancels;
-                    let chain_done = &chain_done;
-                    let fault_slots = &fault_slots;
-                    let buffers = &buffers;
-                    let snapshots = &snapshots;
-                    let round_stopped = &round_stopped;
-                    let round_paused = &round_paused;
-                    let round_interrupted = &round_interrupted;
-                    let abort = self.sup.abort.clone();
-                    let pause = pause.clone();
-                    let gate = &gate;
-                    let slot_of = &slot_of;
-                    let detector = &self.detector;
-                    let stall_deadline = self.sup.stall_deadline;
-                    let checkpoint_path = self.sup.checkpoint_path.clone();
-                    let telemetry = self.sup.telemetry.clone();
-                    let model_name = model.name().to_string();
-                    scope.spawn(move |_| {
-                        let _prof_scope = cfg.profiler.install(None);
-                        let mut schedule = detector.checkpoints(cfg.iters);
-                        let mut pending_ck = if walk { schedule.next() } else { None };
-                        let mut streak = 0usize;
-                        let mut heartbeats: Vec<(usize, Instant)> = buffers
-                            .iter()
-                            .map(|b| (b.lock().len(), Instant::now()))
-                            .collect();
-                        // Boundary a requested pause will commit at,
-                        // once published; `pause_dead` marks a pause
-                        // abandoned for the rest of the round.
-                        let mut pause_target: Option<usize> = None;
-                        let mut pause_dead = false;
-                        loop {
-                            // Deadline/abort cut: cancel every chain
-                            // cooperatively (the same flag the elision
-                            // stop uses — no RNG is touched) and end
-                            // the round with the partial buffers.
-                            let cut = if abort.as_deref().is_some_and(|a| a.load(Ordering::Acquire))
+        std::thread::scope(|scope| {
+            let monitor = scope.spawn(|| {
+                let _prof_scope = cfg.profiler.install(None);
+                let mut out = Monitored::default();
+                let mut schedule = detector.checkpoints(cfg.iters);
+                let mut pending_ck = if monitoring || write_checkpoints {
+                    schedule.next()
+                } else {
+                    None
+                };
+                let mut streak = 0usize;
+                let mut heartbeats: Vec<(usize, Instant)> = round
+                    .slots
+                    .iter()
+                    .map(|s| (s.len(), Instant::now()))
+                    .collect();
+                // Boundary a requested pause will commit at, once
+                // published; `pause_dead` marks a pause abandoned for the
+                // rest of the round.
+                let mut pause_target: Option<usize> = None;
+                let mut pause_dead = false;
+                loop {
+                    // Deadline/abort cut: cancel every chain
+                    // cooperatively (the same flag the convergence stop
+                    // uses — no RNG is touched) and end the round with
+                    // the partial buffers.
+                    let cut = if round.abort.is_some_and(|a| a.load(Ordering::Acquire)) {
+                        Some(Interrupt::Aborted)
+                    } else if deadline_at.is_some_and(|d| Instant::now() >= d) {
+                        Some(Interrupt::DeadlineExpired)
+                    } else {
+                        None
+                    };
+                    if let Some(reason) = cut {
+                        out.interrupted = Some(reason);
+                        cancel_all();
+                        break;
+                    }
+                    if let Some(pc) = round.pause {
+                        if !pause_dead && pause_target.is_none() && pc.is_requested() {
+                            // Publish the first remaining boundary every
+                            // chain can still reach; chains freeze at
+                            // their next draw until it lands, then run
+                            // exactly to it.
+                            let max_len = round.slots.iter().map(Slot::len).max().unwrap_or(0);
+                            let floor = pending_ck.unwrap_or(usize::MAX);
+                            // Not the boundary the round resumed at: the
+                            // chains crossed it in an earlier placement
+                            // and will deliver no snapshot for it in this
+                            // one.
+                            let resumed_at = pending.iter().map(Attempt::prefix).max();
+                            match segments
+                                .iter()
+                                .copied()
+                                .find(|&b| b >= max_len && b >= floor && Some(b) > resumed_at)
                             {
-                                Some(Interrupt::Aborted)
-                            } else if deadline_at.is_some_and(|d| Instant::now() >= d) {
-                                Some(Interrupt::DeadlineExpired)
+                                Some(t) => {
+                                    pause_target = Some(t);
+                                    pc.set_limit(t);
+                                }
+                                None => {
+                                    // Past the last boundary: let the run
+                                    // finish.
+                                    pause_dead = true;
+                                    pc.release();
+                                }
+                            }
+                        }
+                        if let Some(t) = pause_target {
+                            // A chain that ended below the boundary can
+                            // never deliver its snapshot; abandon the
+                            // pause so parked chains don't wait on it
+                            // forever.
+                            let unreachable = round.slots.iter().any(|s| {
+                                (s.done.load(Ordering::Acquire) || s.cancelled()) && s.len() < t
+                            });
+                            if unreachable {
+                                pause_target = None;
+                                pause_dead = true;
+                                pc.release();
+                            }
+                        }
+                    }
+                    if let Some(t) = pending_ck.filter(|&t| round.gate.progress() >= t) {
+                        if monitoring {
+                            let _span = bayes_obs::span(bayes_obs::Phase::CheckpointDiag);
+                            // R̂ over chain-ordered prefixes: finished
+                            // chains contribute their stored draws,
+                            // running chains their live buffers; lost
+                            // chains are simply absent.
+                            let snaps: Vec<Vec<Vec<f64>>> = (0..cfg.chains)
+                                .filter_map(|c| match completed.get(&c) {
+                                    Some(out) => Some(out.draws[..t].to_vec()),
+                                    None => pending
+                                        .iter()
+                                        .position(|p| p.chain == c)
+                                        .map(|i| lock(&round.slots[i].buffer)[..t].to_vec()),
+                                })
+                                .collect();
+                            let views: Vec<&[Vec<f64>]> =
+                                snaps.iter().map(|s| s.as_slice()).collect();
+                            let r = detector.rhat_at(&views, t);
+                            if r.is_finite() && r < detector.threshold() {
+                                streak += 1;
                             } else {
-                                None
-                            };
-                            if let Some(reason) = cut {
-                                *round_interrupted.lock() = Some(reason);
-                                for cancel in cancels {
-                                    cancel.store(true, Ordering::Release);
-                                }
-                                break;
+                                streak = 0;
                             }
-                            if let Some(pc) = pause.as_deref() {
-                                if !pause_dead && pause_target.is_none() && pc.is_requested() {
-                                    // Publish the first remaining
-                                    // boundary every chain can still
-                                    // reach; chains freeze at their
-                                    // next draw until it lands, then
-                                    // run exactly to it.
-                                    let max_len =
-                                        buffers.iter().map(|b| b.lock().len()).max().unwrap_or(0);
-                                    let floor = pending_ck.unwrap_or(usize::MAX);
-                                    // Not the boundary the round resumed
-                                    // at: the chains crossed it in an
-                                    // earlier placement and will deliver
-                                    // no snapshot for it in this one.
-                                    let resumed_at =
-                                        pending.iter().map(|p| p.prefix_draws.len()).max();
-                                    match segments.iter().copied().find(|&b| {
-                                        b >= max_len && b >= floor && Some(b) > resumed_at
-                                    }) {
-                                        Some(t) => {
-                                            pause_target = Some(t);
-                                            pc.set_limit(t);
-                                        }
-                                        None => {
-                                            // Past the last boundary:
-                                            // let the run finish.
-                                            pause_dead = true;
-                                            pc.release();
-                                        }
-                                    }
-                                }
-                                if let Some(t) = pause_target {
-                                    // A chain that ended below the
-                                    // boundary can never deliver its
-                                    // snapshot; abandon the pause so
-                                    // parked chains don't wait on it
-                                    // forever.
-                                    let unreachable = (0..n).any(|i| {
-                                        (chain_done[i].load(Ordering::Acquire)
-                                            || cancels[i].load(Ordering::Acquire))
-                                            && buffers[i].lock().len() < t
-                                    });
-                                    if unreachable {
-                                        pause_target = None;
-                                        pause_dead = true;
-                                        pc.release();
-                                    }
-                                }
+                            let converged = streak >= detector.consecutive();
+                            if cfg.recorder.enabled() {
+                                cfg.recorder.record(Event::Checkpoint {
+                                    source: CheckpointSource::Online,
+                                    iter: t as u64,
+                                    max_rhat: r,
+                                    streak: streak as u64,
+                                    converged,
+                                });
                             }
-                            if let Some(t) = pending_ck {
-                                if gate.progress() >= t {
-                                    if monitoring {
-                                        let _span =
-                                            bayes_obs::span(bayes_obs::Phase::CheckpointDiag);
-                                        // R̂ over chain-ordered prefixes:
-                                        // finished chains contribute their
-                                        // stored draws, running chains
-                                        // their live buffers; lost chains
-                                        // are simply absent.
-                                        let snaps: Vec<Vec<Vec<f64>>> = (0..cfg.chains)
-                                            .filter_map(|c| {
-                                                if let Some(out) = completed.get(&c) {
-                                                    Some(out.draws[..t].to_vec())
-                                                } else {
-                                                    slot_of[c]
-                                                        .map(|i| buffers[i].lock()[..t].to_vec())
-                                                }
-                                            })
-                                            .collect();
-                                        let views: Vec<&[Vec<f64>]> =
-                                            snaps.iter().map(|s| s.as_slice()).collect();
-                                        let r = detector.rhat_at(&views, t);
-                                        if r.is_finite() && r < detector.threshold() {
-                                            streak += 1;
-                                        } else {
-                                            streak = 0;
-                                        }
-                                        let converged = streak >= detector.consecutive();
-                                        if cfg.recorder.enabled() {
-                                            cfg.recorder.record(Event::Checkpoint {
-                                                source: CheckpointSource::Online,
-                                                iter: t as u64,
-                                                max_rhat: r,
-                                                streak: streak as u64,
-                                                converged,
-                                            });
-                                        }
-                                        if converged {
-                                            *round_stopped.lock() = Some(t);
-                                            for cancel in cancels {
-                                                cancel.store(true, Ordering::Release);
-                                            }
-                                            break;
-                                        }
-                                    }
-                                    if write_checkpoints {
-                                        if let Some(path) = &checkpoint_path {
-                                            let have_all =
-                                                snapshots.iter().all(|s| s.lock().contains_key(&t));
-                                            if have_all {
-                                                let ck_started = Instant::now();
-                                                let chain_states: Vec<ChainCheckpoint> = pending
-                                                    .iter()
-                                                    .enumerate()
-                                                    .map(|(i, p)| {
-                                                        let mut sck = snapshots[i]
-                                                            .lock()
-                                                            .get(&t)
-                                                            .cloned()
-                                                            .expect("checked above");
-                                                        let mut evals = p.prefix_evals.clone();
-                                                        evals.extend(
-                                                            sck.evals_per_iter.iter().copied(),
-                                                        );
-                                                        sck.evals_per_iter = Vec::new();
-                                                        ChainCheckpoint {
-                                                            chain: p.chain,
-                                                            stream_seed: p.stream_seed,
-                                                            draws: buffers[i].lock()[..t].to_vec(),
-                                                            evals_per_iter: evals,
-                                                            sampler: sck,
-                                                        }
-                                                    })
-                                                    .collect();
-                                                let ck = RunCheckpoint {
-                                                    version: CHECKPOINT_VERSION,
-                                                    model: model.name().to_string(),
-                                                    dim: model.dim(),
-                                                    seed: cfg.seed,
-                                                    chains: cfg.chains,
-                                                    iters: cfg.iters,
-                                                    warmup: cfg.warmup,
-                                                    detector: DetectorFingerprint {
-                                                        threshold: detector.threshold(),
-                                                        check_every: detector.check_every(),
-                                                        min_iters: detector.min_iters(),
-                                                        consecutive: detector.consecutive(),
-                                                    },
-                                                    iter: t,
-                                                    chain_states,
-                                                };
-                                                // Best-effort: an unwritable
-                                                // checkpoint must not kill a
-                                                // healthy run.
-                                                let saved = ck.save(path).is_ok();
-                                                if saved && cfg.recorder.enabled() {
-                                                    cfg.recorder.record(Event::CheckpointSaved {
-                                                        path: path.display().to_string(),
-                                                        iter: t as u64,
-                                                        chains: cfg.chains as u64,
-                                                    });
-                                                }
-                                                for s in snapshots {
-                                                    s.lock().retain(|&k, _| k > t);
-                                                }
-                                                // A chain blocked on its
-                                                // buffer lock while the
-                                                // assembly cloned it must
-                                                // not see that time on its
-                                                // progress clock.
-                                                let spent = ck_started.elapsed();
-                                                for hb in heartbeats.iter_mut() {
-                                                    hb.1 += spent;
-                                                }
-                                                if pause_target == Some(t) {
-                                                    if saved {
-                                                        *round_paused.lock() =
-                                                            Some((t, ck.chain_states));
-                                                        if let Some(pc) = pause.as_deref() {
-                                                            pc.mark_paused();
-                                                        }
-                                                        for cancel in cancels {
-                                                            cancel.store(true, Ordering::Release);
-                                                        }
-                                                        break;
-                                                    }
-                                                    // An unwritable pause
-                                                    // checkpoint cannot
-                                                    // preempt: release the
-                                                    // parked chains and let
-                                                    // the run finish.
-                                                    pause_target = None;
-                                                    pause_dead = true;
-                                                    if let Some(pc) = pause.as_deref() {
-                                                        pc.release();
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                    pending_ck = schedule.next();
-                                    continue;
-                                }
-                            }
-                            // Stall watchdog: a running, uncancelled chain
-                            // whose draw count has not advanced within the
-                            // deadline is cancelled and marked Stalled.
-                            // Cancellation is cooperative and touches no
-                            // RNG, so a same-stream retry reproduces the
-                            // chain's draws exactly.
-                            // The monitor sleeps until the earliest thing
-                            // it owns is due: the run deadline, a chain's
-                            // stall deadline, the telemetry cadence.
-                            let now = Instant::now();
-                            let mut wake_at =
-                                deadline_at.map_or(now + MONITOR_NAP, |d| d.min(now + MONITOR_NAP));
-                            if let Some(deadline) = stall_deadline {
-                                // Chains parked by a pause request are
-                                // waiting on the supervisor, not
-                                // stalled: keep their clocks current.
-                                // While the boundary is unpublished
-                                // (limit 0) every chain is about to
-                                // park, so all are exempt.
-                                let hold_limit = pause
-                                    .as_deref()
-                                    .filter(|pc| pc.is_requested())
-                                    .map(PauseControl::limit);
-                                for i in 0..n {
-                                    if chain_done[i].load(Ordering::Acquire)
-                                        || cancels[i].load(Ordering::Acquire)
-                                    {
-                                        continue;
-                                    }
-                                    let len = buffers[i].lock().len();
-                                    if len > heartbeats[i].0 {
-                                        heartbeats[i] = (len, now);
-                                    } else if hold_limit.is_some_and(|l| len >= l) {
-                                        heartbeats[i].1 = now;
-                                    }
-                                    if now.duration_since(heartbeats[i].1) < deadline {
-                                        wake_at = wake_at.min(heartbeats[i].1 + deadline);
-                                    } else {
-                                        let mut slot = fault_slots[i].lock();
-                                        if slot.is_none() {
-                                            *slot = Some((
-                                                FaultKind::Stalled,
-                                                Some(len),
-                                                format!("no progress within {deadline:?}"),
-                                            ));
-                                        }
-                                        drop(slot);
-                                        cancels[i].store(true, Ordering::Release);
-                                    }
-                                }
-                            }
-                            // Live telemetry: cadence-checked each time
-                            // the monitor wakes. The monitor thread is off
-                            // the sampling hot path, and the sampler
-                            // only observes (cumulative snapshot in,
-                            // metrics_sample event out) — chains never
-                            // see it.
-                            if telemetry.enabled() {
-                                telemetry.maybe_sample(
-                                    &model_name,
-                                    gate.progress() as u64,
-                                    &cfg.profiler.snapshot(),
-                                );
-                            }
-                            if let Some(due) = telemetry.due_in() {
-                                wake_at = wake_at.min(now + due);
-                            }
-                            if !gate.park(pending_ck, wake_at.saturating_duration_since(now)) {
+                            if converged {
+                                out.decided = Some(t);
+                                cancel_all();
                                 break;
                             }
                         }
+                        let path = self.sup.checkpoint_path.as_ref();
+                        let have_all = || {
+                            let mut slots = round.slots.iter();
+                            slots.all(|s| lock(&s.snapshots).contains_key(&t))
+                        };
+                        if let Some(path) = path.filter(|_| write_checkpoints && have_all()) {
+                            let ck_started = Instant::now();
+                            let chain_states: Vec<ChainCheckpoint> = pending
+                                .iter()
+                                .zip(&round.slots)
+                                .map(|(p, slot)| {
+                                    let mut sampler = {
+                                        let mut snaps = lock(&slot.snapshots);
+                                        let at_t = snaps.remove(&t);
+                                        snaps.retain(|&k, _| k > t);
+                                        at_t.expect("checked above")
+                                    };
+                                    ChainCheckpoint {
+                                        chain: p.chain,
+                                        stream_seed: p.stream_seed,
+                                        draws: lock(&slot.buffer)[..t].to_vec(),
+                                        evals_per_iter: std::mem::take(&mut sampler.evals_per_iter),
+                                        sampler,
+                                    }
+                                })
+                                .collect();
+                            let ck = RunCheckpoint {
+                                version: CHECKPOINT_VERSION,
+                                model: model.name().to_string(),
+                                dim: model.dim(),
+                                seed: cfg.seed,
+                                chains: cfg.chains,
+                                iters: cfg.iters,
+                                warmup: cfg.warmup,
+                                detector: self.fingerprint(),
+                                iter: t,
+                                chain_states,
+                            };
+                            // Best-effort: an unwritable checkpoint must
+                            // not kill a healthy run.
+                            let saved = ck.save(path).is_ok();
+                            if saved && cfg.recorder.enabled() {
+                                cfg.recorder.record(Event::CheckpointSaved {
+                                    path: path.display().to_string(),
+                                    iter: t as u64,
+                                    chains: cfg.chains as u64,
+                                });
+                            }
+                            // A chain blocked on its buffer lock while the
+                            // assembly cloned it must not see that time
+                            // on its progress clock.
+                            let spent = ck_started.elapsed();
+                            for hb in heartbeats.iter_mut() {
+                                hb.1 += spent;
+                            }
+                            if pause_target == Some(t) {
+                                let pc = round.pause.expect("a pause target implies a pause");
+                                if saved {
+                                    out.paused = Some((t, ck.chain_states));
+                                    pc.mark_paused();
+                                    cancel_all();
+                                    break;
+                                }
+                                // An unwritable pause checkpoint cannot
+                                // preempt: release the parked chains and
+                                // let the run finish.
+                                pause_target = None;
+                                pause_dead = true;
+                                pc.release();
+                            }
+                        }
+                        pending_ck = schedule.next();
+                        continue;
+                    }
+                    // The monitor sleeps until the earliest thing it
+                    // owns is due: the run deadline, a chain's stall
+                    // deadline, the telemetry cadence.
+                    let now = Instant::now();
+                    let mut wake_at =
+                        deadline_at.map_or(now + MONITOR_NAP, |d| d.min(now + MONITOR_NAP));
+                    // Stall watchdog: a running, uncancelled chain whose
+                    // draw count has not advanced within the deadline is
+                    // cancelled and marked Stalled. Cancellation is
+                    // cooperative and touches no RNG, so a same-stream
+                    // retry reproduces the chain's draws exactly.
+                    if let Some(deadline) = self.sup.stall_deadline {
+                        // Chains parked by a pause request are waiting on
+                        // the supervisor, not stalled: keep their clocks
+                        // current. While the boundary is unpublished
+                        // (limit 0) every chain is about to park, so all
+                        // are exempt.
+                        let hold_limit = round
+                            .pause
+                            .filter(|pc| pc.is_requested())
+                            .map(PauseControl::limit);
+                        for (slot, hb) in round.slots.iter().zip(heartbeats.iter_mut()) {
+                            if slot.done.load(Ordering::Acquire) || slot.cancelled() {
+                                continue;
+                            }
+                            let len = slot.len();
+                            if len > hb.0 {
+                                *hb = (len, now);
+                            } else if hold_limit.is_some_and(|l| len >= l) {
+                                hb.1 = now;
+                            }
+                            if now.duration_since(hb.1) < deadline {
+                                wake_at = wake_at.min(hb.1 + deadline);
+                            } else {
+                                let message = format!("no progress within {deadline:?}");
+                                slot.fail(FaultKind::Stalled, Some(len), message);
+                            }
+                        }
+                    }
+                    // Live telemetry: cadence-checked each time the
+                    // monitor wakes. The monitor thread is off the
+                    // sampling hot path, and the sampler only observes
+                    // (cumulative snapshot in, metrics_sample event out)
+                    // — chains never see it.
+                    let telemetry = &self.sup.telemetry;
+                    if telemetry.enabled() {
+                        let progress = round.gate.progress() as u64;
+                        telemetry.maybe_sample(model.name(), progress, &cfg.profiler.snapshot());
+                    }
+                    if let Some(due) = telemetry.due_in() {
+                        wake_at = wake_at.min(now + due);
+                    }
+                    if !round
+                        .gate
+                        .park(pending_ck, wake_at.saturating_duration_since(now))
+                    {
+                        break;
+                    }
+                }
+                out
+            });
+
+            let workers: Vec<_> = pending
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let round = &round;
+                    let cfg_c = cfg.for_chain(p.chain);
+                    scope.spawn(move || {
+                        let watch = Watch {
+                            round,
+                            slot: i,
+                            chain: p.chain,
+                            attempt: p.attempt,
+                        };
+                        let (init, from) = (&inits[p.chain], p.from.as_ref());
+                        let result = catch_unwind(AssertUnwindSafe(|| {
+                            run_chain(
+                                sampler,
+                                model,
+                                init,
+                                &cfg_c,
+                                p.stream_seed,
+                                from,
+                                Some(&watch),
+                            )
+                        }));
+                        // Chain end, faults included: the monitor may be
+                        // waiting on a boundary this chain will never
+                        // reach.
+                        round.slots[i].done.store(true, Ordering::Release);
+                        round.gate.wake();
+                        result
                     })
-                };
+                })
+                .collect();
 
-                let workers: Vec<_> = pending
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        let cancel = &cancels[i];
-                        let finished = &chain_done[i];
-                        let slot = &fault_slots[i];
-                        let buffer = &buffers[i];
-                        let snaps = &snapshots[i];
-                        let gate = &gate;
-                        let injector = self.sup.injector.clone();
-                        let pause_w = pause.clone();
-                        let abort_w = self.sup.abort.clone();
-                        let total_iters = cfg.iters;
-                        let chain = p.chain;
-                        let attempt = p.attempt;
-                        let seed = p.stream_seed;
-                        let from = p.from.as_ref();
-                        let init = &inits[chain];
-                        let cfg_c = cfg.for_chain(chain);
-                        let target = decided;
-                        let chain_segments: &[usize] =
-                            if segments.is_empty() { &[] } else { segments };
-                        scope.spawn(move |_| {
-                            let _prof_scope = cfg_c.profiler.install(Some(chain as u64));
-                            let on_draw = move |iter: usize, draw: &[f64]| {
-                                let mut poisoned = false;
-                                if let Some(inj) = injector.as_deref() {
-                                    match inj.inject(chain, attempt, iter) {
-                                        Some(InjectedFault::Panic) => {
-                                            panic!(
-                                                "injected panic (chain {chain}, iteration {iter})"
-                                            )
-                                        }
-                                        Some(InjectedFault::Stall) => {
-                                            while !cancel.load(Ordering::Acquire) {
-                                                std::thread::sleep(Duration::from_millis(1));
-                                            }
-                                            return;
-                                        }
-                                        Some(InjectedFault::Diverge) => {
-                                            let mut s = slot.lock();
-                                            if s.is_none() {
-                                                *s = Some((
-                                                    FaultKind::Diverged,
-                                                    Some(iter),
-                                                    "injected divergence".to_string(),
-                                                ));
-                                            }
-                                            drop(s);
-                                            cancel.store(true, Ordering::Release);
-                                            return;
-                                        }
-                                        Some(InjectedFault::NonFinite) => poisoned = true,
-                                        None => {}
-                                    }
-                                }
-                                // Validate before the buffer sees the
-                                // draw: a poisoned vector must never
-                                // reach R̂ or a checkpoint.
-                                if poisoned || draw.iter().any(|v| !v.is_finite()) {
-                                    let mut s = slot.lock();
-                                    if s.is_none() {
-                                        *s = Some((
-                                            FaultKind::NonFinite,
-                                            Some(iter),
-                                            format!("non-finite draw at iteration {iter}"),
-                                        ));
-                                    }
-                                    drop(s);
-                                    cancel.store(true, Ordering::Release);
-                                    return;
-                                }
-                                let len = {
-                                    let mut b = buffer.lock();
-                                    b.push(draw.to_vec());
-                                    b.len()
-                                };
-                                if let Some(t) = target {
-                                    if len >= t {
-                                        cancel.store(true, Ordering::Release);
-                                    }
-                                }
-                                gate.advance(i, len);
-                                // An abort, or a pause whose boundary is
-                                // still to be picked, is the monitor's to
-                                // act on — at this draw, not at its next
-                                // boundary.
-                                if abort_w
-                                    .as_deref()
-                                    .is_some_and(|a| a.load(Ordering::Acquire))
-                                    || pause_w
-                                        .as_deref()
-                                        .is_some_and(|pc| pc.is_requested() && pc.limit() == 0)
-                                {
-                                    gate.wake();
-                                }
-                                // Pause park: once a pause is
-                                // requested, a chain at or past the
-                                // published boundary (0 until the
-                                // monitor picks it) idles here —
-                                // after the draw and the snapshot are
-                                // visible — until the pause commits
-                                // (cancel) or is abandoned (limit
-                                // raised to MAX). The hold touches no
-                                // RNG, so draws are unaffected.
-                                if let Some(pc) = pause_w.as_deref() {
-                                    while pc.is_requested()
-                                        && len >= pc.limit()
-                                        && len < total_iters
-                                        && !cancel.load(Ordering::Acquire)
-                                    {
-                                        std::thread::sleep(Duration::from_millis(1));
-                                    }
-                                }
-                            };
-                            let on_snapshot = move |s: SamplerCheckpoint| {
-                                if write_checkpoints {
-                                    snaps.lock().insert(s.iter, s);
-                                }
-                            };
-                            let hooks = ChainHooks {
-                                stop: cancel,
-                                on_draw: &on_draw,
-                                segments: chain_segments,
-                                on_snapshot: &on_snapshot,
-                            };
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                sampler
-                                    .sample_chain_resumable(model, init, &cfg_c, seed, from, &hooks)
-                            }));
-                            // Chain end, faults included: the monitor may
-                            // be waiting on a boundary this chain will
-                            // never reach.
-                            finished.store(true, Ordering::Release);
-                            gate.wake();
-                            result
-                        })
-                    })
-                    .collect();
-
-                let joined: Vec<_> = workers.into_iter().map(|h| h.join()).collect();
-                gate.finish();
-                let monitor_result = monitor.join();
-
-                let mut outcomes = Vec::with_capacity(n);
-                for (i, join_result) in joined.into_iter().enumerate() {
-                    // Flatten join-level and catch_unwind-level panics:
-                    // both mean the attempt unwound.
-                    let flat = match join_result {
-                        Ok(inner) => inner,
-                        Err(payload) => Err(payload),
-                    };
-                    let outcome = match flat {
-                        Err(payload) => Err((
-                            FaultKind::Panic,
-                            Some(buffers[i].lock().len()),
-                            panic_message(payload.as_ref()).to_string(),
-                        )),
-                        Ok(out) => match fault_slots[i].lock().take() {
-                            Some(fault) => Err(fault),
-                            None => match self.sup.max_divergences {
-                                Some(max) if out.divergences > max => Err((
-                                    FaultKind::Diverged,
-                                    None,
-                                    format!(
-                                        "{} post-warmup divergences exceed the budget of {max}",
-                                        out.divergences
-                                    ),
-                                )),
-                                _ => Ok(out),
-                            },
+            let joined: Vec<_> = workers.into_iter().map(|h| h.join()).collect();
+            round.gate.finish();
+            let monitored = monitor.join().map_err(|payload| RunError::Monitor {
+                message: panic_message(payload.as_ref()).to_string(),
+            })?;
+            let outcomes = joined
+                .into_iter()
+                .zip(&round.slots)
+                .map(|(joined, slot)| match joined.and_then(|caught| caught) {
+                    // Join-level and catch_unwind-level panics alike: the
+                    // attempt unwound.
+                    Err(payload) => Err((
+                        FaultKind::Panic,
+                        Some(slot.len()),
+                        panic_message(payload.as_ref()).to_string(),
+                    )),
+                    Ok(out) => match lock(&slot.fault).take() {
+                        Some(fault) => Err(fault),
+                        None => match self.sup.max_divergences {
+                            Some(max) if out.divergences > max => Err((
+                                FaultKind::Diverged,
+                                None,
+                                format!(
+                                    "{} post-warmup divergences exceed the budget of {max}",
+                                    out.divergences
+                                ),
+                            )),
+                            _ => Ok(out),
                         },
-                    };
-                    outcomes.push(outcome);
-                }
-                if let Err(payload) = monitor_result {
-                    return Err(RunError::Monitor {
-                        message: panic_message(payload.as_ref()).to_string(),
-                    });
-                }
-                Ok(outcomes)
-            })
-            .expect("crossbeam scope failed after all children were joined");
-
-        let decided = *round_stopped.lock();
-        Ok(RoundResult {
-            outcomes: outcomes?,
-            decided,
-            paused: round_paused.into_inner(),
-            interrupted: round_interrupted.into_inner(),
+                    },
+                })
+                .collect();
+            Ok((outcomes, monitored))
         })
     }
 }
@@ -1651,6 +1491,8 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::tests::Scripted;
+    use crate::chain::Env;
     use crate::model::{AdModel, LogDensity};
     use crate::nuts::Nuts;
     use bayes_autodiff::Real;
@@ -1718,130 +1560,22 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn checkpointing_requires_a_resumable_sampler() {
-        let model = AdModel::new("g", Gauss);
-        let cfg = RunConfig::new(50).with_chains(2).with_seed(1);
-        let path = std::env::temp_dir().join("bayes_mcmc_supervisor_mh_ck.json");
-        let rt = Runtime::new(unreachable_detector())
-            .with_config(SupervisorConfig::new().with_checkpoint_path(&path));
-        assert!(matches!(
-            rt.run(&crate::mh::MetropolisHastings::new(), &model, &cfg),
-            Err(RunError::Config(ConfigError::ResumeUnsupported))
-        ));
-    }
-
-    #[test]
-    fn mh_runs_supervised_without_checkpointing() {
-        let model = AdModel::new("g", Gauss);
-        let cfg = RunConfig::new(300).with_chains(2).with_seed(5);
-        let report = Runtime::new(unreachable_detector())
-            .run(&crate::mh::MetropolisHastings::new(), &model, &cfg)
-            .expect("healthy run");
-        assert!(!report.degraded);
-        assert_eq!(report.run.chains.len(), 2);
-        for c in &report.run.chains {
-            assert_eq!(c.draws.len(), 300);
-        }
-    }
-
-    /// A deterministic resumable sampler with per-chain speed
-    /// asymmetry: chain 0 sleeps `slow_ms` per iteration, the rest
-    /// `fast_ms`. Draw `i` is `[i; dim]`, snapshots land at every
-    /// segment boundary (before `on_draw`, like NUTS), and resume
-    /// continues from `from.iter` — enough to exercise the
+    /// Draw `i` is `[i; dim]`, and chain 0 sleeps `slow_ms` per
+    /// iteration, the rest `fast_ms`: enough to exercise the
     /// pause/park/watchdog plumbing without NUTS cost.
-    struct SleepyCounter {
+    fn sleepy(
         slow_ms: u64,
         fast_ms: u64,
-    }
-
-    impl crate::chain::Sampler for SleepyCounter {
-        fn sample_chain(
-            &self,
-            _model: &dyn Model,
-            _init: &[f64],
-            _cfg: &RunConfig,
-            _seed: u64,
-        ) -> ChainOutput {
-            unreachable!("the supervisor always uses the resumable path")
-        }
-    }
-
-    impl StoppableSampler for SleepyCounter {}
-
-    impl ResumableSampler for SleepyCounter {
-        fn supports_resume(&self) -> bool {
-            true
-        }
-
-        fn sample_chain_resumable(
-            &self,
-            model: &dyn Model,
-            _init: &[f64],
-            cfg: &RunConfig,
-            _seed: u64,
-            from: Option<&SamplerCheckpoint>,
-            hooks: &ChainHooks<'_>,
-        ) -> ChainOutput {
-            use crate::checkpoint::{DualAveragingState, WelfordState};
-            let start = from.map_or(0, |f| f.iter);
-            let delay = if cfg.chain_index == 0 {
-                self.slow_ms
+    ) -> Scripted<impl Fn(&mut Env<'_>, usize, &mut [f64]) + Sync> {
+        Scripted(move |env: &mut Env<'_>, iter, draw: &mut [f64]| {
+            let delay = if env.cfg.chain_index == 0 {
+                slow_ms
             } else {
-                self.fast_ms
+                fast_ms
             };
-            let mut draws = Vec::new();
-            for iter in start..cfg.iters {
-                std::thread::sleep(Duration::from_millis(delay));
-                let q = vec![iter as f64; model.dim()];
-                draws.push(q.clone());
-                let completed = iter + 1;
-                if hooks.segments.binary_search(&completed).is_ok() {
-                    (hooks.on_snapshot)(SamplerCheckpoint {
-                        iter: completed,
-                        q: q.clone(),
-                        lp: 0.0,
-                        grad: vec![0.0; model.dim()],
-                        eps: 0.1,
-                        inv_mass: vec![1.0; model.dim()],
-                        step_adapt: DualAveragingState {
-                            mu: 0.0,
-                            log_eps: 0.0,
-                            log_eps_bar: 0.0,
-                            h_bar: 0.0,
-                            t: 0.0,
-                            target: 0.8,
-                            gamma: 0.05,
-                            t0: 10.0,
-                            kappa: 0.75,
-                        },
-                        mass_adapt: WelfordState {
-                            n: 0.0,
-                            mean: vec![0.0; model.dim()],
-                            m2: vec![0.0; model.dim()],
-                        },
-                        accept_sum: 0.0,
-                        divergences: 0,
-                        grad_evals: completed as u64,
-                        evals_per_iter: vec![1; completed - start],
-                    });
-                }
-                (hooks.on_draw)(iter, &q);
-                if hooks.stop.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            let executed = draws.len();
-            ChainOutput {
-                draws,
-                warmup: cfg.warmup,
-                accept_mean: 1.0,
-                grad_evals: executed as u64,
-                divergences: 0,
-                evals_per_iter: vec![1; executed],
-            }
-        }
+            std::thread::sleep(Duration::from_millis(delay));
+            draw.fill(iter as f64);
+        })
     }
 
     #[test]
@@ -1878,10 +1612,7 @@ mod tests {
         // fast chains get there in ~20ms and park far past the 100ms
         // stall deadline. The parked time must not read as a stall.
         pause.request();
-        let sampler = SleepyCounter {
-            slow_ms: 8,
-            fast_ms: 1,
-        };
+        let sampler = sleepy(8, 1);
         let report = rt.run(&sampler, &model, &cfg).expect("pause commits");
         assert_eq!(report.paused_at, Some(20));
         assert!(pause.is_paused());
@@ -1928,10 +1659,7 @@ mod tests {
             .with_seed(3)
             .with_warmup(0);
         pause.request();
-        let sampler = SleepyCounter {
-            slow_ms: 1,
-            fast_ms: 1,
-        };
+        let sampler = sleepy(1, 1);
         let report = rt.run(&sampler, &model, &cfg).expect("run completes");
         let _ = std::fs::remove_file(&path);
         assert_eq!(report.paused_at, None);
@@ -2025,10 +1753,7 @@ mod tests {
         assert_eq!(boundaries, 8);
         // A millisecond a draw: slow enough that a monitor woken by
         // every draw would finish a pass, and sample, between any two.
-        let sampler = SleepyCounter {
-            slow_ms: 1,
-            fast_ms: 1,
-        };
+        let sampler = sleepy(1, 1);
         let report = Runtime::new(det)
             .with_config(
                 SupervisorConfig::new()
@@ -2067,10 +1792,7 @@ mod tests {
                 }))),
         );
         let cfg = RunConfig::new(200).with_chains(1).with_warmup(0);
-        let sampler = SleepyCounter {
-            slow_ms: 10,
-            fast_ms: 10,
-        };
+        let sampler = sleepy(10, 10);
         let report = rt.run(&sampler, &model, &cfg).expect("aborted run returns");
         assert_eq!(report.interrupted, Some(Interrupt::Aborted));
         // Raised while draw 10 is reported: the monitor cancels during
@@ -2090,10 +1812,7 @@ mod tests {
                 .with_deadline(Duration::from_millis(110)),
         );
         let cfg = RunConfig::new(200).with_chains(1).with_warmup(0);
-        let sampler = SleepyCounter {
-            slow_ms: 10,
-            fast_ms: 10,
-        };
+        let sampler = sleepy(10, 10);
         let report = rt.run(&sampler, &model, &cfg).expect("expired run returns");
         assert_eq!(report.interrupted, Some(Interrupt::DeadlineExpired));
         // 11 draws fit in the deadline and one more is in flight when
@@ -2120,10 +1839,7 @@ mod tests {
                 .with_injector(Arc::new(Trigger(3, move || request.request()))),
         );
         let cfg = RunConfig::new(100).with_chains(1).with_warmup(0);
-        let sampler = SleepyCounter {
-            slow_ms: 1,
-            fast_ms: 1,
-        };
+        let sampler = sleepy(1, 1);
         let started = Instant::now();
         let report = rt.run(&sampler, &model, &cfg).expect("pause commits");
         let took = started.elapsed();

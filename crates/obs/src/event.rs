@@ -74,7 +74,8 @@ fn parse_schema_version(s: &str) -> Result<(u64, u64), String> {
 /// Which convergence walker emitted a checkpoint event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointSource {
-    /// The live monitor thread inside `run_until_converged`.
+    /// The supervisor's live monitor thread (also behind
+    /// `run_until_converged`).
     Online,
     /// The post-hoc replay (`ConvergenceDetector::detect`).
     PostHoc,

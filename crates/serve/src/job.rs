@@ -7,16 +7,14 @@ use bayes_obs::Event;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-/// Which sampler a job runs under the supervisor.
-///
-/// Only NUTS supports checkpoint/resume, so only NUTS jobs are
-/// preemptible; a Metropolis–Hastings job runs to completion once
-/// placed and can only be scheduled around, not paused.
+/// Which sampler a job runs under the supervisor. The kernel is all
+/// it picks: every job is checkpointed, preemptible and recoverable
+/// the same way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplerKind {
-    /// The No-U-Turn Sampler (checkpointable, preemptible).
+    /// The No-U-Turn Sampler.
     Nuts,
-    /// Random-walk Metropolis–Hastings (non-preemptible).
+    /// Random-walk Metropolis–Hastings.
     Mh,
 }
 

@@ -27,15 +27,15 @@
 //!    cap the model uses only if its gradient is long enough to repay
 //!    a pool dispatch ([`bayes_mcmc::POOL_CROSSOVER_NODES`]).
 //! 4. Preemption: when the highest-priority pending job cannot fit,
-//!    the newest lowest-priority *preemptible* running job below that
-//!    priority is paused bit-exactly at its next checkpoint boundary
-//!    and re-queued; its next placement resumes from the checkpoint
-//!    with identical draws.
+//!    the newest lowest-priority running job below that priority is
+//!    paused bit-exactly at its next checkpoint boundary and re-queued;
+//!    its next placement resumes from the checkpoint with identical
+//!    draws.
 //!
 //! Durability (DESIGN.md § "Durability & recovery"): with a journal
 //! configured ([`ServerConfig::with_journal`]), every lifecycle
 //! transition is appended to a checksummed write-ahead log *before*
-//! its trace event is emitted, and every NUTS checkpoint lands in the
+//! its trace event is emitted, and every checkpoint lands in the
 //! [`CheckpointStore`] through an atomic two-generation write. A
 //! SIGKILL'd (or [`JobServer::kill`]ed) server restarts through
 //! [`JobServer::recover`], which replays the journal, re-queues every
@@ -63,8 +63,10 @@ use crate::store::CheckpointStore;
 use bayes_mcmc::mh::MetropolisHastings;
 use bayes_mcmc::nuts::Nuts;
 use bayes_mcmc::summary::{summarize, ParamSummary};
-use bayes_mcmc::supervisor::{Interrupt, PauseControl, Runtime, SupervisorConfig};
-use bayes_mcmc::RunConfig;
+use bayes_mcmc::supervisor::{
+    Interrupt, PauseControl, RunError, RunReport, Runtime, SupervisorConfig,
+};
+use bayes_mcmc::{Model, RunConfig, Sampler};
 use bayes_obs::{
     Event, FlightRecorder, MetricsRegistry, Recorder, RecorderHandle, TelemetryHandle,
 };
@@ -355,7 +357,7 @@ enum Phase {
     Pending,
     Running {
         cores: usize,
-        pause: Option<Arc<PauseControl>>,
+        pause: Arc<PauseControl>,
         /// Set when a pause was requested on behalf of a
         /// higher-priority job (the preemptor's id).
         draining_for: Option<u64>,
@@ -439,7 +441,7 @@ impl JobServer {
     /// Restarts a crashed (or killed) server from its journal: replays
     /// the log, truncates any torn tail, re-queues every job without a
     /// terminal record, and returns a fresh [`JobHandle`] per
-    /// recovered job (ascending id order). Each recovered NUTS job
+    /// recovered job (ascending id order). Each recovered job
     /// resumes from its newest valid checkpoint generation — falling
     /// back past corrupted files, or to a clean restart of the same
     /// RNG streams — so its draws are bit-identical to an
@@ -1384,7 +1386,7 @@ impl Scheduler {
     }
 
     /// Requests a bit-exact pause of the newest lowest-priority
-    /// preemptible running job strictly below `head`'s priority. At
+    /// running job strictly below `head`'s priority. At
     /// most one drain is in flight at a time — the paused cores come
     /// back through [`Scheduler::settle`], which re-runs placement.
     fn preempt_for(&mut self, head: u64) {
@@ -1401,9 +1403,7 @@ impl Scheduler {
             .iter()
             .filter_map(|(id, p)| match p {
                 Phase::Running {
-                    pause: Some(_),
-                    draining_for: None,
-                    ..
+                    draining_for: None, ..
                 } if self.jobs[id].spec.priority < head_priority => {
                     Some((self.jobs[id].spec.priority, *id))
                 }
@@ -1413,7 +1413,7 @@ impl Scheduler {
             .map(|(_, id)| id);
         if let Some(victim) = victim {
             if let Some(Phase::Running {
-                pause: Some(pc),
+                pause: pc,
                 draining_for,
                 ..
             }) = self.phases.get_mut(&victim)
@@ -1430,7 +1430,7 @@ impl Scheduler {
         // validates, or a clean start when none does.
         let resume_from = {
             let job = &self.jobs[&id];
-            if job.resume && job.spec.sampler == SamplerKind::Nuts {
+            if job.resume {
                 self.store.lookup(id).checkpoint
             } else {
                 None
@@ -1450,10 +1450,7 @@ impl Scheduler {
         let deadline_left = spec
             .deadline
             .map(|d| d.saturating_sub(job.submitted_at.elapsed()));
-        let pause = match spec.sampler {
-            SamplerKind::Nuts => Some(PauseControl::new()),
-            SamplerKind::Mh => None,
-        };
+        let pause = PauseControl::new();
         let inner_threads = (cores / spec.chains.max(1)).max(1);
         let (llc_bound, mpki) = (job.llc_bound, job.mpki);
         self.journal_append(&JournalRecord::Placed {
@@ -1543,7 +1540,7 @@ fn run_placement(
     cores: usize,
     resume_from: Option<(usize, PathBuf)>,
     ckpt: &PathBuf,
-    pause: Option<Arc<PauseControl>>,
+    pause: Arc<PauseControl>,
     updates: mpsc::Sender<JobUpdate>,
     deadline_left: Option<Duration>,
     abort: Arc<AtomicBool>,
@@ -1584,26 +1581,16 @@ fn run_placement(
     if let Some(injector) = &spec.injector {
         sup = sup.with_injector(injector.clone());
     }
-    if spec.sampler == SamplerKind::Nuts {
-        sup = sup.with_checkpoint_path(ckpt);
-        if let Some(pc) = &pause {
-            sup = sup.with_pause(pc.clone());
-        }
-    }
+    sup = sup.with_checkpoint_path(ckpt).with_pause(pause);
     let runtime = Runtime::new(spec.detector.clone()).with_config(sup);
     // The dynamics model carries the same posterior at study scale —
     // what every sampling study in the repo runs; the full-scale model
     // is the admission feature, not the sampling target.
     let model = wl.dynamics_model();
+    let path = resume_from.as_ref().map(|(_, path)| path.as_path());
     let result = match spec.sampler {
-        SamplerKind::Nuts => match &resume_from {
-            // Resume from the newest valid generation (possibly the
-            // rotated `.prev` file); new checkpoints still land at the
-            // job's canonical path through `with_checkpoint_path`.
-            Some((_, path)) => runtime.resume(&Nuts::default(), model, &cfg, path),
-            None => runtime.run(&Nuts::default(), model, &cfg),
-        },
-        SamplerKind::Mh => runtime.run(&MetropolisHastings::new(), model, &cfg),
+        SamplerKind::Nuts => run_or_resume(&runtime, &Nuts::default(), model, &cfg, path),
+        SamplerKind::Mh => run_or_resume(&runtime, &MetropolisHastings::new(), model, &cfg, path),
     };
     wl.flush_telemetry();
     match result {
@@ -1646,11 +1633,27 @@ fn run_placement(
         }
         Err(e) => Outcome::Failed {
             faults: match &e {
-                bayes_mcmc::supervisor::RunError::QuorumLost { faults, .. } => faults.len(),
+                RunError::QuorumLost { faults, .. } => faults.len(),
                 _ => 0,
             },
             message: format!("job '{}' failed: {e}", spec.name),
         },
+    }
+}
+
+/// Resumes from the checkpoint at `path` — the newest valid generation,
+/// possibly the rotated `.prev` file — or runs from the start; new
+/// checkpoints land at the job's canonical path either way.
+fn run_or_resume<S: Sampler>(
+    runtime: &Runtime,
+    sampler: &S,
+    model: &dyn Model,
+    cfg: &RunConfig,
+    path: Option<&std::path::Path>,
+) -> Result<RunReport, RunError> {
+    match path {
+        Some(path) => runtime.resume(sampler, model, cfg, path),
+        None => runtime.run(sampler, model, cfg),
     }
 }
 

@@ -10,11 +10,10 @@
 //! region of the schedule where the old divergence showed.
 
 use bayes_autodiff::Real;
-use bayes_mcmc::chain::{ChainOutput, Sampler};
 use bayes_mcmc::obs::{CheckpointSource, Event, MemoryRecorder, RecorderHandle};
 use bayes_mcmc::{
-    chain, run_until_converged, AdModel, ConvergenceDetector, LogDensity, Model, RunConfig,
-    StoppableSampler,
+    chain, run_until_converged, AdModel, ConvergenceDetector, Env, Info, LogDensity, RunConfig,
+    Sampler, SamplerCheckpoint,
 };
 use std::sync::Arc;
 
@@ -42,45 +41,50 @@ fn hash_noise(chain: usize, i: usize) -> f64 {
 }
 
 /// Chains that start `6.0 * chain_index` apart and merge after
-/// `merge_at` iterations — pure deterministic data, no RNG, and no
-/// override of the stoppable API: the default `StoppableSampler`
-/// ignores the stop flag, so the monitor's decision never truncates an
-/// iteration mid-flight and online/post-hoc must agree *exactly*.
+/// `merge_at` iterations — pure deterministic data, no RNG, so every
+/// path that runs them sees the same draws, and the prefixes the
+/// monitor decides on are the ones the post-hoc replay reads.
 struct MergingSampler {
     merge_at: usize,
 }
 
 impl Sampler for MergingSampler {
-    fn sample_chain(
-        &self,
-        _model: &dyn Model,
-        _init: &[f64],
-        cfg: &RunConfig,
-        _seed: u64,
-    ) -> ChainOutput {
-        let offset = cfg.chain_index as f64 * 6.0;
-        let draws: Vec<Vec<f64>> = (0..cfg.iters)
-            .map(|i| {
-                let drift = if i < self.merge_at {
-                    offset * (1.0 - i as f64 / self.merge_at as f64)
-                } else {
-                    0.0
-                };
-                vec![drift + hash_noise(cfg.chain_index, i)]
-            })
-            .collect();
-        ChainOutput {
-            draws,
-            warmup: cfg.warmup.min(cfg.iters),
-            accept_mean: 1.0,
-            grad_evals: cfg.iters as u64,
-            divergences: 0,
-            evals_per_iter: vec![1; cfg.iters],
+    type State = Vec<f64>;
+
+    fn init(&self, _: &[f64], _: &mut Env<'_>) -> Vec<f64> {
+        vec![0.0]
+    }
+
+    fn step(&self, draw: &mut Vec<f64>, i: usize, env: &mut Env<'_>) -> Info {
+        let chain = env.cfg.chain_index;
+        let drift = if i < self.merge_at {
+            chain as f64 * 6.0 * (1.0 - i as f64 / self.merge_at as f64)
+        } else {
+            0.0
+        };
+        draw[0] = drift + hash_noise(chain, i);
+        env.evals += 1;
+        Info {
+            accept_stat: 1.0,
+            ..Info::default()
         }
     }
-}
 
-impl StoppableSampler for MergingSampler {}
+    fn position<'s>(&self, draw: &'s Vec<f64>) -> &'s [f64] {
+        draw
+    }
+
+    fn snapshot(&self, draw: &Vec<f64>) -> SamplerCheckpoint {
+        SamplerCheckpoint {
+            q: draw.clone(),
+            ..SamplerCheckpoint::default()
+        }
+    }
+
+    fn restore(&self, ck: &SamplerCheckpoint) -> Vec<f64> {
+        ck.q.clone()
+    }
+}
 
 fn detector() -> ConvergenceDetector {
     // cadence 25, min 50: the schedule turns geometric past t = 200,

@@ -9,11 +9,13 @@
 //! agree bitwise.
 
 use bayes_autodiff::Real;
+use bayes_mcmc::hmc::StaticHmc;
+use bayes_mcmc::mh::MetropolisHastings;
 use bayes_mcmc::nuts::Nuts;
-use bayes_mcmc::supervisor::{InjectedFault, RunError, Runtime, SupervisorConfig};
+use bayes_mcmc::supervisor::{InjectedFault, PauseControl, RunError, Runtime, SupervisorConfig};
 use bayes_mcmc::{
     chain, run_until_converged, AdModel, ConvergenceDetector, LogDensity, MultiChainRun, RunConfig,
-    ShardedDensity, ShardedModel,
+    Sampler, ShardedDensity, ShardedModel,
 };
 use bayes_testkit::FaultPlan;
 use std::sync::Arc;
@@ -379,75 +381,161 @@ fn faulted_then_retried_runs_are_bit_identical_to_fault_free_runs() {
     }
 }
 
+/// Never converges, so runs are full-length; checkpoints (and RNG
+/// segments) every 20 iterations from 40.
+fn full_length_detector() -> ConvergenceDetector {
+    ConvergenceDetector::new()
+        .with_threshold(1.0 + 1e-12)
+        .with_check_every(20)
+        .with_min_iters(40)
+}
+
+fn sharded_model() -> ShardedModel<GaussShards> {
+    ShardedModel::new("gauss_shards", GaussShards::synthetic(64))
+}
+
+fn sharded_cfg(inner: usize) -> RunConfig {
+    RunConfig::new(200)
+        .with_chains(2)
+        .with_seed(11)
+        .with_inner_threads(inner)
+}
+
+/// The bitwise reference for a checkpointed run: the same run,
+/// checkpointing but uninterrupted, so both draw from the same
+/// segmented streams.
+fn uninterrupted<S: Sampler>(sampler: &S, inner: usize, path: &std::path::Path) -> MultiChainRun {
+    let report = Runtime::new(full_length_detector())
+        .with_config(SupervisorConfig::new().with_checkpoint_path(path))
+        .run(sampler, &sharded_model(), &sharded_cfg(inner))
+        .expect("uninterrupted run");
+    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(bayes_mcmc::checkpoint::previous_checkpoint_path(path));
+    report.run
+}
+
+/// A run killed mid-flight and resumed from its last on-disk checkpoint
+/// finishes with precisely the draws of the run that was never
+/// interrupted.
+fn checkpoint_resume_case<S: Sampler>(name: &str, sampler: &S, inner: usize) {
+    let tmp = std::env::temp_dir();
+    let reference = uninterrupted(
+        sampler,
+        inner,
+        &tmp.join(format!("bayes_det_ck_full_{name}_{inner}.json")),
+    );
+
+    // Interrupted run: a persistent panic at iteration 110 with a
+    // single-attempt budget kills chain 0, the quorum collapses, and
+    // the run dies — leaving its last checkpoint (iteration 100) on
+    // disk.
+    let ck_path = tmp.join(format!("bayes_det_ck_mid_{name}_{inner}.json"));
+    let killed = Runtime::new(full_length_detector())
+        .with_config(
+            SupervisorConfig::new()
+                .with_checkpoint_path(&ck_path)
+                .with_retry(bayes_mcmc::RetryPolicy {
+                    max_attempts: 1,
+                    reseed: bayes_mcmc::ReseedPolicy::StreamFaults,
+                })
+                .with_injector(Arc::new(FaultPlan::persistent(
+                    0,
+                    110,
+                    InjectedFault::Panic,
+                    1,
+                ))),
+        )
+        .run(sampler, &sharded_model(), &sharded_cfg(inner));
+    assert!(
+        matches!(killed, Err(RunError::QuorumLost { survivors: 1, .. })),
+        "{name}, inner={inner}: the interrupted run must fail"
+    );
+
+    // Resume from the mid-run checkpoint and compare bitwise.
+    let resumed = Runtime::new(full_length_detector())
+        .resume(sampler, &sharded_model(), &sharded_cfg(inner), &ck_path)
+        .expect("resumed run");
+    let _ = std::fs::remove_file(&ck_path);
+    let _ = std::fs::remove_file(bayes_mcmc::checkpoint::previous_checkpoint_path(&ck_path));
+    assert_eq!(resumed.stopped_at, None);
+    assert_eq!(
+        draws_of(&resumed.run),
+        draws_of(&reference),
+        "{name}, inner={inner}: resume is not bit-identical"
+    );
+    for (c, r) in resumed.run.chains.iter().zip(&reference.chains) {
+        assert_eq!(
+            c.draws.len(),
+            200,
+            "{name}, inner={inner}: resumed run is short"
+        );
+        assert_eq!(c.evals_per_iter, r.evals_per_iter);
+        assert_eq!(c.grad_evals, r.grad_evals);
+        assert_eq!(c.accept_mean.to_bits(), r.accept_mean.to_bits());
+    }
+}
+
 #[test]
 fn checkpoint_resume_reproduces_the_uninterrupted_run_bitwise() {
-    // Segmented RNG streams make checkpoint/resume exact: a run killed
-    // mid-flight and resumed from its last on-disk checkpoint must
-    // finish with precisely the draws of the run that was never
-    // interrupted (both with checkpointing enabled, so both use the
-    // same segmented streams) — at any inner-thread count.
-    let detector = ConvergenceDetector::new()
-        .with_threshold(1.0 + 1e-12) // never converges: full-length runs
-        .with_check_every(20)
-        .with_min_iters(40);
+    // Segmented RNG streams make checkpoint/resume exact for every
+    // sampler, at any inner-thread count.
     for inner in [1usize, 4] {
-        let mk_model = || ShardedModel::new("gauss_shards", GaussShards::synthetic(64));
-        let mk_cfg = || {
-            RunConfig::new(200)
-                .with_chains(2)
-                .with_seed(11)
-                .with_inner_threads(inner)
-        };
+        checkpoint_resume_case("nuts", &Nuts::default(), inner);
+        checkpoint_resume_case("hmc", &StaticHmc::new(8), inner);
+        checkpoint_resume_case("mh", &MetropolisHastings::new(), inner);
+    }
+}
 
-        // Uninterrupted checkpointed run: the bitwise reference.
-        let full_path = std::env::temp_dir().join(format!("bayes_det_ck_full_{inner}.json"));
-        let uninterrupted = Runtime::new(detector.clone())
-            .with_config(SupervisorConfig::new().with_checkpoint_path(&full_path))
-            .run(&Nuts::default(), &mk_model(), &mk_cfg())
-            .expect("uninterrupted run");
+/// A run paused at its first boundary and resumed at the other
+/// inner-thread count finishes with the draws of the run never paused.
+fn pause_resume_case<S: Sampler>(name: &str, sampler: &S, inner: usize) {
+    let tmp = std::env::temp_dir();
+    let reference = uninterrupted(
+        sampler,
+        inner,
+        &tmp.join(format!("bayes_det_pause_ref_{name}_{inner}.json")),
+    );
 
-        // Interrupted run: a persistent panic at iteration 110 with a
-        // single-attempt budget kills chain 0, the quorum collapses,
-        // and the run dies — leaving its last checkpoint (iteration
-        // 100) on disk.
-        let ck_path = std::env::temp_dir().join(format!("bayes_det_ck_mid_{inner}.json"));
-        let killed = Runtime::new(detector.clone())
-            .with_config(
-                SupervisorConfig::new()
-                    .with_checkpoint_path(&ck_path)
-                    .with_retry(bayes_mcmc::RetryPolicy {
-                        max_attempts: 1,
-                        reseed: bayes_mcmc::ReseedPolicy::StreamFaults,
-                    })
-                    .with_injector(Arc::new(FaultPlan::persistent(
-                        0,
-                        110,
-                        InjectedFault::Panic,
-                        1,
-                    ))),
-            )
-            .run(&Nuts::default(), &mk_model(), &mk_cfg());
-        assert!(
-            matches!(killed, Err(RunError::QuorumLost { survivors: 1, .. })),
-            "inner={inner}: the interrupted run must fail"
-        );
-
-        // Resume from the mid-run checkpoint and compare bitwise.
-        let resumed = Runtime::new(detector.clone())
-            .resume(&Nuts::default(), &mk_model(), &mk_cfg(), &ck_path)
-            .expect("resumed run");
-        assert_eq!(resumed.stopped_at, uninterrupted.stopped_at);
+    let path = tmp.join(format!("bayes_det_pause_{name}_{inner}.json"));
+    let pause = PauseControl::new();
+    pause.request();
+    let paused = Runtime::new(full_length_detector())
+        .with_config(
+            SupervisorConfig::new()
+                .with_checkpoint_path(&path)
+                .with_pause(pause.clone()),
+        )
+        .run(sampler, &sharded_model(), &sharded_cfg(inner))
+        .expect("paused run");
+    assert_eq!(paused.paused_at, Some(40), "{name}, inner={inner}");
+    assert!(pause.is_paused());
+    for (a, b) in paused.run.chains.iter().zip(&reference.chains) {
         assert_eq!(
-            draws_of(&resumed.run),
-            draws_of(&uninterrupted.run),
-            "inner={inner}: resume is not bit-identical"
+            a.draws[..],
+            b.draws[..40],
+            "{name}, inner={inner}: pause prefix"
         );
-        for c in &resumed.run.chains {
-            assert_eq!(c.draws.len(), 200, "inner={inner}: resumed run is short");
-            assert_eq!(c.evals_per_iter.len(), 200);
-        }
-        let _ = std::fs::remove_file(&full_path);
-        let _ = std::fs::remove_file(&ck_path);
+    }
+
+    let resumed = Runtime::new(full_length_detector())
+        .with_config(SupervisorConfig::new().with_checkpoint_path(&path))
+        .resume(sampler, &sharded_model(), &sharded_cfg(5 - inner), &path)
+        .expect("resumed run");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(bayes_mcmc::checkpoint::previous_checkpoint_path(&path));
+    assert_eq!(
+        draws_of(&resumed.run),
+        draws_of(&reference),
+        "{name}, inner={inner}: paused-then-resumed run is not bit-identical"
+    );
+}
+
+#[test]
+fn every_sampler_pauses_and_resumes_bitwise() {
+    for inner in [1usize, 4] {
+        pause_resume_case("nuts", &Nuts::default(), inner);
+        pause_resume_case("hmc", &StaticHmc::new(8), inner);
+        pause_resume_case("mh", &MetropolisHastings::new(), inner);
     }
 }
 

@@ -200,7 +200,9 @@ fn fast_path_toggle_round_trips_through_the_model_trait() {
     // The runtime drives the toggle through `&dyn Model` before
     // sampling; both directions must stick, and non-stats models must
     // report the toggle as absent without panicking.
-    let w = &stats_workloads()[0].1;
+    // Its own instance: the toggle is state of the model, and the other
+    // tests here evaluate the shared instances on parallel threads.
+    let w = memory::workload(0.25, 7);
     let model = w.model();
     assert!(
         model.fast_path(),

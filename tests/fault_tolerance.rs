@@ -11,13 +11,16 @@
 //! deterministic (no convergence decision can race a fault).
 
 use bayes_autodiff::Real;
+use bayes_mcmc::mh::MetropolisHastings;
 use bayes_mcmc::nuts::Nuts;
 use bayes_mcmc::obs::{Event, MemoryRecorder, RecorderHandle};
 use bayes_mcmc::supervisor::{
-    FaultKind, InjectedFault, ReseedPolicy, RetryPolicy, RunError, Runtime, SupervisorConfig,
+    FaultKind, InjectedFault, Interrupt, ReseedPolicy, RetryPolicy, RunError, Runtime,
+    SupervisorConfig,
 };
 use bayes_mcmc::{
-    AdModel, ConvergenceDetector, LogDensity, Purpose, RunConfig, RunReport, StreamKey,
+    AdModel, ConvergenceDetector, EvalProfile, LogDensity, Model, Purpose, RunConfig, RunReport,
+    StreamKey,
 };
 use bayes_testkit::FaultPlan;
 use std::sync::Arc;
@@ -441,6 +444,73 @@ fn multiple_chains_fault_and_all_recover() {
     );
     for c in &report.run.chains {
         assert_eq!(c.draws.len(), ITERS);
+    }
+}
+
+// ------------------------------------------------- every sampler stops
+
+/// A standard normal that takes a millisecond per density evaluation,
+/// so that a Metropolis–Hastings chain over it runs for a while.
+struct SlowGauss;
+
+impl Model for SlowGauss {
+    fn dim(&self) -> usize {
+        2
+    }
+    fn name(&self) -> &str {
+        "slow-gauss"
+    }
+    fn ln_posterior(&self, theta: &[f64]) -> f64 {
+        std::thread::sleep(Duration::from_millis(1));
+        -0.5 * theta.iter().map(|t| t * t).sum::<f64>()
+    }
+    fn ln_posterior_grad(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
+        for (g, t) in grad.iter_mut().zip(theta) {
+            *g = -t;
+        }
+        self.ln_posterior(theta)
+    }
+    fn grad_profile(&self, _theta: &[f64]) -> EvalProfile {
+        EvalProfile::default()
+    }
+}
+
+/// The run deadline cuts an MH chain where it is, as it does NUTS: the
+/// run returns at the deadline with the draws made so far, not after
+/// the three seconds the chains would take.
+#[test]
+fn mh_run_expires_at_its_deadline_with_partial_draws() {
+    let cfg = RunConfig::new(3000).with_chains(2).with_seed(SEED);
+    let started = std::time::Instant::now();
+    let report = Runtime::new(detector())
+        .with_config(SupervisorConfig::new().with_deadline(Duration::from_millis(100)))
+        .run(&MetropolisHastings::new(), &SlowGauss, &cfg)
+        .expect("an expired run returns its partial draws");
+    let took = started.elapsed();
+    assert_eq!(report.interrupted, Some(Interrupt::DeadlineExpired));
+    assert!(took < Duration::from_secs(1), "returned after {took:?}");
+    for c in &report.run.chains {
+        assert!(
+            (1..cfg.iters).contains(&c.draws.len()),
+            "{} draws",
+            c.draws.len()
+        );
+    }
+}
+
+/// An MH chain that runs longer than the stall deadline is not stalled:
+/// its draws reach the monitor as it makes them.
+#[test]
+fn mh_run_past_the_stall_deadline_is_not_a_stall() {
+    let cfg = RunConfig::new(600).with_chains(2).with_seed(SEED);
+    let report = Runtime::new(detector())
+        .with_config(SupervisorConfig::new().with_stall_deadline(Duration::from_millis(250)))
+        .run(&MetropolisHastings::new(), &SlowGauss, &cfg)
+        .expect("a healthy run completes");
+    assert!(report.faults.is_empty(), "{:?}", report.faults);
+    assert!(!report.degraded);
+    for c in &report.run.chains {
+        assert_eq!(c.draws.len(), 600);
     }
 }
 

@@ -12,9 +12,10 @@
 //! its full iteration budget and draw comparisons are exact.
 
 use bayes_core::obs::{Event, MemoryRecorder, RecorderHandle};
+use bayes_mcmc::mh::MetropolisHastings;
 use bayes_mcmc::nuts::Nuts;
 use bayes_mcmc::supervisor::{InjectedFault, Runtime, SupervisorConfig};
-use bayes_mcmc::{ConvergenceDetector, MultiChainRun, RunConfig};
+use bayes_mcmc::{ConvergenceDetector, MultiChainRun, RunConfig, Sampler};
 use bayes_sched::predictor::MissSample;
 use bayes_sched::LlcMissPredictor;
 use bayes_serve::{JobOutcome, JobServer, JobSpec, SamplerKind, ServerConfig};
@@ -62,13 +63,23 @@ fn checkpoint_dir(test: &str) -> PathBuf {
 /// The uninterrupted reference: the same workload/shape/seed run under
 /// the supervisor with the same detector *and checkpointing enabled*
 /// (checkpointing segments the chain RNG streams, so it is part of the
-/// run's identity — the server always checkpoints NUTS jobs).
+/// run's identity — the server always checkpoints).
 fn uninterrupted(workload: &str, scale: f64, cfg: &RunConfig, test: &str) -> MultiChainRun {
+    uninterrupted_with(&Nuts::default(), workload, scale, cfg, test)
+}
+
+fn uninterrupted_with<S: Sampler>(
+    sampler: &S,
+    workload: &str,
+    scale: f64,
+    cfg: &RunConfig,
+    test: &str,
+) -> MultiChainRun {
     let wl = registry::workload(workload, scale, cfg.seed).expect("registry workload");
     let ckpt = checkpoint_dir(test).join(format!("ref-{workload}.ckpt.json"));
     let report = Runtime::new(full_length_detector())
         .with_config(SupervisorConfig::new().with_checkpoint_path(&ckpt))
-        .run(&Nuts::default(), wl.dynamics_model(), cfg)
+        .run(sampler, wl.dynamics_model(), cfg)
         .expect("uninterrupted reference run");
     assert!(!report.degraded);
     report.run
@@ -282,18 +293,18 @@ fn quorum_degradation_stays_per_job() {
     assert_eq!(result.survivors, vec![0, 1]);
 }
 
-/// A non-preemptible MH job is scheduled around, never paused: it
-/// completes with no preemptions even when a higher-priority job
-/// arrives while it saturates the box.
+/// An MH job is preempted like any other: the urgent arrival pauses it
+/// at a checkpoint boundary, and once re-placed it finishes with draws
+/// bit-equal to the same job run alone.
 #[test]
-fn mh_jobs_are_never_preempted() {
+fn mh_job_is_preempted_and_resumes_bit_identically() {
     let server = JobServer::start(
         ServerConfig::new(2, cache_resident_predictor()).with_checkpoint_dir(checkpoint_dir("mh")),
     );
     let mh = server.submit(
         JobSpec::new("mh", "butterfly")
             .with_chains(2)
-            .with_iters(300)
+            .with_iters(3000)
             .with_seed(31)
             .with_sampler(SamplerKind::Mh)
             .with_detector(full_length_detector()),
@@ -309,9 +320,25 @@ fn mh_jobs_are_never_preempted() {
     let mh = mh.wait();
     let urgent = urgent.wait();
     server.join();
-    assert!(mh.preemptions.is_empty(), "MH job has no pause boundaries");
-    assert!(matches!(mh.outcome, JobOutcome::Completed(_)));
+    assert!(
+        !mh.preemptions.is_empty(),
+        "the urgent job should have preempted the MH job"
+    );
+    let JobOutcome::Completed(result) = &mh.outcome else {
+        panic!(
+            "the MH job should complete after resuming: {:?}",
+            mh.outcome
+        );
+    };
     assert!(matches!(urgent.outcome, JobOutcome::Completed(_)));
+    assert_eq!(result.iters_done, 3000);
+    let cfg = RunConfig::new(3000).with_chains(2).with_seed(31);
+    let isolated = uninterrupted_with(&MetropolisHastings::new(), "butterfly", 0.25, &cfg, "mh");
+    assert_bitwise_eq(
+        &result.draws,
+        &draws_of(&isolated),
+        "preempted vs isolated MH",
+    );
 }
 
 /// Polls until `path` exists (a checkpoint generation has been
@@ -511,6 +538,44 @@ fn deadline_expiry_is_a_typed_outcome() {
             .iter()
             .any(|e| matches!(e, Event::JobExpired { job: 1, .. })),
         "expiry must be on the trace"
+    );
+}
+
+/// An MH job past its deadline is cut where it is, as a NUTS job is —
+/// not after running out its whole budget.
+#[test]
+fn mh_job_expires_at_its_deadline() {
+    let memory = Arc::new(MemoryRecorder::new());
+    let server = JobServer::start(
+        ServerConfig::new(2, cache_resident_predictor())
+            .with_checkpoint_dir(checkpoint_dir("mh-deadline"))
+            .with_trace(RecorderHandle::new(memory.clone())),
+    );
+    let iters = 1_000_000;
+    let job = server
+        .submit(
+            JobSpec::new("overdue-mh", "12cities")
+                .with_chains(2)
+                .with_iters(iters)
+                .with_seed(44)
+                .with_sampler(SamplerKind::Mh)
+                .with_deadline(Duration::from_millis(120))
+                .with_detector(full_length_detector()),
+        )
+        .wait();
+    server.join();
+    assert!(
+        matches!(&job.outcome, JobOutcome::Expired(_)),
+        "expected deadline expiry, got {:?}",
+        job.outcome
+    );
+    let done = memory.events().iter().find_map(|e| match e {
+        Event::JobExpired { iters_done, .. } => Some(*iters_done),
+        _ => None,
+    });
+    assert!(
+        done.is_some_and(|d| d < iters as u64),
+        "expired after {done:?} of {iters} iterations"
     );
 }
 
