@@ -4,9 +4,26 @@
 //! supervised run bit-identically: per-chain sampler state (position,
 //! step size, mass matrix, adaptation accumulators, draw count) plus
 //! the draw prefixes, the detector fingerprint, and the run
-//! configuration it was taken under. Serialization goes through the
-//! `bayes-obs` hand-rolled JSON layer — one self-describing document,
-//! no external dependencies.
+//! configuration it was taken under.
+//!
+//! # File layout
+//!
+//! One checksummed header line, one line of JSON holding everything
+//! but the draw history, then one binary block per chain holding that
+//! history as raw little-endian words:
+//!
+//! ```text
+//! BAYESCKPT 2 <payload_len, 20 digits> <fnv1a64, 16 hex digits>\n
+//! {"version":2,"model":…,"chain_states":[…]}\n
+//! rows: u64 | draws: rows × dim f64 | evals_per_iter: rows u32     (chain 0)
+//! rows: u64 | …                                                     (chain 1, …)
+//! ```
+//!
+//! The length and checksum cover everything after the header. The
+//! draws are nearly all of a file and all of its growth; as raw bits
+//! they are written and read at the cost of a copy and are exact by
+//! construction. The decoder checks every length against `dim` and the
+//! bytes present before it allocates (DESIGN.md §8).
 //!
 //! # Why no raw RNG state?
 //!
@@ -29,10 +46,15 @@ use std::io;
 use std::path::Path;
 
 /// Current checkpoint-file schema version.
-pub const CHECKPOINT_VERSION: u64 = 1;
+pub const CHECKPOINT_VERSION: u64 = 2;
 
 /// Magic token opening the checksummed checkpoint header line.
 const CHECKPOINT_MAGIC: &str = "BAYESCKPT";
+
+/// How far into a file a reader looks for the header's newline: a
+/// version, a 20-digit length and a 16-digit checksum fit with room to
+/// spare.
+const MAX_HEADER: usize = 64;
 
 /// Where [`RunCheckpoint::save`] rotates the previous generation of
 /// `path` before the atomic rename lands the new one.
@@ -134,8 +156,8 @@ pub struct SamplerCheckpoint {
     pub grad_evals: u64,
     /// Per-iteration gradient evaluations of iterations `[0, iter)`, as
     /// the chain hands it to the supervisor. The supervisor moves it
-    /// into [`ChainCheckpoint::evals_per_iter`], so it is empty in the
-    /// serialized form.
+    /// into [`ChainCheckpoint::evals_per_iter`]; the file does not carry
+    /// this one, so it is empty after a load.
     pub evals_per_iter: Vec<u32>,
 }
 
@@ -220,40 +242,22 @@ fn push_f64_arr(buf: &mut String, vs: &[f64]) {
     buf.push(']');
 }
 
-fn push_u32_arr(buf: &mut String, vs: &[u32]) {
-    buf.push('[');
-    for (i, &v) in vs.iter().enumerate() {
-        if i > 0 {
-            buf.push(',');
-        }
-        let _ = write!(buf, "{v}");
-    }
-    buf.push(']');
-}
-
-fn push_draws(buf: &mut String, draws: &[Vec<f64>]) {
-    buf.push('[');
-    for (i, d) in draws.iter().enumerate() {
-        if i > 0 {
-            buf.push(',');
-        }
-        push_f64_arr(buf, d);
-    }
-    buf.push(']');
-}
-
 fn req<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
     obj.get(key)
         .ok_or_else(|| format!("checkpoint: missing field '{key}'"))
 }
 
-fn get_f64(obj: &Json, key: &str) -> Result<f64, String> {
-    let v = req(obj, key)?;
-    if v.is_null() {
-        return Ok(f64::NAN);
+/// A number, or NaN for the `null` a non-finite value encodes as.
+fn f64_of(j: &Json) -> Option<f64> {
+    if j.is_null() {
+        Some(f64::NAN)
+    } else {
+        j.as_f64()
     }
-    v.as_f64()
-        .ok_or_else(|| format!("checkpoint: field '{key}' is not a number"))
+}
+
+fn get_f64(obj: &Json, key: &str) -> Result<f64, String> {
+    f64_of(req(obj, key)?).ok_or_else(|| format!("checkpoint: field '{key}' is not a number"))
 }
 
 fn get_u64(obj: &Json, key: &str) -> Result<u64, String> {
@@ -263,7 +267,8 @@ fn get_u64(obj: &Json, key: &str) -> Result<u64, String> {
 }
 
 fn get_usize(obj: &Json, key: &str) -> Result<usize, String> {
-    Ok(get_u64(obj, key)? as usize)
+    usize::try_from(get_u64(obj, key)?)
+        .map_err(|_| format!("checkpoint: field '{key}' does not fit a usize"))
 }
 
 fn get_str(obj: &Json, key: &str) -> Result<String, String> {
@@ -280,43 +285,25 @@ fn get_arr<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], String> {
     }
 }
 
-fn f64_items(items: &[Json]) -> Result<Vec<f64>, String> {
-    items
-        .iter()
-        .map(|j| {
-            if j.is_null() {
-                Ok(f64::NAN)
-            } else {
-                j.as_f64()
-                    .ok_or_else(|| "checkpoint: non-numeric array element".to_string())
-            }
-        })
-        .collect()
-}
-
 fn get_f64_arr(obj: &Json, key: &str) -> Result<Vec<f64>, String> {
-    f64_items(get_arr(obj, key)?)
-}
-
-fn get_u32_arr(obj: &Json, key: &str) -> Result<Vec<u32>, String> {
     get_arr(obj, key)?
         .iter()
-        .map(|j| {
-            j.as_u64()
-                .map(|v| v as u32)
-                .ok_or_else(|| format!("checkpoint: field '{key}' holds a non-integer"))
-        })
+        .map(|j| f64_of(j).ok_or_else(|| format!("checkpoint: field '{key}' holds a non-number")))
         .collect()
 }
 
-fn get_draws(obj: &Json, key: &str) -> Result<Vec<Vec<f64>>, String> {
-    get_arr(obj, key)?
-        .iter()
-        .map(|row| match row {
-            Json::Arr(items) => f64_items(items),
-            _ => Err(format!("checkpoint: field '{key}' holds a non-array row")),
-        })
-        .collect()
+/// [`get_f64_arr`] for a per-dimension vector: `dim` values, or none
+/// where the sampler keeps no such state (`optional`).
+fn get_dim_arr(obj: &Json, key: &str, dim: usize, optional: bool) -> Result<Vec<f64>, String> {
+    let v = get_f64_arr(obj, key)?;
+    if v.len() == dim || (optional && v.is_empty()) {
+        Ok(v)
+    } else {
+        Err(format!(
+            "checkpoint: field '{key}' holds {} values, dim is {dim}",
+            v.len()
+        ))
+    }
 }
 
 impl DualAveragingState {
@@ -368,16 +355,18 @@ impl WelfordState {
         buf.push('}');
     }
 
-    fn read(j: &Json) -> Result<Self, String> {
+    fn read(j: &Json, dim: usize) -> Result<Self, String> {
         Ok(Self {
             n: get_f64(j, "n")?,
-            mean: get_f64_arr(j, "mean")?,
-            m2: get_f64_arr(j, "m2")?,
+            mean: get_dim_arr(j, "mean", dim, true)?,
+            m2: get_dim_arr(j, "m2", dim, true)?,
         })
     }
 }
 
 impl SamplerCheckpoint {
+    /// Everything but `evals_per_iter`, which the file keeps in the
+    /// chain's block.
     fn write(&self, buf: &mut String) {
         let _ = write!(buf, "{{\"iter\":{}", self.iter);
         buf.push_str(",\"q\":");
@@ -398,192 +387,304 @@ impl SamplerCheckpoint {
         push_f64(buf, self.accept_sum);
         let _ = write!(
             buf,
-            ",\"divergences\":{},\"grad_evals\":{}",
+            ",\"divergences\":{},\"grad_evals\":{}}}",
             self.divergences, self.grad_evals
         );
-        buf.push_str(",\"evals_per_iter\":");
-        push_u32_arr(buf, &self.evals_per_iter);
-        buf.push('}');
     }
 
-    fn read(j: &Json) -> Result<Self, String> {
+    fn read(j: &Json, dim: usize) -> Result<Self, String> {
         Ok(Self {
             iter: get_usize(j, "iter")?,
-            q: get_f64_arr(j, "q")?,
+            q: get_dim_arr(j, "q", dim, false)?,
             lp: get_f64(j, "lp")?,
-            grad: get_f64_arr(j, "grad")?,
+            grad: get_dim_arr(j, "grad", dim, true)?,
             eps: get_f64(j, "eps")?,
-            inv_mass: get_f64_arr(j, "inv_mass")?,
+            inv_mass: get_dim_arr(j, "inv_mass", dim, true)?,
             step_adapt: DualAveragingState::read(req(j, "step_adapt")?)?,
-            mass_adapt: WelfordState::read(req(j, "mass_adapt")?)?,
+            mass_adapt: WelfordState::read(req(j, "mass_adapt")?, dim)?,
             accept_sum: get_f64(j, "accept_sum")?,
             divergences: get_u64(j, "divergences")?,
             grad_evals: get_u64(j, "grad_evals")?,
-            evals_per_iter: get_u32_arr(j, "evals_per_iter")?,
+            evals_per_iter: Vec::new(),
         })
     }
 }
 
-impl ChainCheckpoint {
-    fn write(&self, buf: &mut String) {
+/// The header line of a payload of `len` bytes with checksum `sum`.
+/// Fixed-width, so a placeholder can be patched in place.
+fn header(len: usize, sum: u64) -> String {
+    format!("{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} {len:020} {sum:016x}\n")
+}
+
+/// Builds the durable bytes of one checkpoint: the JSON state, one
+/// block per chain from wherever the caller keeps its rows, then the
+/// header's length and checksum. [`RunCheckpoint::to_durable_bytes`]
+/// feeds it the checkpoint's own chain states; the supervisor feeds it
+/// its live draw buffers, so no row is cloned on the way to disk.
+pub(crate) struct DurableWriter {
+    out: Vec<u8>,
+    header_len: usize,
+}
+
+impl DurableWriter {
+    /// Starts the document of `ck`: a placeholder header, then the JSON
+    /// state. The chain states' `draws` and `evals_per_iter` are not
+    /// read; one [`DurableWriter::block`] per chain state, in order,
+    /// writes them.
+    pub(crate) fn begin(ck: &RunCheckpoint) -> Self {
+        let mut text = header(0, 0);
+        let header_len = text.len();
+        let _ = write!(text, "{{\"version\":{}", ck.version);
+        text.push_str(",\"model\":");
+        write_escaped(&mut text, &ck.model);
         let _ = write!(
-            buf,
-            "{{\"chain\":{},\"stream_seed\":{}",
-            self.chain, self.stream_seed
+            text,
+            ",\"dim\":{},\"seed\":{},\"chains\":{},\"iters\":{},\"warmup\":{}",
+            ck.dim, ck.seed, ck.chains, ck.iters, ck.warmup
         );
-        buf.push_str(",\"draws\":");
-        push_draws(buf, &self.draws);
-        buf.push_str(",\"evals_per_iter\":");
-        push_u32_arr(buf, &self.evals_per_iter);
-        buf.push_str(",\"sampler\":");
-        self.sampler.write(buf);
-        buf.push('}');
+        text.push_str(",\"detector\":{\"threshold\":");
+        push_f64(&mut text, ck.detector.threshold);
+        let _ = write!(
+            text,
+            ",\"check_every\":{},\"min_iters\":{},\"consecutive\":{}}}",
+            ck.detector.check_every, ck.detector.min_iters, ck.detector.consecutive
+        );
+        let _ = write!(text, ",\"iter\":{}", ck.iter);
+        text.push_str(",\"chain_states\":[");
+        for (i, c) in ck.chain_states.iter().enumerate() {
+            if i > 0 {
+                text.push(',');
+            }
+            let _ = write!(
+                text,
+                "{{\"chain\":{},\"stream_seed\":{},\"sampler\":",
+                c.chain, c.stream_seed
+            );
+            c.sampler.write(&mut text);
+            text.push('}');
+        }
+        text.push_str("]}\n");
+        Self {
+            out: text.into_bytes(),
+            header_len,
+        }
     }
 
-    fn read(j: &Json) -> Result<Self, String> {
-        Ok(Self {
-            chain: get_usize(j, "chain")?,
-            stream_seed: get_u64(j, "stream_seed")?,
-            draws: get_draws(j, "draws")?,
-            evals_per_iter: get_u32_arr(j, "evals_per_iter")?,
-            sampler: SamplerCheckpoint::read(req(j, "sampler")?)?,
-        })
+    /// Appends one chain's block: the row count, the rows as
+    /// little-endian `f64`, one after another, then one little-endian
+    /// `u32` eval count per row.
+    pub(crate) fn block(&mut self, draws: &[Vec<f64>], evals_per_iter: &[u32]) {
+        debug_assert_eq!(draws.len(), evals_per_iter.len(), "one eval count per row");
+        let values: usize = draws.iter().map(Vec::len).sum();
+        self.out.reserve(8 + 8 * values + 4 * evals_per_iter.len());
+        self.out
+            .extend_from_slice(&(draws.len() as u64).to_le_bytes());
+        for v in draws.iter().flatten() {
+            self.out.extend_from_slice(&v.to_le_bytes());
+        }
+        for n in evals_per_iter {
+            self.out.extend_from_slice(&n.to_le_bytes());
+        }
     }
+
+    /// Fills in the header and returns the document.
+    pub(crate) fn finish(mut self) -> Vec<u8> {
+        let payload = &self.out[self.header_len..];
+        let line = header(payload.len(), bayes_obs::fnv1a64(payload));
+        self.out[..self.header_len].copy_from_slice(line.as_bytes());
+        self.out
+    }
+}
+
+/// The payload of a durable document, once its header has been parsed
+/// and its length and checksum verified.
+fn verified_payload(bytes: &[u8]) -> Result<&[u8], String> {
+    let rest = bytes
+        .strip_prefix(CHECKPOINT_MAGIC.as_bytes())
+        .and_then(|r| r.strip_prefix(b" "))
+        .ok_or("checkpoint: no BAYESCKPT header")?;
+    let end = rest
+        .iter()
+        .take(MAX_HEADER)
+        .position(|&b| b == b'\n')
+        .ok_or("checkpoint: header line is unterminated")?;
+    let header = std::str::from_utf8(&rest[..end]).map_err(|_| "checkpoint: header is not text")?;
+    let payload = &rest[end + 1..];
+    let mut fields = header.split(' ');
+    let version: u64 = fields
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or("checkpoint: header is missing the version")?;
+    if version != CHECKPOINT_VERSION {
+        return Err(format!(
+            "checkpoint: unsupported header version {version} (expected {CHECKPOINT_VERSION})"
+        ));
+    }
+    let len: u64 = fields
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or("checkpoint: header is missing the payload length")?;
+    let sum = fields
+        .next()
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .ok_or("checkpoint: header is missing the checksum")?;
+    if fields.next().is_some() {
+        return Err("checkpoint: header has trailing fields".into());
+    }
+    if payload.len() as u64 != len {
+        return Err(format!(
+            "checkpoint: torn payload ({} bytes, header says {len})",
+            payload.len()
+        ));
+    }
+    let actual = bayes_obs::fnv1a64(payload);
+    if actual != sum {
+        return Err(format!(
+            "checkpoint: checksum mismatch (stored {sum:016x}, computed {actual:016x})"
+        ));
+    }
+    Ok(payload)
+}
+
+/// A chain's draws and per-row eval counts.
+type Block = (Vec<Vec<f64>>, Vec<u32>);
+
+/// Reads one chain block off the front of `bytes`. The row count is
+/// checked against `dim` and the bytes actually present before anything
+/// is allocated, so a forged count costs an error, not memory.
+fn read_block(bytes: &mut &[u8], dim: usize) -> Result<Block, String> {
+    let (count, rest) = bytes
+        .split_first_chunk::<8>()
+        .ok_or("checkpoint: chain block is missing its row count")?;
+    let rows = u64::from_le_bytes(*count);
+    let row_bytes = dim
+        .checked_mul(8)
+        .ok_or_else(|| format!("checkpoint: dim {dim} is out of range"))?;
+    let len = usize::try_from(rows)
+        .ok()
+        .zip(row_bytes.checked_add(4))
+        .and_then(|(rows, per_row)| rows.checked_mul(per_row))
+        .filter(|&len| len <= rest.len())
+        .ok_or_else(|| {
+            format!(
+                "checkpoint: chain block claims {rows} rows of dim {dim}, {} bytes remain",
+                rest.len()
+            )
+        })?;
+    // Checked just above: `rows × (row_bytes + 4)` fits in `rest`.
+    let rows = rows as usize;
+    let (block, rest) = rest.split_at(len);
+    let (draw_bytes, eval_bytes) = block.split_at(rows * row_bytes);
+    let draws = (0..rows)
+        .map(|r| {
+            draw_bytes[r * row_bytes..(r + 1) * row_bytes]
+                .chunks_exact(8)
+                .map(|w| f64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+                .collect()
+        })
+        .collect();
+    let evals = eval_bytes
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunk")))
+        .collect();
+    *bytes = rest;
+    Ok((draws, evals))
+}
+
+/// Writes `bytes` to `path` atomically and rotates the previous
+/// generation; see [`RunCheckpoint::save`].
+pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = path.with_file_name(tmp_name);
+    std::fs::write(&tmp, bytes)?;
+    if path.exists() {
+        std::fs::rename(path, previous_checkpoint_path(path))?;
+    }
+    std::fs::rename(&tmp, path)
 }
 
 impl RunCheckpoint {
-    /// Encodes the checkpoint as one JSON document.
-    pub fn to_json(&self) -> String {
-        let mut buf = String::with_capacity(4096);
-        let _ = write!(buf, "{{\"version\":{}", self.version);
-        buf.push_str(",\"model\":");
-        write_escaped(&mut buf, &self.model);
-        let _ = write!(
-            buf,
-            ",\"dim\":{},\"seed\":{},\"chains\":{},\"iters\":{},\"warmup\":{}",
-            self.dim, self.seed, self.chains, self.iters, self.warmup
-        );
-        buf.push_str(",\"detector\":{\"threshold\":");
-        push_f64(&mut buf, self.detector.threshold);
-        let _ = write!(
-            buf,
-            ",\"check_every\":{},\"min_iters\":{},\"consecutive\":{}}}",
-            self.detector.check_every, self.detector.min_iters, self.detector.consecutive
-        );
-        let _ = write!(buf, ",\"iter\":{}", self.iter);
-        buf.push_str(",\"chain_states\":[");
-        for (i, c) in self.chain_states.iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            c.write(&mut buf);
+    /// Serializes the checkpoint: header line, JSON state, one raw
+    /// block per chain (module docs).
+    pub fn to_durable_bytes(&self) -> Vec<u8> {
+        let mut doc = DurableWriter::begin(self);
+        for c in &self.chain_states {
+            doc.block(&c.draws, &c.evals_per_iter);
         }
-        buf.push_str("]}");
-        buf
+        doc.finish()
     }
 
-    /// Decodes a checkpoint document.
+    /// Decodes a durable checkpoint document: validates the header's
+    /// version, length and checksum, parses the JSON state, then reads
+    /// one block per chain state, which must use up the payload.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first schema violation.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = parse(text)?;
-        let version = get_u64(&v, "version")?;
+    /// Returns a description of the first framing, checksum, or schema
+    /// violation. Input without the header, or with another version's,
+    /// is an error.
+    pub fn from_durable_bytes(bytes: &[u8]) -> Result<Self, String> {
+        let payload = verified_payload(bytes)?;
+        let newline = payload
+            .iter()
+            .position(|&b| b == b'\n')
+            .ok_or("checkpoint: state line is unterminated")?;
+        let state = std::str::from_utf8(&payload[..newline])
+            .map_err(|_| "checkpoint: state line is not UTF-8")?;
+        let mut ck = Self::read_state(&parse(state)?)?;
+        let mut blocks = &payload[newline + 1..];
+        for c in &mut ck.chain_states {
+            (c.draws, c.evals_per_iter) = read_block(&mut blocks, ck.dim)?;
+        }
+        if !blocks.is_empty() {
+            return Err(format!(
+                "checkpoint: {} bytes past the last chain block",
+                blocks.len()
+            ));
+        }
+        Ok(ck)
+    }
+
+    /// The JSON state, with every chain's draws still empty.
+    fn read_state(v: &Json) -> Result<Self, String> {
+        let version = get_u64(v, "version")?;
         if version != CHECKPOINT_VERSION {
             return Err(format!(
                 "checkpoint: unsupported version {version} (expected {CHECKPOINT_VERSION})"
             ));
         }
-        let det = req(&v, "detector")?;
-        let chain_states = match req(&v, "chain_states")? {
-            Json::Arr(items) => items
-                .iter()
-                .map(ChainCheckpoint::read)
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("checkpoint: 'chain_states' is not an array".into()),
-        };
+        let dim = get_usize(v, "dim")?;
+        let det = req(v, "detector")?;
+        let chain_states = get_arr(v, "chain_states")?
+            .iter()
+            .map(|c| {
+                Ok(ChainCheckpoint {
+                    chain: get_usize(c, "chain")?,
+                    stream_seed: get_u64(c, "stream_seed")?,
+                    draws: Vec::new(),
+                    evals_per_iter: Vec::new(),
+                    sampler: SamplerCheckpoint::read(req(c, "sampler")?, dim)?,
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(Self {
             version,
-            model: get_str(&v, "model")?,
-            dim: get_usize(&v, "dim")?,
-            seed: get_u64(&v, "seed")?,
-            chains: get_usize(&v, "chains")?,
-            iters: get_usize(&v, "iters")?,
-            warmup: get_usize(&v, "warmup")?,
+            model: get_str(v, "model")?,
+            dim,
+            seed: get_u64(v, "seed")?,
+            chains: get_usize(v, "chains")?,
+            iters: get_usize(v, "iters")?,
+            warmup: get_usize(v, "warmup")?,
             detector: DetectorFingerprint {
                 threshold: get_f64(det, "threshold")?,
                 check_every: get_usize(det, "check_every")?,
                 min_iters: get_usize(det, "min_iters")?,
                 consecutive: get_usize(det, "consecutive")?,
             },
-            iter: get_usize(&v, "iter")?,
+            iter: get_usize(v, "iter")?,
             chain_states,
         })
-    }
-
-    /// Serializes the checkpoint with its checksummed header line:
-    /// `BAYESCKPT <version> <payload_bytes> <fnv1a64-hex>\n<json>`.
-    pub fn to_durable_bytes(&self) -> String {
-        let payload = self.to_json();
-        let mut out = String::with_capacity(payload.len() + 48);
-        let _ = writeln!(
-            out,
-            "{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} {} {:016x}",
-            payload.len(),
-            bayes_obs::fnv1a64(payload.as_bytes())
-        );
-        out.push_str(&payload);
-        out
-    }
-
-    /// Decodes a durable checkpoint document: validates the header's
-    /// length and checksum, then parses the JSON payload. Headerless
-    /// input (a pre-durability checkpoint) is accepted as plain JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first framing, checksum, or schema
-    /// violation.
-    pub fn from_durable_bytes(text: &str) -> Result<Self, String> {
-        let Some(rest) = text.strip_prefix(CHECKPOINT_MAGIC) else {
-            // Legacy headerless checkpoint: the payload is the file.
-            return Self::from_json(text);
-        };
-        let (header, payload) = rest
-            .split_once('\n')
-            .ok_or("checkpoint: header line is unterminated")?;
-        let mut fields = header.split_ascii_whitespace();
-        let version: u64 = fields
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or("checkpoint: header is missing the version")?;
-        if version != CHECKPOINT_VERSION {
-            return Err(format!(
-                "checkpoint: unsupported header version {version} (expected {CHECKPOINT_VERSION})"
-            ));
-        }
-        let len: usize = fields
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or("checkpoint: header is missing the payload length")?;
-        let sum: u64 = fields
-            .next()
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or("checkpoint: header is missing the checksum")?;
-        if payload.len() != len {
-            return Err(format!(
-                "checkpoint: torn payload ({} bytes, header says {len})",
-                payload.len()
-            ));
-        }
-        let actual = bayes_obs::fnv1a64(payload.as_bytes());
-        if actual != sum {
-            return Err(format!(
-                "checkpoint: checksum mismatch (stored {sum:016x}, computed {actual:016x})"
-            ));
-        }
-        Self::from_json(payload)
     }
 
     /// Writes the checkpoint to `path` atomically: the bytes land in a
@@ -598,15 +699,7 @@ impl RunCheckpoint {
     /// Propagates the underlying I/O failure.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let _span = bayes_obs::span(bayes_obs::Phase::Serialize);
-        let path = path.as_ref();
-        let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        std::fs::write(&tmp, self.to_durable_bytes())?;
-        if path.exists() {
-            std::fs::rename(path, previous_checkpoint_path(path))?;
-        }
-        std::fs::rename(&tmp, path)
+        write_atomically(path.as_ref(), &self.to_durable_bytes())
     }
 
     /// Reads a checkpoint back from `path`, rejecting torn or
@@ -617,9 +710,9 @@ impl RunCheckpoint {
     /// Returns a description of the I/O, framing, or schema failure.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, String> {
         let _span = bayes_obs::span(bayes_obs::Phase::Resume);
-        let text = std::fs::read_to_string(path.as_ref())
+        let bytes = std::fs::read(path.as_ref())
             .map_err(|e| format!("checkpoint: cannot read {}: {e}", path.as_ref().display()))?;
-        Self::from_durable_bytes(&text)
+        Self::from_durable_bytes(&bytes)
     }
 }
 
@@ -658,7 +751,7 @@ mod tests {
         };
         RunCheckpoint {
             version: CHECKPOINT_VERSION,
-            model: "gauss \"quoted\"".into(),
+            model: "gauss \"quoted\"\nline".into(),
             dim: 2,
             seed: 9223372036854775809,
             chains: 2,
@@ -675,28 +768,50 @@ mod tests {
                 .map(|c| ChainCheckpoint {
                     chain: c,
                     stream_seed: 42 + c as u64,
-                    draws: vec![vec![0.5, -0.5], vec![1.25, 2.5]],
-                    evals_per_iter: vec![3, 7],
+                    draws: vec![vec![0.5, -0.0], vec![f64::MIN_POSITIVE / 3.0, 0.1 + 0.2]],
+                    evals_per_iter: vec![3, u32::MAX],
                     sampler: sampler.clone(),
                 })
                 .collect(),
         }
     }
 
+    /// `payload` behind a header whose length and checksum match it.
+    fn sealed(payload: &[u8]) -> Vec<u8> {
+        let mut out = header(payload.len(), bayes_obs::fnv1a64(payload)).into_bytes();
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// The payload of a document, split into its state line and blocks.
+    fn state_and_blocks(doc: &[u8]) -> (String, Vec<u8>) {
+        let payload = verified_payload(doc).unwrap();
+        let nl = payload.iter().position(|&b| b == b'\n').unwrap();
+        let state = String::from_utf8(payload[..nl].to_vec()).unwrap();
+        (state, payload[nl + 1..].to_vec())
+    }
+
+    fn resealed(state: &str, blocks: &[u8]) -> Vec<u8> {
+        let mut payload = format!("{state}\n").into_bytes();
+        payload.extend_from_slice(blocks);
+        sealed(&payload)
+    }
+
     #[test]
-    fn checkpoint_round_trips_through_json() {
+    fn checkpoint_round_trips_through_durable_bytes() {
         let ck = sample_checkpoint();
-        let text = ck.to_json();
-        let back = RunCheckpoint::from_json(&text).expect("decodes");
+        let bytes = ck.to_durable_bytes();
+        assert!(bytes.starts_with(b"BAYESCKPT 2 "));
+        let back = RunCheckpoint::from_durable_bytes(&bytes).expect("decodes");
         assert_eq!(back, ck);
         // Encoding is stable across a decode cycle.
-        assert_eq!(back.to_json(), text);
+        assert_eq!(back.to_durable_bytes(), bytes);
     }
 
     #[test]
     fn step_size_survives_bitwise() {
         let ck = sample_checkpoint();
-        let back = RunCheckpoint::from_json(&ck.to_json()).unwrap();
+        let back = RunCheckpoint::from_durable_bytes(&ck.to_durable_bytes()).unwrap();
         let (a, b) = (
             ck.chain_states[0].sampler.eps,
             back.chain_states[0].sampler.eps,
@@ -707,7 +822,10 @@ mod tests {
     #[test]
     fn save_and_load_round_trip_on_disk() {
         let ck = sample_checkpoint();
-        let path = std::env::temp_dir().join("bayes_mcmc_checkpoint_roundtrip.json");
+        let path = std::env::temp_dir().join(format!(
+            "bayes_mcmc_checkpoint_roundtrip_{}.json",
+            std::process::id()
+        ));
         ck.save(&path).expect("save");
         let back = RunCheckpoint::load(&path).expect("load");
         let _ = std::fs::remove_file(&path);
@@ -718,39 +836,72 @@ mod tests {
     fn rejects_wrong_version_and_malformed_input() {
         let mut ck = sample_checkpoint();
         ck.version = CHECKPOINT_VERSION + 1;
-        assert!(RunCheckpoint::from_json(&ck.to_json())
+        assert!(RunCheckpoint::from_durable_bytes(&ck.to_durable_bytes())
             .unwrap_err()
             .contains("version"));
-        assert!(RunCheckpoint::from_json("not json").is_err());
-        assert!(RunCheckpoint::from_json("{\"version\":1}").is_err());
+        assert!(RunCheckpoint::from_durable_bytes(b"not a checkpoint").is_err());
+        assert!(RunCheckpoint::from_durable_bytes(&sealed(b"{\"version\":2}\n")).is_err());
+    }
+
+    /// A version-1 file (decimal JSON behind the same header) and a
+    /// headerless document are both refused: the header is the only
+    /// way in, and it must name this version.
+    #[test]
+    fn version_one_and_headerless_documents_are_rejected() {
+        let (state, _) = state_and_blocks(&sample_checkpoint().to_durable_bytes());
+        let v1_payload = state.replace("\"version\":2", "\"version\":1");
+        let v1 = format!(
+            "BAYESCKPT 1 {} {:016x}\n{v1_payload}",
+            v1_payload.len(),
+            bayes_obs::fnv1a64(v1_payload.as_bytes())
+        );
+        assert!(RunCheckpoint::from_durable_bytes(v1.as_bytes())
+            .unwrap_err()
+            .contains("unsupported header version 1"));
+        assert!(RunCheckpoint::from_durable_bytes(state.as_bytes())
+            .unwrap_err()
+            .contains("no BAYESCKPT header"));
+    }
+
+    /// Counts are taken whole or not at all: a JSON counter past
+    /// `u64::MAX` and a block row count of `u64::MAX` are errors, not
+    /// truncations.
+    #[test]
+    fn out_of_range_counts_are_rejected() {
+        let (state, blocks) = state_and_blocks(&sample_checkpoint().to_durable_bytes());
+        let big = state.replacen(
+            "\"divergences\":1",
+            "\"divergences\":18446744073709551616",
+            1,
+        );
+        assert!(RunCheckpoint::from_durable_bytes(&resealed(&big, &blocks))
+            .unwrap_err()
+            .contains("divergences"));
+        let mut forged = blocks.clone();
+        forged[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(
+            RunCheckpoint::from_durable_bytes(&resealed(&state, &forged))
+                .unwrap_err()
+                .contains("rows")
+        );
     }
 
     #[test]
     fn corrupted_and_torn_durable_bytes_are_rejected() {
-        let ck = sample_checkpoint();
-        let good = ck.to_durable_bytes();
-        assert_eq!(RunCheckpoint::from_durable_bytes(&good).unwrap(), ck);
+        let good = sample_checkpoint().to_durable_bytes();
 
         // Flip one payload byte: the checksum must catch it.
-        let mut flipped = good.clone().into_bytes();
+        let mut flipped = good.clone();
         let last = flipped.len() - 10;
         flipped[last] ^= 0x01;
-        let flipped = String::from_utf8(flipped).unwrap();
         assert!(RunCheckpoint::from_durable_bytes(&flipped)
             .unwrap_err()
             .contains("checksum"));
 
         // A torn tail (truncated payload) must be caught by length.
-        let torn = &good[..good.len() - 7];
-        assert!(RunCheckpoint::from_durable_bytes(torn)
+        assert!(RunCheckpoint::from_durable_bytes(&good[..good.len() - 7])
             .unwrap_err()
             .contains("torn"));
-
-        // Legacy headerless JSON still loads.
-        assert_eq!(
-            RunCheckpoint::from_durable_bytes(&ck.to_json()).unwrap(),
-            ck
-        );
     }
 
     #[test]

@@ -50,7 +50,8 @@ use crate::chain::{
     Sampler,
 };
 use crate::checkpoint::{
-    ChainCheckpoint, DetectorFingerprint, RunCheckpoint, SamplerCheckpoint, CHECKPOINT_VERSION,
+    write_atomically, ChainCheckpoint, DetectorFingerprint, DurableWriter, RunCheckpoint,
+    SamplerCheckpoint, CHECKPOINT_VERSION,
 };
 use crate::converge::ConvergenceDetector;
 use crate::lock;
@@ -1300,13 +1301,13 @@ impl Runtime {
                                     ChainCheckpoint {
                                         chain: p.chain,
                                         stream_seed: p.stream_seed,
-                                        draws: lock(&slot.buffer)[..t].to_vec(),
+                                        draws: Vec::new(),
                                         evals_per_iter: std::mem::take(&mut sampler.evals_per_iter),
                                         sampler,
                                     }
                                 })
                                 .collect();
-                            let ck = RunCheckpoint {
+                            let mut ck = RunCheckpoint {
                                 version: CHECKPOINT_VERSION,
                                 model: model.name().to_string(),
                                 dim: model.dim(),
@@ -1318,9 +1319,19 @@ impl Runtime {
                                 iter: t,
                                 chain_states,
                             };
-                            // Best-effort: an unwritable checkpoint must
-                            // not kill a healthy run.
-                            let saved = ck.save(path).is_ok();
+                            // The rows go from each chain's buffer
+                            // straight into the file's bytes; `ck` holds
+                            // no draws.
+                            let saved = {
+                                let _span = bayes_obs::span(bayes_obs::Phase::Serialize);
+                                let mut doc = DurableWriter::begin(&ck);
+                                for (c, slot) in ck.chain_states.iter().zip(&round.slots) {
+                                    doc.block(&lock(&slot.buffer)[..t], &c.evals_per_iter);
+                                }
+                                // Best-effort: an unwritable checkpoint
+                                // must not kill a healthy run.
+                                write_atomically(path, &doc.finish()).is_ok()
+                            };
                             if saved && cfg.recorder.enabled() {
                                 cfg.recorder.record(Event::CheckpointSaved {
                                     path: path.display().to_string(),
@@ -1329,7 +1340,7 @@ impl Runtime {
                                 });
                             }
                             // A chain blocked on its buffer lock while the
-                            // assembly cloned it must not see that time
+                            // encoder copied it must not see that time
                             // on its progress clock.
                             let spent = ck_started.elapsed();
                             for hb in heartbeats.iter_mut() {
@@ -1338,6 +1349,10 @@ impl Runtime {
                             if pause_target == Some(t) {
                                 let pc = round.pause.expect("a pause target implies a pause");
                                 if saved {
+                                    let states = ck.chain_states.iter_mut();
+                                    for (c, slot) in states.zip(&round.slots) {
+                                        c.draws = lock(&slot.buffer)[..t].to_vec();
+                                    }
                                     out.paused = Some((t, ck.chain_states));
                                     pc.mark_paused();
                                     cancel_all();

@@ -152,4 +152,35 @@ mod tests {
         assert!(!store.path_for(1).exists());
         let _ = std::fs::remove_dir_all(store.dir());
     }
+
+    /// A generation written by a version-1 build (decimal JSON behind a
+    /// `BAYESCKPT 1` header, checksum intact) is skipped like a corrupt
+    /// one: the job resumes from a version-2 generation beside it, or
+    /// restarts from iteration 0 when there is none.
+    #[test]
+    fn version_one_generations_are_skipped_like_corrupt_ones() {
+        let store = CheckpointStore::new(test_dir("v1")).unwrap();
+        let json = "{\"version\":1,\"model\":\"gauss\",\"dim\":2,\"seed\":42,\"chains\":0,\
+                    \"iters\":100,\"warmup\":50,\"detector\":{\"threshold\":1.01,\
+                    \"check_every\":20,\"min_iters\":20,\"consecutive\":1},\"iter\":20,\
+                    \"chain_states\":[]}";
+        let v1 = format!(
+            "BAYESCKPT 1 {} {:016x}\n{json}",
+            json.len(),
+            bayes_obs::fnv1a64(json.as_bytes())
+        );
+        let current = store.path_for(1);
+        std::fs::write(&current, &v1).unwrap();
+        let found = store.lookup(1);
+        assert!(found.checkpoint.is_none());
+        assert_eq!(found.corrupt_skipped, 1);
+        let mut ckpt = fixture();
+        ckpt.iter = 10;
+        std::fs::write(previous_checkpoint_path(&current), ckpt.to_durable_bytes()).unwrap();
+        let found = store.lookup(1);
+        assert_eq!(found.corrupt_skipped, 1);
+        assert_eq!(found.checkpoint.unwrap().0, 10);
+        store.remove(1);
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
 }

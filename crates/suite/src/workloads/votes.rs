@@ -14,13 +14,15 @@
 
 use crate::meta::{Workload, WorkloadMeta};
 use crate::workloads::scaled_count;
-use bayes_autodiff::Real;
+use bayes_autodiff::forward::LANES;
+use bayes_autodiff::{grad_forward_into, Dual, Real};
 use bayes_linalg::{Cholesky, Matrix};
 use bayes_mcmc::lp;
 use bayes_mcmc::{AdModel, LogDensity, ShardedDensity, StatsModel, SufficientStats};
 use bayes_prob::dist::{ContinuousDist, Normal};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::Cell;
 use std::ops::Range;
 
 const LN_SQRT_2PI: f64 = 0.918_938_533_204_672_7;
@@ -240,14 +242,11 @@ impl VotesStats {
             y: data.y.clone(),
         }
     }
-}
 
-impl SufficientStats for VotesStats {
-    fn dim(&self) -> usize {
-        4
-    }
-
-    fn ln_posterior_stats<R: Real>(&self, theta: &[R]) -> R {
+    /// [`SufficientStats::ln_posterior_stats`] with the covariance
+    /// triangle `k` and the solve vector `w` supplied by the caller;
+    /// whatever they held is discarded.
+    fn ln_posterior_in<R: Real>(&self, theta: &[R], k: &mut Vec<R>, w: &mut Vec<R>) -> R {
         // Mirrors `VotesDensity::eval` operation-for-operation (with
         // `dt` read from the precomputed triangle, which holds the
         // identical f64 differences), so the `f64` instantiation is
@@ -259,7 +258,8 @@ impl SufficientStats for VotesStats {
         let mu = theta[3];
         let prior = ln_prior_terms(theta);
 
-        let mut k: Vec<R> = Vec::with_capacity(n * (n + 1) / 2);
+        k.clear();
+        k.reserve(n * (n + 1) / 2);
         let mut flat = 0;
         for i in 0..n {
             for j in 0..=i {
@@ -272,11 +272,12 @@ impl SufficientStats for VotesStats {
                 flat += 1;
             }
         }
-        if cholesky_generic(n, &mut k).is_none() {
+        if cholesky_generic(n, k).is_none() {
             return prior + (theta[0] * 0.0 + f64::NEG_INFINITY);
         }
         let idx = |i: usize, j: usize| i * (i + 1) / 2 + j;
-        let mut w: Vec<R> = Vec::with_capacity(n);
+        w.clear();
+        w.reserve(n);
         for i in 0..n {
             let mut s = -mu + self.y[i];
             for j in 0..i {
@@ -292,9 +293,37 @@ impl SufficientStats for VotesStats {
         }
         prior + (quad * (-0.5) - ln_det_half - (n as f64) * LN_SQRT_2PI)
     }
-    // Gradient: the default tape-free forward-mode sweep — dim = 4
-    // fits one 4-lane pass, sharing each kernel `exp` across all four
-    // directional derivatives.
+}
+
+thread_local! {
+    /// The packed covariance triangle and forward-substitution vector of
+    /// a [`VotesStats`] gradient, kept so that a steady-state gradient
+    /// allocates nothing. Taken out of the cell for the duration of a
+    /// pass, like the forward-mode point buffer it runs beside.
+    static GRAD_SCRATCH: Cell<(Vec<Dual<LANES>>, Vec<Dual<LANES>>)> =
+        const { Cell::new((Vec::new(), Vec::new())) };
+}
+
+impl SufficientStats for VotesStats {
+    fn dim(&self) -> usize {
+        4
+    }
+
+    fn ln_posterior_stats<R: Real>(&self, theta: &[R]) -> R {
+        self.ln_posterior_in(theta, &mut Vec::new(), &mut Vec::new())
+    }
+
+    /// The default tape-free forward-mode sweep — dim = 4 fits one
+    /// 4-lane pass, sharing each kernel `exp` across all four
+    /// directional derivatives — on this thread's scratch vectors.
+    fn ln_posterior_grad_stats(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
+        grad_forward_into(theta, grad, |t| {
+            let (mut k, mut w) = GRAD_SCRATCH.take();
+            let lp = self.ln_posterior_in(t, &mut k, &mut w);
+            GRAD_SCRATCH.set((k, w));
+            lp
+        })
+    }
 }
 
 /// Builds the `votes` workload at the given data scale.

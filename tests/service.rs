@@ -438,6 +438,10 @@ fn killed_server_recovers_bit_identically() {
 /// A corrupted current checkpoint generation is detected by checksum
 /// and recovery falls back to the previous good generation: the job
 /// still completes, still bit-identical to the uninterrupted run.
+///
+/// The kill lands once the second generation exists, found by polling
+/// every 5 ms, so the job must still be running well after that: 1 200
+/// iterations of `votes` leave tens of milliseconds.
 #[test]
 fn corrupt_checkpoint_falls_back_to_previous_generation() {
     let dir = checkpoint_dir("corrupt-ckpt");
@@ -452,7 +456,7 @@ fn corrupt_checkpoint_falls_back_to_previous_generation() {
     let handle = server.submit(
         JobSpec::new("rotten", "votes")
             .with_chains(2)
-            .with_iters(240)
+            .with_iters(1200)
             .with_seed(42)
             .with_detector(full_length_detector()),
     );
@@ -479,7 +483,7 @@ fn corrupt_checkpoint_falls_back_to_previous_generation() {
             job.outcome
         );
     };
-    assert_eq!(result.iters_done, 240);
+    assert_eq!(result.iters_done, 1200);
 
     let events = memory.events();
     assert!(
@@ -494,7 +498,7 @@ fn corrupt_checkpoint_falls_back_to_previous_generation() {
         "the skipped corrupt generation must be on the record: {events:?}"
     );
 
-    let cfg = RunConfig::new(240).with_chains(2).with_seed(42);
+    let cfg = RunConfig::new(1200).with_chains(2).with_seed(42);
     let reference = uninterrupted("votes", 0.25, &cfg, "corrupt-ckpt-ref");
     assert_bitwise_eq(
         &result.draws,

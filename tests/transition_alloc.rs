@@ -99,19 +99,14 @@ fn a_steady_state_hmc_transition_allocates_only_its_draw_row() {
     );
 }
 
-/// The exception: `votes` evaluates a marginalised GP, and each
-/// gradient — one 4-lane forward pass, `dim` is 4 — builds the packed
-/// covariance triangle and the forward-substitution vector it
-/// factorises, two `Vec`s that `VotesStats::ln_posterior_stats` sizes
-/// from the series length. The sampler around them allocates nothing,
-/// so the count is exact; a change that hoists the two vectors turns
-/// `VOTES_PER_GRADIENT` into 0 and this test into the one above. (A
-/// leapfrog into a covariance that does not factorise returns after
-/// the first vector; the chain at seed 8 takes none, where the chain
-/// at seed 7, started from `chain::run`'s initial point, takes one.)
+/// `votes` evaluates a marginalised GP, and each gradient — one 4-lane
+/// forward pass, `dim` is 4 — builds a packed covariance triangle and a
+/// forward-substitution vector sized from the series length. They live
+/// in a per-thread scratch that `VotesStats` reuses, so the budget per
+/// gradient is zero and a transition allocates its draw row alone.
 #[test]
-fn votes_allocates_two_work_vectors_per_gradient_and_nothing_else() {
-    const VOTES_PER_GRADIENT: u64 = 2;
+fn votes_gradients_allocate_nothing_and_a_transition_only_its_draw_row() {
+    const VOTES_PER_GRADIENT: u64 = 0;
     let workload = registry_model("votes");
     let model = workload.model();
     let (mut theta, mut grad) = (vec![0.1; model.dim()], vec![0.0; model.dim()]);
