@@ -481,10 +481,13 @@ pub trait Sampler: Sync {
 /// Runs one chain: `sampler`'s state at `init` (or restored from
 /// `from`, whose draws it continues), then one transition per
 /// iteration up to `cfg.iters`, all on the stream `seed`. Around each
-/// transition the loop records the `iteration` event, keeps the draw
-/// row and its evaluation count, and — under supervision (`watch`) —
-/// re-derives the stream at segment boundaries, hands the supervisor a
-/// snapshot there and every draw after it, and stops when told to.
+/// transition the loop records the `iteration` event, keeps the draw's
+/// evaluation count, and either keeps the draw row itself or — under
+/// supervision (`watch`) — hands it to the supervisor, which keeps the
+/// chain's rows (`from`'s included) and puts them in the output the
+/// chain returns. Supervised, the loop also re-derives the stream at
+/// segment boundaries, hands the supervisor a snapshot there, and stops
+/// when told to.
 pub(crate) fn run_chain<S: Sampler>(
     sampler: &S,
     model: &dyn Model,
@@ -495,7 +498,7 @@ pub(crate) fn run_chain<S: Sampler>(
     watch: Option<&Watch<'_>>,
 ) -> ChainOutput {
     let _scope = cfg.profiler.install(Some(cfg.chain_index as u64));
-    let mut draws = Vec::with_capacity(cfg.iters);
+    let mut draws = Vec::with_capacity(if watch.is_some() { 0 } else { cfg.iters });
     let mut evals_per_iter = Vec::with_capacity(cfg.iters);
     let mut env = Env {
         model,
@@ -509,7 +512,6 @@ pub(crate) fn run_chain<S: Sampler>(
         // boundary, exactly the stream an uninterrupted run is on there.
         Some(ck) => {
             let s = &ck.sampler;
-            draws.extend_from_slice(&ck.draws);
             evals_per_iter.extend_from_slice(&ck.evals_per_iter);
             env.rng = StdRng::seed_from_u64(segment_seed(seed, s.iter));
             env.evals = s.grad_evals;
@@ -521,7 +523,7 @@ pub(crate) fn run_chain<S: Sampler>(
     // recorder cannot perturb the draw stream.
     let recording = cfg.recorder.enabled();
 
-    for iter in draws.len()..cfg.iters {
+    for iter in evals_per_iter.len()..cfg.iters {
         // Segmented streams: re-derive the generator at every
         // checkpoint boundary so a resume from iteration t replays the
         // identical randomness for [t, ...). Re-seeding at the resume
@@ -551,7 +553,6 @@ pub(crate) fn run_chain<S: Sampler>(
             });
         }
         let draw = sampler.position(&state);
-        draws.push(draw.to_vec());
         evals_per_iter.push(spent as u32);
         if let Some(w) = watch {
             // With iterations [0, completed) done, the chain can resume
@@ -570,12 +571,14 @@ pub(crate) fn run_chain<S: Sampler>(
             if !w.on_draw(iter, draw) {
                 break;
             }
+        } else {
+            draws.push(draw.to_vec());
         }
     }
 
     // Post-warm-up iterations actually completed: a supervisor's stop
     // ends the chain before `cfg.iters`.
-    let sampling = draws.len().saturating_sub(cfg.warmup).max(1) as f64;
+    let sampling = evals_per_iter.len().saturating_sub(cfg.warmup).max(1) as f64;
     ChainOutput {
         draws,
         warmup: cfg.warmup,

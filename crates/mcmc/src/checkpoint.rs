@@ -8,22 +8,29 @@
 //!
 //! # File layout
 //!
-//! One checksummed header line, one line of JSON holding everything
-//! but the draw history, then one binary block per chain holding that
-//! history as raw little-endian words:
+//! A checkpoint file is a log of frames, one appended per checkpoint
+//! boundary. A frame is one checksummed header line, one line of JSON
+//! holding everything but the draw history, then one binary block per
+//! chain holding, as raw little-endian words, the rows that chain drew
+//! since its previous frame (every row, in a log's first frame):
 //!
 //! ```text
-//! BAYESCKPT 2 <payload_len, 20 digits> <fnv1a64, 16 hex digits>\n
-//! {"version":2,"model":…,"chain_states":[…]}\n
+//! BAYESCKPT 3 <payload_len, 20 digits> <fnv1a64, 16 hex digits>\n
+//! {"version":3,"model":…,"chain_states":[…]}\n
 //! rows: u64 | draws: rows × dim f64 | evals_per_iter: rows u32     (chain 0)
 //! rows: u64 | …                                                     (chain 1, …)
+//! BAYESCKPT 3 …                                       (the next boundary's frame)
 //! ```
 //!
-//! The length and checksum cover everything after the header. The
-//! draws are nearly all of a file and all of its growth; as raw bits
-//! they are written and read at the cost of a copy and are exact by
-//! construction. The decoder checks every length against `dim` and the
-//! bytes present before it allocates (DESIGN.md §8).
+//! A frame's length and checksum cover everything after its header
+//! line. A reader walks the frames in order and appends each block's
+//! rows to its chain; the last frame that verifies supplies the state.
+//! A torn or corrupt frame ends the walk, and a writer reopening the
+//! log cuts the file there before it appends (DESIGN.md §8). The draws
+//! are nearly all of a log; as raw bits they are written and read at
+//! the cost of a copy and are exact by construction. The decoder checks
+//! every length against `dim` and the bytes present before it
+//! allocates.
 //!
 //! # Why no raw RNG state?
 //!
@@ -42,11 +49,12 @@
 use crate::stream::{Purpose, StreamKey};
 use bayes_obs::json::{parse, write_escaped, Json};
 use std::fmt::Write as _;
-use std::io;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write as _};
 use std::path::Path;
 
 /// Current checkpoint-file schema version.
-pub const CHECKPOINT_VERSION: u64 = 2;
+pub const CHECKPOINT_VERSION: u64 = 3;
 
 /// Magic token opening the checksummed checkpoint header line.
 const CHECKPOINT_MAGIC: &str = "BAYESCKPT";
@@ -56,13 +64,10 @@ const CHECKPOINT_MAGIC: &str = "BAYESCKPT";
 /// spare.
 const MAX_HEADER: usize = 64;
 
-/// Where [`RunCheckpoint::save`] rotates the previous generation of
-/// `path` before the atomic rename lands the new one.
-///
-/// The two-generation scheme is what makes corruption recoverable: a
-/// reader that finds the current file torn or checksum-broken falls
-/// back to this path, which always holds the last fully-committed
-/// checkpoint (one boundary earlier).
+/// The `<name>.prev` sibling of `path`, where checkpoint versions 2
+/// and earlier rotated their previous generation. Nothing writes it
+/// any more: a log's earlier frames are its fallback. Callers that
+/// clean up after older builds still name it through here.
 pub fn previous_checkpoint_path(path: impl AsRef<Path>) -> std::path::PathBuf {
     let p = path.as_ref();
     let mut name = p.file_name().unwrap_or_default().to_os_string();
@@ -416,21 +421,22 @@ fn header(len: usize, sum: u64) -> String {
     format!("{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} {len:020} {sum:016x}\n")
 }
 
-/// Builds the durable bytes of one checkpoint: the JSON state, one
-/// block per chain from wherever the caller keeps its rows, then the
-/// header's length and checksum. [`RunCheckpoint::to_durable_bytes`]
-/// feeds it the checkpoint's own chain states; the supervisor feeds it
-/// its live draw buffers, so no row is cloned on the way to disk.
+/// Builds one frame: the JSON state, one block per chain from wherever
+/// the caller keeps its rows, then the header's length and checksum.
+/// [`RunCheckpoint::to_durable_bytes`] feeds it the checkpoint's own
+/// chain states; the supervisor feeds it the rows its live buffers
+/// gained since the log's previous frame, so no row is cloned on the
+/// way to disk.
 pub(crate) struct DurableWriter {
     out: Vec<u8>,
     header_len: usize,
 }
 
 impl DurableWriter {
-    /// Starts the document of `ck`: a placeholder header, then the JSON
+    /// Starts the frame of `ck`: a placeholder header, then the JSON
     /// state. The chain states' `draws` and `evals_per_iter` are not
     /// read; one [`DurableWriter::block`] per chain state, in order,
-    /// writes them.
+    /// writes the rows.
     pub(crate) fn begin(ck: &RunCheckpoint) -> Self {
         let mut text = header(0, 0);
         let header_len = text.len();
@@ -487,7 +493,7 @@ impl DurableWriter {
         }
     }
 
-    /// Fills in the header and returns the document.
+    /// Fills in the header and returns the frame.
     pub(crate) fn finish(mut self) -> Vec<u8> {
         let payload = &self.out[self.header_len..];
         let line = header(payload.len(), bayes_obs::fnv1a64(payload));
@@ -496,9 +502,10 @@ impl DurableWriter {
     }
 }
 
-/// The payload of a durable document, once its header has been parsed
-/// and its length and checksum verified.
-fn verified_payload(bytes: &[u8]) -> Result<&[u8], String> {
+/// Splits the frame at the front of `bytes` into its payload, once the
+/// header has been parsed and the length and checksum verified, and
+/// the bytes after it.
+fn next_frame(bytes: &[u8]) -> Result<(&[u8], &[u8]), String> {
     let rest = bytes
         .strip_prefix(CHECKPOINT_MAGIC.as_bytes())
         .and_then(|r| r.strip_prefix(b" "))
@@ -509,7 +516,7 @@ fn verified_payload(bytes: &[u8]) -> Result<&[u8], String> {
         .position(|&b| b == b'\n')
         .ok_or("checkpoint: header line is unterminated")?;
     let header = std::str::from_utf8(&rest[..end]).map_err(|_| "checkpoint: header is not text")?;
-    let payload = &rest[end + 1..];
+    let after = &rest[end + 1..];
     let mut fields = header.split(' ');
     let version: u64 = fields
         .next()
@@ -531,32 +538,49 @@ fn verified_payload(bytes: &[u8]) -> Result<&[u8], String> {
     if fields.next().is_some() {
         return Err("checkpoint: header has trailing fields".into());
     }
-    if payload.len() as u64 != len {
-        return Err(format!(
-            "checkpoint: torn payload ({} bytes, header says {len})",
-            payload.len()
-        ));
-    }
+    let len = usize::try_from(len)
+        .ok()
+        .filter(|&len| len <= after.len())
+        .ok_or_else(|| {
+            format!(
+                "checkpoint: torn payload ({} bytes, header says {len})",
+                after.len()
+            )
+        })?;
+    let (payload, rest) = after.split_at(len);
     let actual = bayes_obs::fnv1a64(payload);
     if actual != sum {
         return Err(format!(
             "checkpoint: checksum mismatch (stored {sum:016x}, computed {actual:016x})"
         ));
     }
-    Ok(payload)
+    Ok((payload, rest))
 }
 
 /// A chain's draws and per-row eval counts.
 type Block = (Vec<Vec<f64>>, Vec<u32>);
 
-/// Reads one chain block off the front of `bytes`. The row count is
-/// checked against `dim` and the bytes actually present before anything
-/// is allocated, so a forged count costs an error, not memory.
-fn read_block(bytes: &mut &[u8], dim: usize) -> Result<Block, String> {
+/// Reads one chain block off the front of `bytes` and appends its rows
+/// to `chain`; `expected` is its row count, when the frame dictates one.
+/// The row count is checked against that, `dim` and the bytes actually
+/// present before anything is allocated, so a forged count costs an
+/// error, not memory; growth is exact, so a chain's rows never hold
+/// more capacity than the log's blocks account for.
+fn read_block(
+    bytes: &mut &[u8],
+    dim: usize,
+    expected: Option<usize>,
+    (draws, evals): &mut Block,
+) -> Result<(), String> {
     let (count, rest) = bytes
         .split_first_chunk::<8>()
         .ok_or("checkpoint: chain block is missing its row count")?;
     let rows = u64::from_le_bytes(*count);
+    if let Some(n) = expected.filter(|&n| n as u64 != rows) {
+        return Err(format!(
+            "checkpoint: chain block holds {rows} rows, the frame's iterations {n}"
+        ));
+    }
     let row_bytes = dim
         .checked_mul(8)
         .ok_or_else(|| format!("checkpoint: dim {dim} is out of range"))?;
@@ -575,38 +599,165 @@ fn read_block(bytes: &mut &[u8], dim: usize) -> Result<Block, String> {
     let rows = rows as usize;
     let (block, rest) = rest.split_at(len);
     let (draw_bytes, eval_bytes) = block.split_at(rows * row_bytes);
-    let draws = (0..rows)
-        .map(|r| {
-            draw_bytes[r * row_bytes..(r + 1) * row_bytes]
-                .chunks_exact(8)
-                .map(|w| f64::from_le_bytes(w.try_into().expect("8-byte chunk")))
-                .collect()
-        })
-        .collect();
-    let evals = eval_bytes
-        .chunks_exact(4)
-        .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunk")))
-        .collect();
+    draws.reserve_exact(rows);
+    draws.extend((0..rows).map(|r| {
+        draw_bytes[r * row_bytes..(r + 1) * row_bytes]
+            .chunks_exact(8)
+            .map(|w| f64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+            .collect()
+    }));
+    evals.reserve_exact(rows);
+    evals.extend(
+        eval_bytes
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunk"))),
+    );
     *bytes = rest;
-    Ok((draws, evals))
+    Ok(())
 }
 
-/// Writes `bytes` to `path` atomically and rotates the previous
-/// generation; see [`RunCheckpoint::save`].
-pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    std::fs::write(&tmp, bytes)?;
-    if path.exists() {
-        std::fs::rename(path, previous_checkpoint_path(path))?;
+/// Decodes the frame at the front of `bytes`, appending its blocks'
+/// rows to `rows` (one entry per chain, started by the first frame).
+/// `prev` is the state of the frame before it: this one must keep its
+/// `dim` and chain count, and its blocks must hold exactly the rows of
+/// the iterations between the two. On error no row is added.
+fn read_frame<'a>(
+    bytes: &'a [u8],
+    prev: Option<&RunCheckpoint>,
+    rows: &mut Vec<Block>,
+) -> Result<(RunCheckpoint, &'a [u8]), String> {
+    let (payload, rest) = next_frame(bytes)?;
+    let newline = payload
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or("checkpoint: state line is unterminated")?;
+    let state = std::str::from_utf8(&payload[..newline])
+        .map_err(|_| "checkpoint: state line is not UTF-8")?;
+    let ck = RunCheckpoint::read_state(&parse(state)?)?;
+    let expected = match prev {
+        None => {
+            rows.resize_with(ck.chain_states.len(), Block::default);
+            None
+        }
+        Some(p)
+            if p.dim == ck.dim
+                && p.chain_states.len() == ck.chain_states.len()
+                && p.iter < ck.iter =>
+        {
+            Some(ck.iter - p.iter)
+        }
+        Some(p) => {
+            return Err(format!(
+                "checkpoint: frame at iteration {} does not extend the one at {}",
+                ck.iter, p.iter
+            ))
+        }
+    };
+    let kept: Vec<usize> = rows.iter().map(|(draws, _)| draws.len()).collect();
+    let mut blocks = &payload[newline + 1..];
+    let read = rows
+        .iter_mut()
+        .try_for_each(|chain| read_block(&mut blocks, ck.dim, expected, chain))
+        .and_then(|()| match blocks.len() {
+            0 => Ok(()),
+            n => Err(format!("checkpoint: {n} bytes past the last chain block")),
+        });
+    if let Err(e) = read {
+        for ((draws, evals), &n) in rows.iter_mut().zip(&kept) {
+            draws.truncate(n);
+            evals.truncate(n);
+        }
+        return Err(e);
     }
-    std::fs::rename(&tmp, path)
+    Ok((ck, rest))
+}
+
+/// Walks a checkpoint log: the checkpoint of its last frame that
+/// verifies, with every row its frames hold up to that one, and the
+/// bytes those frames take. The first frame that fails ends the walk;
+/// when that is the first frame, its error is the log's.
+fn read_log(bytes: &[u8]) -> Result<(RunCheckpoint, usize), String> {
+    let mut rest = bytes;
+    let mut last: Option<RunCheckpoint> = None;
+    let mut rows: Vec<Block> = Vec::new();
+    while !rest.is_empty() {
+        match read_frame(rest, last.as_ref(), &mut rows) {
+            Ok((ck, after)) => {
+                last = Some(ck);
+                rest = after;
+            }
+            Err(e) if last.is_none() => return Err(e),
+            Err(_) => break,
+        }
+    }
+    let mut ck = last.ok_or("checkpoint: empty file")?;
+    for (c, (draws, evals)) in ck.chain_states.iter_mut().zip(rows) {
+        c.draws = draws;
+        c.evals_per_iter = evals;
+    }
+    Ok((ck, bytes.len() - rest.len()))
+}
+
+/// A checkpoint log read from disk by [`RunCheckpoint::load_log`].
+#[derive(Debug)]
+pub struct LoadedLog {
+    /// The checkpoint of the log's last frame that verifies, with every
+    /// row up to it.
+    pub checkpoint: RunCheckpoint,
+    /// Bytes the frames up to it take: where the next frame goes.
+    pub valid_len: u64,
+    /// Bytes after them: a torn or corrupt frame, and whatever follows
+    /// it. Zero for a clean log.
+    pub skipped_len: u64,
+}
+
+/// A run's checkpoint log, open for appending: each checkpoint boundary
+/// adds one frame holding the rows since the frame before it.
+pub(crate) struct CheckpointLog {
+    file: File,
+    /// Bytes the frames written so far take.
+    len: u64,
+    /// Rows per chain those frames hold.
+    rows: usize,
+}
+
+impl CheckpointLog {
+    /// Opens the log at `path` to extend its first `keep` bytes, whose
+    /// frames hold `rows` rows per chain, and cuts off whatever follows
+    /// them. `keep` 0 starts an empty log.
+    pub(crate) fn open(path: &Path, keep: u64, rows: usize) -> io::Result<Self> {
+        let file = OpenOptions::new().append(true).create(true).open(path)?;
+        file.set_len(keep)?;
+        Ok(Self {
+            file,
+            len: keep,
+            rows,
+        })
+    }
+
+    /// Rows per chain the log holds: where the next frame's blocks
+    /// start.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Appends `frame`, whose blocks end at row `rows` of every chain. A
+    /// failed append is cut off again, so the next frame extends this
+    /// one's predecessor and carries the rows this one did not land.
+    pub(crate) fn append(&mut self, frame: &[u8], rows: usize) -> io::Result<()> {
+        if let Err(e) = self.file.write_all(frame) {
+            let _ = self.file.set_len(self.len);
+            return Err(e);
+        }
+        self.len += frame.len() as u64;
+        self.rows = rows;
+        Ok(())
+    }
 }
 
 impl RunCheckpoint {
-    /// Serializes the checkpoint: header line, JSON state, one raw
-    /// block per chain (module docs).
+    /// Serializes the checkpoint as a one-frame log: header line, JSON
+    /// state, one raw block per chain holding all its rows (module docs).
     pub fn to_durable_bytes(&self) -> Vec<u8> {
         let mut doc = DurableWriter::begin(self);
         for c in &self.chain_states {
@@ -615,35 +766,20 @@ impl RunCheckpoint {
         doc.finish()
     }
 
-    /// Decodes a durable checkpoint document: validates the header's
-    /// version, length and checksum, parses the JSON state, then reads
-    /// one block per chain state, which must use up the payload.
+    /// Decodes a checkpoint log: walks its frames, each validated by
+    /// the header's version, length and checksum, then its JSON state
+    /// and one block per chain state, which must use up the payload.
+    /// Returns the last frame that verifies, each chain's rows being
+    /// those of every frame up to it; a torn or corrupt frame ends the
+    /// walk.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first framing, checksum, or schema
-    /// violation. Input without the header, or with another version's,
-    /// is an error.
+    /// Returns a description of the first frame's framing, checksum, or
+    /// schema violation when no frame verifies. Input without the
+    /// header, or with another version's, is an error.
     pub fn from_durable_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let payload = verified_payload(bytes)?;
-        let newline = payload
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or("checkpoint: state line is unterminated")?;
-        let state = std::str::from_utf8(&payload[..newline])
-            .map_err(|_| "checkpoint: state line is not UTF-8")?;
-        let mut ck = Self::read_state(&parse(state)?)?;
-        let mut blocks = &payload[newline + 1..];
-        for c in &mut ck.chain_states {
-            (c.draws, c.evals_per_iter) = read_block(&mut blocks, ck.dim)?;
-        }
-        if !blocks.is_empty() {
-            return Err(format!(
-                "checkpoint: {} bytes past the last chain block",
-                blocks.len()
-            ));
-        }
-        Ok(ck)
+        read_log(bytes).map(|(ck, _)| ck)
     }
 
     /// The JSON state, with every chain's draws still empty.
@@ -687,32 +823,32 @@ impl RunCheckpoint {
         })
     }
 
-    /// Writes the checkpoint to `path` atomically: the bytes land in a
-    /// temporary sibling first, the previous generation (if any) is
-    /// rotated to [`previous_checkpoint_path`], and a rename commits
-    /// the new file. A crash at any point leaves either the old
-    /// generation, the new one, or the old one under its `.prev` name
-    /// — never a half-written current file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O failure.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let _span = bayes_obs::span(bayes_obs::Phase::Serialize);
-        write_atomically(path.as_ref(), &self.to_durable_bytes())
-    }
-
-    /// Reads a checkpoint back from `path`, rejecting torn or
-    /// corrupted files by header checksum.
+    /// Reads the checkpoint log at `path` (see
+    /// [`RunCheckpoint::from_durable_bytes`]).
     ///
     /// # Errors
     ///
     /// Returns a description of the I/O, framing, or schema failure.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, String> {
+        Self::load_log(path).map(|log| log.checkpoint)
+    }
+
+    /// [`RunCheckpoint::load`], plus where in the file the verified
+    /// frames end.
+    ///
+    /// # Errors
+    ///
+    /// As [`RunCheckpoint::load`].
+    pub fn load_log(path: impl AsRef<Path>) -> Result<LoadedLog, String> {
         let _span = bayes_obs::span(bayes_obs::Phase::Resume);
         let bytes = std::fs::read(path.as_ref())
             .map_err(|e| format!("checkpoint: cannot read {}: {e}", path.as_ref().display()))?;
-        Self::from_durable_bytes(&bytes)
+        let (checkpoint, valid) = read_log(&bytes)?;
+        Ok(LoadedLog {
+            checkpoint,
+            valid_len: valid as u64,
+            skipped_len: (bytes.len() - valid) as u64,
+        })
     }
 }
 
@@ -785,7 +921,7 @@ mod tests {
 
     /// The payload of a document, split into its state line and blocks.
     fn state_and_blocks(doc: &[u8]) -> (String, Vec<u8>) {
-        let payload = verified_payload(doc).unwrap();
+        let (payload, _) = next_frame(doc).unwrap();
         let nl = payload.iter().position(|&b| b == b'\n').unwrap();
         let state = String::from_utf8(payload[..nl].to_vec()).unwrap();
         (state, payload[nl + 1..].to_vec())
@@ -801,7 +937,7 @@ mod tests {
     fn checkpoint_round_trips_through_durable_bytes() {
         let ck = sample_checkpoint();
         let bytes = ck.to_durable_bytes();
-        assert!(bytes.starts_with(b"BAYESCKPT 2 "));
+        assert!(bytes.starts_with(b"BAYESCKPT 3 "));
         let back = RunCheckpoint::from_durable_bytes(&bytes).expect("decodes");
         assert_eq!(back, ck);
         // Encoding is stable across a decode cycle.
@@ -826,7 +962,8 @@ mod tests {
             "bayes_mcmc_checkpoint_roundtrip_{}.json",
             std::process::id()
         ));
-        ck.save(&path).expect("save");
+        let mut log = CheckpointLog::open(&path, 0, 0).expect("open");
+        log.append(&ck.to_durable_bytes(), ck.iter).expect("append");
         let back = RunCheckpoint::load(&path).expect("load");
         let _ = std::fs::remove_file(&path);
         assert_eq!(back, ck);
@@ -840,7 +977,7 @@ mod tests {
             .unwrap_err()
             .contains("version"));
         assert!(RunCheckpoint::from_durable_bytes(b"not a checkpoint").is_err());
-        assert!(RunCheckpoint::from_durable_bytes(&sealed(b"{\"version\":2}\n")).is_err());
+        assert!(RunCheckpoint::from_durable_bytes(&sealed(b"{\"version\":3}\n")).is_err());
     }
 
     /// A version-1 file (decimal JSON behind the same header) and a
@@ -849,7 +986,7 @@ mod tests {
     #[test]
     fn version_one_and_headerless_documents_are_rejected() {
         let (state, _) = state_and_blocks(&sample_checkpoint().to_durable_bytes());
-        let v1_payload = state.replace("\"version\":2", "\"version\":1");
+        let v1_payload = state.replace("\"version\":3", "\"version\":1");
         let v1 = format!(
             "BAYESCKPT 1 {} {:016x}\n{v1_payload}",
             v1_payload.len(),
@@ -904,23 +1041,62 @@ mod tests {
             .contains("torn"));
     }
 
+    /// `ck` with each chain's rows cut to `rows`, taken at iteration
+    /// `iter`.
+    fn frame_of(ck: &RunCheckpoint, iter: usize, rows: std::ops::Range<usize>) -> Vec<u8> {
+        let mut part = ck.clone();
+        part.iter = iter;
+        for c in &mut part.chain_states {
+            c.draws = c.draws[rows.clone()].to_vec();
+            c.evals_per_iter = c.evals_per_iter[rows.clone()].to_vec();
+        }
+        part.to_durable_bytes()
+    }
+
+    /// Frames appended one per boundary rebuild every chain's rows; a
+    /// bad tail falls back to the frame before it, and reopening the
+    /// log cuts it off.
     #[test]
-    fn save_rotates_the_previous_generation() {
-        let dir = std::env::temp_dir().join(format!("bayes-ckpt-rotate-{}", std::process::id()));
+    fn appended_frames_rebuild_the_rows_and_reopening_cuts_a_bad_tail() {
+        let dir = std::env::temp_dir().join(format!("bayes-ckpt-log-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.ckpt.json");
-        let mut first = sample_checkpoint();
-        first.iter = 25;
-        first.save(&path).expect("first save");
-        let second = sample_checkpoint();
-        second.save(&path).expect("second save");
-        assert_eq!(RunCheckpoint::load(&path).unwrap().iter, second.iter);
-        let prev = previous_checkpoint_path(&path);
-        assert_eq!(
-            RunCheckpoint::load(&prev).unwrap().iter,
-            25,
-            "rotation must keep the last good generation"
-        );
+        let whole = sample_checkpoint();
+        let (first, second) = (frame_of(&whole, 49, 0..1), frame_of(&whole, 50, 1..2));
+        let mut log = CheckpointLog::open(&path, 0, 0).unwrap();
+        log.append(&first, 1).unwrap();
+        log.append(&second, 2).unwrap();
+        assert_eq!(log.rows(), 2);
+        let read = RunCheckpoint::load_log(&path).unwrap();
+        assert_eq!(read.checkpoint, whole);
+        assert_eq!(read.valid_len, (first.len() + second.len()) as u64);
+        assert_eq!(read.skipped_len, 0);
+
+        // A torn third frame: the walk stops before it.
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap()
+            .write_all(&second[..40])
+            .unwrap();
+        let read = RunCheckpoint::load_log(&path).unwrap();
+        assert_eq!(read.checkpoint, whole);
+        assert_eq!(read.skipped_len, 40);
+        // Reopening at the verified length cuts the torn frame off.
+        drop(CheckpointLog::open(&path, read.valid_len, 2).unwrap());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), read.valid_len);
+
+        // A corrupt second frame: the first one's state and rows.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[first.len() + second.len() / 2] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let read = RunCheckpoint::load_log(&path).unwrap();
+        assert_eq!(read.checkpoint.iter, 49);
+        for (c, w) in read.checkpoint.chain_states.iter().zip(&whole.chain_states) {
+            assert_eq!(c.draws, w.draws[..1]);
+            assert_eq!(c.evals_per_iter, w.evals_per_iter[..1]);
+        }
+        assert_eq!(read.skipped_len, second.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -27,12 +27,13 @@
 //!   same-stream retry of a stalled chain reproduces its draws.
 //! * **Checkpoint/resume** — with a checkpoint path configured, chains
 //!   run on segmented RNG streams (see [`crate::checkpoint`]) and the
-//!   supervisor serializes a [`RunCheckpoint`] at detector checkpoint
-//!   boundaries; [`Runtime::resume`] continues bit-identically.
+//!   supervisor appends a [`RunCheckpoint`] frame to the path's log at
+//!   detector checkpoint boundaries; [`Runtime::resume`] continues
+//!   bit-identically.
 //! * **Preemption pause** — an external controller (the job server in
 //!   `bayes_serve`) can ask a checkpointing run to pause
 //!   ([`PauseControl`]); the run parks its chains at the next common
-//!   checkpoint boundary, serializes the [`RunCheckpoint`] there, and
+//!   checkpoint boundary, appends the [`RunCheckpoint`] there, and
 //!   returns early with [`RunReport::paused_at`] set. Parked time is
 //!   excluded from the stall watchdog, and a later [`Runtime::resume`]
 //!   replays the identical draws on any core allotment.
@@ -50,7 +51,7 @@ use crate::chain::{
     Sampler,
 };
 use crate::checkpoint::{
-    write_atomically, ChainCheckpoint, DetectorFingerprint, DurableWriter, RunCheckpoint,
+    ChainCheckpoint, CheckpointLog, DetectorFingerprint, DurableWriter, LoadedLog, RunCheckpoint,
     SamplerCheckpoint, CHECKPOINT_VERSION,
 };
 use crate::converge::ConvergenceDetector;
@@ -254,8 +255,10 @@ pub struct SupervisorConfig {
     /// declared; with fewer survivors the run errors out
     /// ([`RunError::QuorumLost`]). Defaults to 2 (R̂ needs two chains).
     pub min_quorum: usize,
-    /// Where to write [`RunCheckpoint`]s. Setting this switches chains
-    /// to segmented RNG streams (see [`crate::checkpoint`]).
+    /// The checkpoint log a run appends its [`RunCheckpoint`]s to: a
+    /// fresh run replaces any file there, a run resumed from this same
+    /// path extends it. Setting this switches chains to segmented RNG
+    /// streams (see [`crate::checkpoint`]).
     pub checkpoint_path: Option<PathBuf>,
     /// Deterministic fault injector, for tests and smoke runs.
     pub injector: Option<Arc<dyn FaultInjector>>,
@@ -509,8 +512,9 @@ struct Monitored {
     /// Stop decision, if any.
     decided: Option<usize>,
     /// A committed pause: the boundary and the chain states the pause
-    /// checkpoint was written from (authoritative over the outcomes,
-    /// which may include post-boundary overrun or moot faults).
+    /// checkpoint was written from, their rows filled in when the round
+    /// ends (authoritative over the outcomes, which may include
+    /// post-boundary overrun or moot faults).
     paused: Option<(usize, Vec<ChainCheckpoint>)>,
     /// The round was cut short by the deadline or the abort token.
     interrupted: Option<Interrupt>,
@@ -526,8 +530,9 @@ struct Slot {
     done: AtomicBool,
     /// What ended the attempt, when it was not the chain's own end.
     fault: Mutex<Option<FaultInfo>>,
-    /// Every draw so far, the resume prefix included: what R̂ and the
-    /// checkpoints read.
+    /// Every draw so far, the resume prefix included: the chain's only
+    /// copy of its rows, which R̂ and the checkpoints read and the
+    /// round hands to the chain's output when it ends.
     buffer: Mutex<Vec<Vec<f64>>>,
     /// Sampler states at boundaries not written yet.
     snapshots: Mutex<BTreeMap<usize, SamplerCheckpoint>>,
@@ -596,8 +601,8 @@ impl Watch<'_> {
     }
 
     /// Takes the draw of iteration `iter`: fault injection, validation,
-    /// the monitor's buffer and gate, the pause park. False once the
-    /// chain must stop.
+    /// the chain's rows (kept in its slot, not by the chain), the
+    /// monitor's gate, the pause park. False once the chain must stop.
     pub(crate) fn on_draw(&self, iter: usize, draw: &[f64]) -> bool {
         let (round, slot) = (self.round, &self.round.slots[self.slot]);
         let injected = round
@@ -729,10 +734,10 @@ impl Runtime {
         // before the run's final metrics emission.
         let loaded = {
             let _scope = cfg.profiler.install(None);
-            RunCheckpoint::load(path)
+            RunCheckpoint::load_log(path)
         };
-        let ck = loaded.map_err(ConfigError::CheckpointInvalid)?;
-        self.run_inner(sampler, model, cfg, Some((ck, path.display().to_string())))
+        let log = loaded.map_err(ConfigError::CheckpointInvalid)?;
+        self.run_inner(sampler, model, cfg, Some((log, path)))
     }
 
     fn fingerprint(&self) -> DetectorFingerprint {
@@ -817,7 +822,7 @@ impl Runtime {
         sampler: &S,
         model: &dyn Model,
         cfg: &RunConfig,
-        resume: Option<(RunCheckpoint, String)>,
+        resume: Option<(LoadedLog, &Path)>,
     ) -> Result<RunReport, RunError> {
         cfg.validate()?;
         if self.sup.retry.max_attempts == 0 {
@@ -845,9 +850,18 @@ impl Runtime {
         } else {
             Vec::new()
         };
-        if let Some((ck, _)) = &resume {
-            self.validate_resume(ck, model, cfg, &segments)?;
+        if let Some((log, _)) = &resume {
+            self.validate_resume(&log.checkpoint, model, cfg, &segments)?;
         }
+        // Rewriting the log it resumed from, the run extends its verified
+        // frames, which hold the resume prefix; any other log starts
+        // empty, its first frame holding every row.
+        let log_start = match &resume {
+            Some((log, from)) if self.sup.checkpoint_path.as_deref() == Some(*from) => {
+                (log.valid_len, log.checkpoint.iter)
+            }
+            _ => (0, 0),
+        };
 
         model.set_inner_threads(cfg.effective_inner_threads());
         model.set_recorder(&cfg.recorder);
@@ -859,10 +873,10 @@ impl Runtime {
                 iters: cfg.iters as u64,
                 seed: cfg.seed,
             });
-            if let Some((ck, path)) = &resume {
+            if let Some((log, path)) = &resume {
                 cfg.recorder.record(Event::Resume {
-                    path: path.clone(),
-                    iter: ck.iter as u64,
+                    path: path.display().to_string(),
+                    iter: log.checkpoint.iter as u64,
                     model: model.name().to_string(),
                 });
             }
@@ -883,7 +897,8 @@ impl Runtime {
                     from: None,
                 })
                 .collect(),
-            Some((ck, _)) => ck
+            Some((log, _)) => log
+                .checkpoint
                 .chain_states
                 .into_iter()
                 .map(|cs| Attempt {
@@ -917,6 +932,7 @@ impl Runtime {
                 &segments,
                 decided,
                 write_checkpoints,
+                log_start,
                 deadline_at,
             )?;
             if decided.is_none() {
@@ -1117,9 +1133,11 @@ impl Runtime {
 
     /// Runs one round: every pending attempt on its own OS thread, a
     /// monitor thread walking the checkpoint schedule (convergence +
-    /// checkpoint writes) and policing the stall deadline. Returns each
+    /// checkpoint appends) and policing the stall deadline. Returns each
     /// attempt's chain output or the fault that ended it, in `pending`
-    /// order, and what the monitor decided.
+    /// order, and what the monitor decided. A round that writes
+    /// checkpoints opens the log at its first boundary as `log_start`
+    /// says: the bytes to keep and the rows per chain they hold.
     #[allow(clippy::too_many_arguments)]
     fn run_round<S: Sampler>(
         &self,
@@ -1132,6 +1150,7 @@ impl Runtime {
         segments: &[usize],
         decided: Option<usize>,
         write_checkpoints: bool,
+        log_start: (u64, usize),
         deadline_at: Option<Instant>,
     ) -> Result<(Vec<Result<ChainOutput, FaultInfo>>, Monitored), RunError> {
         // Convergence may only be decided while enough chains
@@ -1141,9 +1160,13 @@ impl Runtime {
         let round = Round {
             slots: pending
                 .iter()
-                .map(|p| Slot {
-                    buffer: Mutex::new(p.from.as_ref().map_or_else(Vec::new, |f| f.draws.clone())),
-                    ..Slot::default()
+                .map(|p| {
+                    let mut rows = Vec::with_capacity(cfg.iters);
+                    rows.extend_from_slice(p.from.as_ref().map_or(&[][..], |f| &f.draws[..]));
+                    Slot {
+                        buffer: Mutex::new(rows),
+                        ..Slot::default()
+                    }
                 })
                 .collect(),
             gate: MonitorGate::new(pending.iter().map(Attempt::prefix)),
@@ -1179,6 +1202,7 @@ impl Runtime {
                 // rest of the round.
                 let mut pause_target: Option<usize> = None;
                 let mut pause_dead = false;
+                let mut log: Option<CheckpointLog> = None;
                 loop {
                     // Deadline/abort cut: cancel every chain
                     // cooperatively (the same flag the convergence stop
@@ -1307,7 +1331,7 @@ impl Runtime {
                                     }
                                 })
                                 .collect();
-                            let mut ck = RunCheckpoint {
+                            let ck = RunCheckpoint {
                                 version: CHECKPOINT_VERSION,
                                 model: model.name().to_string(),
                                 dim: model.dim(),
@@ -1319,18 +1343,26 @@ impl Runtime {
                                 iter: t,
                                 chain_states,
                             };
-                            // The rows go from each chain's buffer
-                            // straight into the file's bytes; `ck` holds
-                            // no draws.
+                            // One frame appended to the log: the rows
+                            // each chain drew since the log's last frame
+                            // go from its buffer straight into the
+                            // frame's bytes; `ck` holds no draws.
+                            // Best-effort: an unwritable checkpoint must
+                            // not kill a healthy run.
                             let saved = {
                                 let _span = bayes_obs::span(bayes_obs::Phase::Serialize);
-                                let mut doc = DurableWriter::begin(&ck);
-                                for (c, slot) in ck.chain_states.iter().zip(&round.slots) {
-                                    doc.block(&lock(&slot.buffer)[..t], &c.evals_per_iter);
+                                if log.is_none() {
+                                    log = CheckpointLog::open(path, log_start.0, log_start.1).ok();
                                 }
-                                // Best-effort: an unwritable checkpoint
-                                // must not kill a healthy run.
-                                write_atomically(path, &doc.finish()).is_ok()
+                                log.as_mut().is_some_and(|log| {
+                                    let from = log.rows();
+                                    let mut frame = DurableWriter::begin(&ck);
+                                    for (c, slot) in ck.chain_states.iter().zip(&round.slots) {
+                                        let rows = &lock(&slot.buffer)[from..t];
+                                        frame.block(rows, &c.evals_per_iter[from..]);
+                                    }
+                                    log.append(&frame.finish(), t).is_ok()
+                                })
                             };
                             if saved && cfg.recorder.enabled() {
                                 cfg.recorder.record(Event::CheckpointSaved {
@@ -1349,10 +1381,6 @@ impl Runtime {
                             if pause_target == Some(t) {
                                 let pc = round.pause.expect("a pause target implies a pause");
                                 if saved {
-                                    let states = ck.chain_states.iter_mut();
-                                    for (c, slot) in states.zip(&round.slots) {
-                                        c.draws = lock(&slot.buffer)[..t].to_vec();
-                                    }
                                     out.paused = Some((t, ck.chain_states));
                                     pc.mark_paused();
                                     cancel_all();
@@ -1468,34 +1496,51 @@ impl Runtime {
 
             let joined: Vec<_> = workers.into_iter().map(|h| h.join()).collect();
             round.gate.finish();
-            let monitored = monitor.join().map_err(|payload| RunError::Monitor {
+            let mut monitored = monitor.join().map_err(|payload| RunError::Monitor {
                 message: panic_message(payload.as_ref()).to_string(),
             })?;
+            // Every thread is done with the slots: each chain's rows move
+            // to its output. A committed pause returns the rows up to its
+            // boundary instead, copied since a chain may have drawn past
+            // it.
+            let rows: Vec<Vec<Vec<f64>>> = round
+                .slots
+                .iter()
+                .map(|slot| std::mem::take(&mut *lock(&slot.buffer)))
+                .collect();
+            if let Some((t, states)) = &mut monitored.paused {
+                for (state, rows) in states.iter_mut().zip(&rows) {
+                    state.draws = rows[..*t].to_vec();
+                }
+            }
             let outcomes = joined
                 .into_iter()
                 .zip(&round.slots)
-                .map(|(joined, slot)| match joined.and_then(|caught| caught) {
-                    // Join-level and catch_unwind-level panics alike: the
-                    // attempt unwound.
-                    Err(payload) => Err((
-                        FaultKind::Panic,
-                        Some(slot.len()),
-                        panic_message(payload.as_ref()).to_string(),
-                    )),
-                    Ok(out) => match lock(&slot.fault).take() {
-                        Some(fault) => Err(fault),
-                        None => match self.sup.max_divergences {
-                            Some(max) if out.divergences > max => Err((
-                                FaultKind::Diverged,
-                                None,
-                                format!(
-                                    "{} post-warmup divergences exceed the budget of {max}",
-                                    out.divergences
-                                ),
-                            )),
-                            _ => Ok(out),
-                        },
-                    },
+                .zip(rows)
+                .map(|((joined, slot), rows)| {
+                    let out = match joined.and_then(|caught| caught) {
+                        // Join-level and catch_unwind-level panics alike:
+                        // the attempt unwound.
+                        Err(payload) => {
+                            let message = panic_message(payload.as_ref()).to_string();
+                            return Err((FaultKind::Panic, Some(rows.len()), message));
+                        }
+                        Ok(out) => out,
+                    };
+                    if let Some(fault) = lock(&slot.fault).take() {
+                        return Err(fault);
+                    }
+                    match self.sup.max_divergences {
+                        Some(max) if out.divergences > max => Err((
+                            FaultKind::Diverged,
+                            None,
+                            format!(
+                                "{} post-warmup divergences exceed the budget of {max}",
+                                out.divergences
+                            ),
+                        )),
+                        _ => Ok(ChainOutput { draws: rows, ..out }),
+                    }
                 })
                 .collect();
             Ok((outcomes, monitored))
@@ -1734,6 +1779,62 @@ mod tests {
         }
     }
 
+    /// The rows each frame of a checkpoint log holds per chain, read off
+    /// the frame's header, state line and size alone.
+    fn rows_per_frame(log: &[u8], chains: usize, dim: usize) -> Vec<usize> {
+        let mut rows = Vec::new();
+        let mut at = 0;
+        while at < log.len() {
+            let header_end = at + log[at..].iter().position(|&b| b == b'\n').unwrap() + 1;
+            let header = std::str::from_utf8(&log[at..header_end - 1]).unwrap();
+            let len: usize = header.split(' ').nth(2).unwrap().parse().unwrap();
+            let payload = &log[header_end..header_end + len];
+            let state = payload.iter().position(|&b| b == b'\n').unwrap() + 1;
+            rows.push((len - state - 8 * chains) / (chains * (8 * dim + 4)));
+            at = header_end + len;
+        }
+        rows
+    }
+
+    /// Each boundary appends one frame holding only the rows drawn since
+    /// the frame before, and a resumed run extends the log it resumed
+    /// from: the log holds every row once.
+    #[test]
+    fn each_boundary_appends_only_the_rows_since_the_last() {
+        let model = AdModel::new("g", Gauss);
+        let det = unreachable_detector()
+            .with_check_every(50)
+            .with_min_iters(50);
+        let cfg = RunConfig::new(400).with_chains(2).with_seed(5);
+        let path = std::env::temp_dir().join(format!(
+            "bayes_mcmc_supervisor_log_rows_{}.json",
+            std::process::id()
+        ));
+        let pause = PauseControl::new();
+        pause.request();
+        let paused = Runtime::new(det.clone())
+            .with_config(
+                SupervisorConfig::new()
+                    .with_checkpoint_path(&path)
+                    .with_pause(pause),
+            )
+            .run(&Nuts::default(), &model, &cfg)
+            .expect("paused run");
+        assert_eq!(paused.paused_at, Some(50));
+        assert_eq!(rows_per_frame(&std::fs::read(&path).unwrap(), 2, 2), [50]);
+        let resumed = Runtime::new(det)
+            .with_config(SupervisorConfig::new().with_checkpoint_path(&path))
+            .resume(&Nuts::default(), &model, &cfg, &path)
+            .expect("resumed run");
+        let log = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(rows_per_frame(&log, 2, 2), [50; 8]);
+        let last = RunCheckpoint::from_durable_bytes(&log).unwrap();
+        for (c, out) in last.chain_states.iter().zip(&resumed.run.chains) {
+            assert_eq!(c.draws, out.draws);
+        }
+    }
+
     /// Acts when chain 0 completes iteration `at`; injects no fault.
     /// How a test raises an abort or requests a pause at an exact draw.
     struct Trigger<F>(usize, F);
@@ -1779,7 +1880,6 @@ mod tests {
             .run(&sampler, &model, &cfg)
             .expect("healthy run");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(crate::checkpoint::previous_checkpoint_path(&path));
         assert_eq!(report.run.chains[0].draws.len(), 400);
         // At most one per boundary, the run's final forced sample, and
         // slack for a wake that lands on a pass already under way.
@@ -1859,7 +1959,6 @@ mod tests {
         let report = rt.run(&sampler, &model, &cfg).expect("pause commits");
         let took = started.elapsed();
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(crate::checkpoint::previous_checkpoint_path(&path));
         // The chain freezes at draw 4 until the monitor has picked the
         // boundary, so the pause lands on 10 however late that is —
         // what a late monitor costs is time: it parked at the start for

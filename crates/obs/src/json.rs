@@ -309,55 +309,66 @@ impl Parser<'_> {
         Ok(Json::Num(lexeme))
     }
 
+    /// A string literal. Everything between escapes is copied as one
+    /// run: a run ends at an ASCII `"` or `\\`, so it is whole UTF-8,
+    /// and each byte is scanned once.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Re-decode from the current byte position so multi-byte
-            // UTF-8 sequences pass through intact.
-            let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-            let mut chars = rest.chars();
-            let c = chars
-                .next()
-                .ok_or_else(|| format!("unterminated string at byte {}", self.pos))?;
-            self.pos += c.len_utf8();
-            match c {
-                '"' => return Ok(out),
-                '\\' => {
-                    let esc = chars
-                        .next()
-                        .ok_or_else(|| format!("dangling escape at byte {}", self.pos))?;
-                    self.pos += esc.len_utf8();
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'b' => out.push('\u{0008}'),
-                        'f' => out.push('\u{000c}'),
-                        'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by this
-                            // schema; map unpaired surrogates to the
-                            // replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("unknown escape '\\{other}'")),
-                    }
+            let rest = &self.bytes[self.pos..];
+            let Some(run) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+                self.pos = self.bytes.len();
+                return Err(format!("unterminated string at byte {}", self.pos));
+            };
+            out.push_str(
+                std::str::from_utf8(&rest[..run])
+                    .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?,
+            );
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
+            }
+            let esc = self
+                .char_here()
+                .ok_or_else(|| format!("dangling escape at byte {}", self.pos))?;
+            self.pos += esc.len_utf8();
+            match esc {
+                '"' => out.push('"'),
+                '\\' => out.push('\\'),
+                '/' => out.push('/'),
+                'n' => out.push('\n'),
+                'r' => out.push('\r'),
+                't' => out.push('\t'),
+                'b' => out.push('\u{0008}'),
+                'f' => out.push('\u{000c}'),
+                'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not needed by this schema; map
+                    // unpaired surrogates to the replacement character.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                c => out.push(c),
+                other => return Err(format!("unknown escape '\\{other}'")),
             }
         }
+    }
+
+    /// The character starting at the current byte, decoded from at most
+    /// the four bytes one can span.
+    fn char_here(&self) -> Option<char> {
+        let head = &self.bytes[self.pos..self.bytes.len().min(self.pos + 4)];
+        let valid = match std::str::from_utf8(head) {
+            Ok(s) => s,
+            Err(e) => std::str::from_utf8(&head[..e.valid_up_to()]).unwrap_or_default(),
+        };
+        valid.chars().next()
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -415,6 +426,122 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The string reader as it was before it copied runs: one character
+    /// at a time, re-validating the rest of the input as UTF-8 for each.
+    /// The reference the run-copying reader must agree with.
+    impl Parser<'_> {
+        fn string_reference(&mut self) -> Result<String, String> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                // Re-decode from the current byte position so multi-byte
+                // UTF-8 sequences pass through intact.
+                let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
+                let mut chars = rest.chars();
+                let c = chars
+                    .next()
+                    .ok_or_else(|| format!("unterminated string at byte {}", self.pos))?;
+                self.pos += c.len_utf8();
+                match c {
+                    '"' => return Ok(out),
+                    '\\' => {
+                        let esc = chars
+                            .next()
+                            .ok_or_else(|| format!("dangling escape at byte {}", self.pos))?;
+                        self.pos += esc.len_utf8();
+                        match esc {
+                            '"' => out.push('"'),
+                            '\\' => out.push('\\'),
+                            '/' => out.push('/'),
+                            'n' => out.push('\n'),
+                            'r' => out.push('\r'),
+                            't' => out.push('\t'),
+                            'b' => out.push('\u{0008}'),
+                            'f' => out.push('\u{000c}'),
+                            'u' => {
+                                let hex = self
+                                    .bytes
+                                    .get(self.pos..self.pos + 4)
+                                    .and_then(|h| std::str::from_utf8(h).ok())
+                                    .ok_or_else(|| {
+                                        format!("bad \\u escape at byte {}", self.pos)
+                                    })?;
+                                let code = u32::from_str_radix(hex, 16)
+                                    .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
+                                self.pos += 4;
+                                // Surrogate pairs are not needed by this
+                                // schema; map unpaired surrogates to the
+                                // replacement character.
+                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            }
+                            other => return Err(format!("unknown escape '\\{other}'")),
+                        }
+                    }
+                    c => out.push(c),
+                }
+            }
+        }
+    }
+
+    /// Pieces a string literal's body is built from: plain and
+    /// multi-byte text, every escape, malformed escapes, and the bytes
+    /// that end a run.
+    const PIECES: [&str; 24] = [
+        "a", "xyz", " ", "é", "π ≈ 3", "😀", "\u{7f}", "\u{1}", "\\\"", "\\\\", "\\/", "\\n",
+        "\\r", "\\t", "\\b", "\\f", "\\u00e9", "\\u+041", "\\ud800", "\\u12", "\\x", "\\é", "\"",
+        "\\",
+    ];
+
+    /// Reads a string literal made of `pieces` and one of three tails
+    /// (none, a closing quote, a closing quote and more input) with both
+    /// readers: the same string or error, ending at the same byte.
+    fn readers_agree(pieces: impl IntoIterator<Item = usize>, tail: usize) -> Result<(), String> {
+        let mut input = String::from("\"");
+        pieces.into_iter().for_each(|i| input.push_str(PIECES[i]));
+        input.push_str(["", "\"", "\" , 1]"][tail]);
+        let mut new = Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        let mut old = Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        let (got, want) = (new.string(), old.string_reference());
+        if got == want && new.pos == old.pos {
+            Ok(())
+        } else {
+            Err(format!(
+                "{input:?}: {got:?} at {} vs {want:?} at {}",
+                new.pos, old.pos
+            ))
+        }
+    }
+
+    #[test]
+    fn run_copying_string_reader_agrees_on_every_pair_of_pieces() {
+        for (a, b, tail) in (0..PIECES.len())
+            .flat_map(|a| (0..PIECES.len()).map(move |b| (a, b)))
+            .flat_map(|(a, b)| (0..3).map(move |tail| (a, b, tail)))
+        {
+            readers_agree([a, b], tail).unwrap();
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn run_copying_string_reader_agrees_with_the_reference(
+            picks in proptest::collection::vec(0usize..24, 0..40),
+            tail in 0usize..3,
+        ) {
+            prop_assert_eq!(readers_agree(picks, tail), Ok(()));
+        }
+    }
 
     #[test]
     fn parses_flat_object() {

@@ -35,8 +35,8 @@
 //! Durability (DESIGN.md § "Durability & recovery"): with a journal
 //! configured ([`ServerConfig::with_journal`]), every lifecycle
 //! transition is appended to a checksummed write-ahead log *before*
-//! its trace event is emitted, and every checkpoint lands in the
-//! [`CheckpointStore`] through an atomic two-generation write. A
+//! its trace event is emitted, and every checkpoint is one frame
+//! appended to the job's log in the [`CheckpointStore`]. A
 //! SIGKILL'd (or [`JobServer::kill`]ed) server restarts through
 //! [`JobServer::recover`], which replays the journal, re-queues every
 //! job that had no terminal record, and resumes each from its newest
@@ -374,8 +374,8 @@ struct JobState {
     /// True when the next placement should look for a checkpoint in
     /// the store (set on preemption, restart, and recovery). The store
     /// lookup at placement time — not a remembered iteration — decides
-    /// what actually resumes, so a corrupted current generation falls
-    /// back to the previous one on every path.
+    /// what actually resumes, so a corrupt newest frame falls back to
+    /// the frame before it on every path.
     resume: bool,
     /// Faults accumulated over earlier placements.
     faults: usize,
@@ -442,9 +442,9 @@ impl JobServer {
     /// the log, truncates any torn tail, re-queues every job without a
     /// terminal record, and returns a fresh [`JobHandle`] per
     /// recovered job (ascending id order). Each recovered job
-    /// resumes from its newest valid checkpoint generation — falling
-    /// back past corrupted files, or to a clean restart of the same
-    /// RNG streams — so its draws are bit-identical to an
+    /// resumes from the newest valid frame of its checkpoint log —
+    /// falling back past a torn or corrupt frame, or to a clean restart
+    /// of the same RNG streams — so its draws are bit-identical to an
     /// uninterrupted run. Deadline clocks restart at recovery.
     ///
     /// # Errors
@@ -1426,7 +1426,7 @@ impl Scheduler {
 
     fn start(&mut self, id: u64, cores: usize) {
         // The store lookup — not a remembered iteration — decides what
-        // the placement resumes: the newest checkpoint generation that
+        // the placement resumes: the newest checkpoint frame that
         // validates, or a clean start when none does.
         let resume_from = {
             let job = &self.jobs[&id];
@@ -1641,9 +1641,9 @@ fn run_placement(
     }
 }
 
-/// Resumes from the checkpoint at `path` — the newest valid generation,
-/// possibly the rotated `.prev` file — or runs from the start; new
-/// checkpoints land at the job's canonical path either way.
+/// Resumes from the checkpoint log at `path` — its newest valid frame,
+/// after which the run's frames are appended — or runs from the start,
+/// its first frame starting a new log at the job's canonical path.
 fn run_or_resume<S: Sampler>(
     runtime: &Runtime,
     sampler: &S,

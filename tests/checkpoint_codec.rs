@@ -1,9 +1,11 @@
-//! The checkpoint file codec: draw blocks round-trip to the bit, and no
-//! input makes the loader panic or allocate more than the bytes it was
-//! handed can account for — arbitrary bytes, every single-byte flip,
-//! truncation and extension of a valid document, and valid-checksum
-//! documents whose row count, `dim` or block length is forged up to
-//! `u64::MAX` all come back as `Err`.
+//! The checkpoint file codec: draw blocks round-trip to the bit, a log
+//! of frames reads back as its last frame that verifies with every row
+//! up to it, and no input makes the loader panic or allocate more than
+//! the bytes it was handed can account for — arbitrary bytes, every
+//! single-byte flip of a valid document, and valid-checksum documents
+//! whose row count, `dim` or block length is forged up to `u64::MAX` all
+//! come back as `Err`; every truncation, extension and single-byte flip
+//! of a three-frame log comes back as the last frame before the damage.
 //!
 //! Its own test binary, because the allocation bound reads the counting
 //! global allocator (`counting_alloc`).
@@ -111,7 +113,7 @@ fn decode(bytes: &[u8]) -> Result<RunCheckpoint, String> {
 /// `payload` behind a header whose length and checksum match it.
 fn sealed(payload: &[u8]) -> Vec<u8> {
     let mut out = format!(
-        "BAYESCKPT 2 {:020} {:016x}\n",
+        "BAYESCKPT {CHECKPOINT_VERSION} {:020} {:016x}\n",
         payload.len(),
         bayes_obs::fnv1a64(payload)
     )
@@ -211,16 +213,92 @@ fn every_single_byte_flip_is_rejected() {
     }
 }
 
-#[test]
-fn every_truncation_and_extension_is_rejected() {
-    let good = checkpoint(-1.0).to_durable_bytes();
-    for len in 0..good.len() {
-        assert!(decode(&good[..len]).is_err(), "truncation to {len} decoded");
+/// [`checkpoint`] as a log of three frames, taken at iterations 10, 25
+/// and 40, each holding the rows since the one before; and where each
+/// frame ends.
+fn three_frame_log() -> (Vec<u8>, [usize; 3]) {
+    let whole = checkpoint(-1.0);
+    let mut log = Vec::new();
+    let mut ends = [0; 3];
+    for (k, (from, to)) in [(0, 10), (10, 25), (25, ROWS)].into_iter().enumerate() {
+        log.extend_from_slice(&prefix(&whole, to, from).to_durable_bytes());
+        ends[k] = log.len();
     }
-    for extra in [&[0u8][..], b"\n", b" ", &[0xff; 16], &good[..64]] {
-        let mut long = good.clone();
+    (log, ends)
+}
+
+/// `ck` as it stood at iteration `to`, its chains holding rows
+/// `from..to`.
+fn prefix(ck: &RunCheckpoint, to: usize, from: usize) -> RunCheckpoint {
+    let mut part = ck.clone();
+    part.iter = to;
+    for c in &mut part.chain_states {
+        c.draws = c.draws[from..to].to_vec();
+        c.evals_per_iter = c.evals_per_iter[from..to].to_vec();
+    }
+    part
+}
+
+/// What the first `frames` frames of [`three_frame_log`] read back as.
+fn after_frames(frames: usize) -> Option<RunCheckpoint> {
+    let iter = [0, 10, 25, ROWS][frames];
+    (frames > 0).then(|| prefix(&checkpoint(-1.0), iter, 0))
+}
+
+/// Bit-exact equality: draws compared as bits, the rest (NaN-free in
+/// these checkpoints) as values.
+fn assert_same(got: &RunCheckpoint, want: &RunCheckpoint, what: &str) {
+    assert_eq!(got.iter, want.iter, "{what}");
+    for (a, b) in got.chain_states.iter().zip(&want.chain_states) {
+        assert_eq!(a.draws.len(), b.draws.len(), "{what}");
+        assert_eq!(
+            bits(a.draws.iter().flatten()),
+            bits(b.draws.iter().flatten()),
+            "{what}"
+        );
+        assert_eq!(a.evals_per_iter, b.evals_per_iter, "{what}");
+    }
+    let states = |ck: &RunCheckpoint| {
+        let mut ck = ck.clone();
+        ck.chain_states.iter_mut().for_each(|c| c.draws.clear());
+        ck
+    };
+    assert_eq!(states(got), states(want), "{what}");
+}
+
+/// A torn tail is every truncation of a log, and any bytes after its
+/// last frame: each reads back as the last complete frame, with every
+/// row up to it, or is refused when no frame is complete. Bytes inside
+/// a frame's payload past its last block, resealed, are a corrupt
+/// frame: a one-frame document is refused.
+#[test]
+fn every_truncation_and_extension_reads_as_a_torn_tail() {
+    let (log, ends) = three_frame_log();
+    for len in 0..=log.len() {
+        let complete = ends.iter().filter(|&&end| end <= len).count();
+        match (decode(&log[..len]), after_frames(complete)) {
+            (Ok(got), Some(want)) => assert_same(&got, &want, &format!("cut at {len}")),
+            (Err(_), None) => {}
+            (got, _) => panic!("cut at {len}: {complete} complete frames, read {got:?}"),
+        }
+    }
+    let good = checkpoint(-1.0).to_durable_bytes();
+    let whole = after_frames(3).unwrap();
+    for extra in [
+        &[0u8][..],
+        b"\n",
+        b" ",
+        &[0xff; 16],
+        &good[..64],
+        &log[..ends[0]],
+    ] {
+        let mut long = log.clone();
         long.extend_from_slice(extra);
-        assert!(decode(&long).is_err(), "extension by {extra:?} decoded");
+        assert_same(
+            &decode(&long).unwrap(),
+            &whole,
+            &format!("extension by {extra:?}"),
+        );
         // Resealed, so only the trailing bytes are wrong.
         let (state, mut blocks) = state_and_blocks(&good);
         blocks.extend_from_slice(extra);
@@ -228,6 +306,95 @@ fn every_truncation_and_extension_is_rejected() {
             .unwrap_err()
             .contains("past the last chain block"));
     }
+}
+
+/// A flipped byte anywhere in frame `k` of a log falls back to frame
+/// `k - 1`, rows bit-exact; in the first frame it leaves nothing to
+/// read.
+#[test]
+fn a_flipped_byte_in_frame_k_falls_back_to_frame_k_minus_one() {
+    let (log, ends) = three_frame_log();
+    for at in 0..log.len() {
+        let frame = ends.iter().filter(|&&end| end <= at).count();
+        for mask in [0x01, 0x80] {
+            let mut bad = log.clone();
+            bad[at] ^= mask;
+            match (decode(&bad), after_frames(frame)) {
+                (Ok(got), Some(want)) => {
+                    assert_same(&got, &want, &format!("flip {mask:#04x} at {at}"))
+                }
+                (Err(_), None) => {}
+                (got, _) => panic!("flip {mask:#04x} at {at} (frame {frame}): read {got:?}"),
+            }
+        }
+    }
+}
+
+/// A later frame with forged lengths or row counts, with rows that are
+/// not those of the iterations since the frame before, at an iteration
+/// that does not advance, or with another `dim` — checksum intact in
+/// every case — ends the walk there as a corrupt frame does, within the
+/// allocation bound every decode here is held to.
+#[test]
+fn malformed_later_frames_fall_back_to_the_frame_before() {
+    let (log, ends) = three_frame_log();
+    let first = after_frames(1).unwrap();
+    let (state, blocks) = state_and_blocks(&log[ends[0]..ends[1]]);
+    let per_row = (8 * DIM + 4) as u64;
+    // The second chain's block starts after the first's 15 rows.
+    let second = 8 + 15 * (8 * DIM + 4);
+    for (at, rows) in [0, second]
+        .into_iter()
+        .flat_map(|at| [14, 16, 1 << 32, u64::MAX / per_row + 1, u64::MAX].map(|r| (at, r)))
+    {
+        let mut forged = blocks.clone();
+        forged[at..at + 8].copy_from_slice(&rows.to_le_bytes());
+        let mut bad = log[..ends[0]].to_vec();
+        bad.extend_from_slice(&resealed(&state, &forged));
+        bad.extend_from_slice(&log[ends[1]..]);
+        assert_same(
+            &decode(&bad).unwrap(),
+            &first,
+            &format!("{rows} rows at {at}"),
+        );
+    }
+    // Both blocks whole, then bytes past them: the rows the frame read
+    // are dropped with it.
+    let mut long = blocks.clone();
+    long.extend_from_slice(&[0; 8]);
+    let mut bad = log[..ends[0]].to_vec();
+    bad.extend_from_slice(&resealed(&state, &long));
+    assert_same(&decode(&bad).unwrap(), &first, "bytes past the last block");
+    let payload = &log[ends[0]..ends[1]];
+    let payload = &payload[payload.iter().position(|&b| b == b'\n').unwrap() + 1..];
+    let sum = bayes_obs::fnv1a64(payload);
+    for len in [0, payload.len() as u64 + 1, 1 << 40, u64::MAX] {
+        let mut bad = log[..ends[0]].to_vec();
+        bad.extend_from_slice(format!("BAYESCKPT 3 {len:020} {sum:016x}\n").as_bytes());
+        bad.extend_from_slice(payload);
+        bad.extend_from_slice(&log[ends[1]..]);
+        assert_same(&decode(&bad).unwrap(), &first, &format!("length {len}"));
+    }
+    // A later frame must hold exactly the rows of the iterations since
+    // the frame before, and must come after it.
+    let whole = checkpoint(-1.0);
+    let mut bad = log[..ends[0]].to_vec();
+    bad.extend_from_slice(&prefix(&whole, 25, 9).to_durable_bytes());
+    assert_same(&decode(&bad).unwrap(), &first, "16 rows for 15 iterations");
+    let mut again = prefix(&whole, 10, 10);
+    again.chain_states[0].sampler.lp = -2.0;
+    let mut bad = log[..ends[0]].to_vec();
+    bad.extend_from_slice(&again.to_durable_bytes());
+    assert_same(
+        &decode(&bad).unwrap(),
+        &first,
+        "a second frame at iteration 10",
+    );
+    // A later frame that changes `dim` is corrupt, too.
+    let forged = state.replacen("\"dim\":3", "\"dim\":2", 1);
+    let mut bad = log[..ends[0]].to_vec();
+    bad.extend_from_slice(&resealed(&forged, &blocks));
+    assert_same(&decode(&bad).unwrap(), &first, "dim 2");
 }
 
 #[test]
@@ -293,10 +460,13 @@ fn forged_dims_and_lengths_are_rejected_without_allocating() {
     let payload = &doc[doc.iter().position(|&b| b == b'\n').unwrap() + 1..];
     let sum = bayes_obs::fnv1a64(payload);
     for len in [0, payload.len() as u64 + 1, 1 << 40, u64::MAX] {
-        let mut forged = format!("BAYESCKPT 2 {len:020} {sum:016x}\n").into_bytes();
+        let mut forged = format!("BAYESCKPT 3 {len:020} {sum:016x}\n").into_bytes();
         forged.extend_from_slice(payload);
+        // Shorter than the payload, the frame ends early and fails its
+        // checksum; longer, it is torn.
+        let expected = if len == 0 { "checksum" } else { "torn" };
         assert!(
-            decode(&forged).unwrap_err().contains("torn"),
+            decode(&forged).unwrap_err().contains(expected),
             "length {len} decoded"
         );
     }
@@ -317,7 +487,7 @@ proptest! {
     fn arbitrary_bytes_are_rejected(bytes in proptest::collection::vec(0u8..=255, 0..700)) {
         prop_assert!(decode(&bytes).is_err());
         // Behind a magic and version, and behind a full valid header.
-        let mut headed = b"BAYESCKPT 2 ".to_vec();
+        let mut headed = b"BAYESCKPT 3 ".to_vec();
         headed.extend_from_slice(&bytes);
         prop_assert!(decode(&headed).is_err());
         prop_assert!(decode(&sealed(&bytes)).is_err());

@@ -410,7 +410,6 @@ fn uninterrupted<S: Sampler>(sampler: &S, inner: usize, path: &std::path::Path) 
         .run(sampler, &sharded_model(), &sharded_cfg(inner))
         .expect("uninterrupted run");
     let _ = std::fs::remove_file(path);
-    let _ = std::fs::remove_file(bayes_mcmc::checkpoint::previous_checkpoint_path(path));
     report.run
 }
 
@@ -456,7 +455,6 @@ fn checkpoint_resume_case<S: Sampler>(name: &str, sampler: &S, inner: usize) {
         .resume(sampler, &sharded_model(), &sharded_cfg(inner), &ck_path)
         .expect("resumed run");
     let _ = std::fs::remove_file(&ck_path);
-    let _ = std::fs::remove_file(bayes_mcmc::checkpoint::previous_checkpoint_path(&ck_path));
     assert_eq!(resumed.stopped_at, None);
     assert_eq!(
         draws_of(&resumed.run),
@@ -522,7 +520,6 @@ fn pause_resume_case<S: Sampler>(name: &str, sampler: &S, inner: usize) {
         .resume(sampler, &sharded_model(), &sharded_cfg(5 - inner), &path)
         .expect("resumed run");
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(bayes_mcmc::checkpoint::previous_checkpoint_path(&path));
     assert_eq!(
         draws_of(&resumed.run),
         draws_of(&reference),

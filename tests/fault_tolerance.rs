@@ -573,7 +573,6 @@ fn no_boundary_wake_is_missed_across_a_thousand_pauses() {
         }
     }
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(bayes_mcmc::checkpoint::previous_checkpoint_path(&path));
     assert!(
         slow.len() <= 2,
         "{} of {pauses} paused placements sat out a timeout: {slow:?}",

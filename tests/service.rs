@@ -12,6 +12,7 @@
 //! its full iteration budget and draw comparisons are exact.
 
 use bayes_core::obs::{Event, MemoryRecorder, RecorderHandle};
+use bayes_mcmc::checkpoint::RunCheckpoint;
 use bayes_mcmc::mh::MetropolisHastings;
 use bayes_mcmc::nuts::Nuts;
 use bayes_mcmc::supervisor::{InjectedFault, Runtime, SupervisorConfig};
@@ -20,7 +21,7 @@ use bayes_sched::predictor::MissSample;
 use bayes_sched::LlcMissPredictor;
 use bayes_serve::{JobOutcome, JobServer, JobSpec, SamplerKind, ServerConfig};
 use bayes_suite::registry;
-use bayes_testkit::{corrupt_file, FaultPlan};
+use bayes_testkit::FaultPlan;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -435,11 +436,35 @@ fn killed_server_recovers_bit_identically() {
     std::env::remove_var("BAYES_INNER_THREADS");
 }
 
-/// A corrupted current checkpoint generation is detected by checksum
-/// and recovery falls back to the previous good generation: the job
-/// still completes, still bit-identical to the uninterrupted run.
+/// End offsets of the complete frames at the front of a checkpoint
+/// log, read from their headers (`BAYESCKPT 3 <len> <sum>\n`) alone.
+fn frame_ends(log: &[u8]) -> Vec<usize> {
+    let mut ends = Vec::new();
+    let mut at = 0;
+    while let Some(nl) = log[at..].iter().position(|&b| b == b'\n') {
+        let header = std::str::from_utf8(&log[at..at + nl]).expect("header is text");
+        let len: usize = header
+            .split(' ')
+            .nth(2)
+            .expect("length")
+            .parse()
+            .expect("length");
+        let end = at + nl + 1 + len;
+        if end > log.len() {
+            break;
+        }
+        ends.push(end);
+        at = end;
+    }
+    ends
+}
+
+/// A checkpoint log whose newest frame is corrupt is detected by
+/// checksum, and recovery falls back to the frame before it: the job
+/// resumes from that frame's boundary, still completes, and is still
+/// bit-identical to the uninterrupted run.
 ///
-/// The kill lands once the second generation exists, found by polling
+/// The kill lands once the log holds two frames, found by polling
 /// every 5 ms, so the job must still be running well after that: 1 200
 /// iterations of `votes` leave tens of milliseconds.
 #[test]
@@ -460,28 +485,42 @@ fn corrupt_checkpoint_falls_back_to_previous_generation() {
             .with_seed(42)
             .with_detector(full_length_detector()),
     );
-    let current = dir.join("bayes-serve-job-1.ckpt.json");
-    let previous = dir.join("bayes-serve-job-1.ckpt.json.prev");
-    // Two generations on disk means the store has something to fall
-    // back to once the newest one is rotted.
-    wait_for_file(&previous, "second checkpoint generation");
+    let log = dir.join("bayes-serve-job-1.ckpt.json");
+    // Two frames in the log means recovery has a frame to fall back to
+    // once the newest one is rotted.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while std::fs::read(&log).map_or(0, |b| frame_ends(&b).len()) < 2 {
+        assert!(Instant::now() < deadline, "the log never held two frames");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     server.kill();
     drop(handle);
-    corrupt_file(&current);
+
+    // Flip one byte inside the newest frame.
+    let mut bytes = std::fs::read(&log).unwrap();
+    let ends = frame_ends(&bytes);
+    assert_eq!(
+        *ends.last().unwrap(),
+        bytes.len(),
+        "the kill left a torn frame"
+    );
+    let (previous_end, newest_end) = (ends[ends.len() - 2], ends[ends.len() - 1]);
+    let fallback = RunCheckpoint::from_durable_bytes(&bytes[..previous_end])
+        .expect("the frames before the newest verify")
+        .iter;
+    bytes[(previous_end + newest_end) / 2] ^= 0x01;
+    std::fs::write(&log, &bytes).unwrap();
 
     let memory = Arc::new(MemoryRecorder::new());
     let (server, handles) =
         JobServer::recover(durable().with_trace(RecorderHandle::new(memory.clone())))
-            .expect("recover with a rotten current generation");
+            .expect("recover with a rotten newest frame");
     assert_eq!(handles.len(), 1);
     let job = handles.into_iter().next().unwrap().wait();
     server.join();
 
     let JobOutcome::Completed(result) = &job.outcome else {
-        panic!(
-            "recovery should survive a corrupt generation: {:?}",
-            job.outcome
-        );
+        panic!("recovery should survive a corrupt frame: {:?}", job.outcome);
     };
     assert_eq!(result.iters_done, 1200);
 
@@ -491,11 +530,11 @@ fn corrupt_checkpoint_falls_back_to_previous_generation() {
             e,
             Event::JobRecovered {
                 job: 1,
-                resumed_from: Some(_),
-                corrupt_skipped,
-            } if *corrupt_skipped >= 1
+                resumed_from: Some(at),
+                corrupt_skipped: 1,
+            } if *at == fallback as u64
         )),
-        "the skipped corrupt generation must be on the record: {events:?}"
+        "the job must resume from frame {fallback} with the corrupt one skipped: {events:?}"
     );
 
     let cfg = RunConfig::new(1200).with_chains(2).with_seed(42);
@@ -503,7 +542,7 @@ fn corrupt_checkpoint_falls_back_to_previous_generation() {
     assert_bitwise_eq(
         &result.draws,
         &draws_of(&reference),
-        "recovered-from-previous-generation vs uninterrupted",
+        "recovered-from-previous-frame vs uninterrupted",
     );
 }
 

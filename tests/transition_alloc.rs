@@ -1,26 +1,30 @@
 //! A steady-state NUTS or HMC transition allocates its draw row and
-//! nothing else.
+//! nothing else, whether the chain keeps its rows or a supervisor does.
 //!
 //! Its own test binary, because the counter (`counting_alloc`, shared
 //! with `gradient_alloc.rs`) is the process's global allocator. Only
-//! allocations of the thread under test are counted, and every chain
-//! here runs on the test's own thread, with one inner thread, through
-//! a one-chain sequential `chain::run` — the one chain loop the elision
-//! runtime and the supervisor drive too.
+//! allocations of the thread under test are counted, and it is the
+//! chain's: the recorder below reads the counter from inside the
+//! chain's `iteration` event. Chains run with one inner thread, through
+//! a one-chain sequential `chain::run` or a one-chain supervised run —
+//! the one chain loop either way.
 //!
 //! The chain's `iteration` event is recorded once per transition, just
-//! before the draw row is pushed, and `ChainOutput::draws` is reserved
-//! for `iters` rows up front; so the counter's growth between two
-//! consecutive events is one transition: one draw row plus tree
-//! building. The rows are the only allocations a transition may make,
-//! hence "exactly one" below means "zero inside tree building".
+//! before the draw row is kept, and the rows (`ChainOutput::draws`, or
+//! the supervisor's slot for the chain) are reserved for `iters` rows
+//! up front; so the counter's growth between two consecutive events is
+//! one transition: one draw row plus tree building. The rows are the
+//! only allocations a transition may make, hence "exactly one" below
+//! means "zero inside tree building".
 
 mod counting_alloc;
 
+use bayes_mcmc::chain::{self, ChainOutput};
 use bayes_mcmc::hmc::StaticHmc;
 use bayes_mcmc::nuts::Nuts;
 use bayes_mcmc::obs::{Event, Recorder, RecorderHandle};
-use bayes_mcmc::{chain, Model, RunConfig, Sampler};
+use bayes_mcmc::supervisor::{Runtime, SupervisorConfig};
+use bayes_mcmc::{ConvergenceDetector, Model, RunConfig, Sampler};
 use bayes_suite::registry::{self, REFERENCE_SEED, SMOKE_SCALE};
 use counting_alloc::allocations;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,6 +52,17 @@ impl Recorder for Marks {
 /// `ITERS - WARMUP - SETTLE - 1` transitions, its allocations and its
 /// gradient evaluations.
 fn allocations_per_transition<S: Sampler>(sampler: &S, model: &dyn Model) -> Vec<(u64, u64)> {
+    allocations_per_transition_of(model, |cfg| {
+        chain::run(sampler, model, cfg).chains.remove(0)
+    })
+}
+
+/// [`allocations_per_transition`] for a chain that `run` drives with
+/// the config it is handed.
+fn allocations_per_transition_of(
+    model: &dyn Model,
+    run: impl FnOnce(&RunConfig) -> ChainOutput,
+) -> Vec<(u64, u64)> {
     let marks = Arc::new(Marks((0..ITERS).map(|_| AtomicU64::new(0)).collect()));
     let cfg = RunConfig::new(ITERS)
         .with_chains(1)
@@ -55,7 +70,7 @@ fn allocations_per_transition<S: Sampler>(sampler: &S, model: &dyn Model) -> Vec
         .with_warmup(WARMUP)
         .with_seed(8)
         .with_recorder(RecorderHandle::new(marks.clone()));
-    let out = chain::run(sampler, model, &cfg).chains.remove(0);
+    let out = run(&cfg);
     assert_eq!(out.draws.len(), ITERS);
     assert!(
         out.draws.iter().flatten().all(|x| x.is_finite()),
@@ -87,6 +102,33 @@ fn a_steady_state_nuts_transition_allocates_only_its_draw_row() {
             "{name}: (allocations, gradients) per transition {per_transition:?}"
         );
     }
+}
+
+/// Under supervision the chain hands each draw to the supervisor, which
+/// keeps the only copy of the chain's rows and moves them into the
+/// output at the end: one allocation per transition, as unsupervised.
+/// (Before the rows moved into the supervisor's slot, the chain kept a
+/// copy of its own and a supervised transition allocated two.)
+#[test]
+fn a_steady_state_supervised_nuts_transition_allocates_only_its_draw_row() {
+    let workload = registry_model("memory");
+    let model = workload.model();
+    let detector = ConvergenceDetector::new()
+        .with_check_every(50)
+        .with_min_iters(50);
+    let per_transition = allocations_per_transition_of(model, |cfg| {
+        Runtime::new(detector)
+            .with_config(SupervisorConfig::new().with_min_quorum(1))
+            .run(&Nuts::default(), model, cfg)
+            .expect("supervised run")
+            .run
+            .chains
+            .remove(0)
+    });
+    assert!(
+        per_transition.iter().all(|&(allocs, _)| allocs == 1),
+        "(allocations, gradients) per transition {per_transition:?}"
+    );
 }
 
 #[test]
