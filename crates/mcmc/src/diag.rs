@@ -16,18 +16,19 @@
 /// chain are supplied, and propagates `NaN` when a trace contains
 /// non-finite values. Constant traces (zero within-chain variance)
 /// report exactly 1.0.
-pub fn rhat(traces: &[Vec<f64>]) -> f64 {
+pub fn rhat(traces: &[impl AsRef<[f64]>]) -> f64 {
     let m = traces.len();
     if m < 2 {
         return f64::NAN;
     }
-    let n = traces.iter().map(Vec::len).min().unwrap_or(0);
+    let n = traces.iter().map(|t| t.as_ref().len()).min().unwrap_or(0);
     if n < 4 {
         return f64::NAN;
     }
+    let traces: Vec<&[f64]> = traces.iter().map(|t| &t.as_ref()[..n]).collect();
     let chain_means: Vec<f64> = traces
         .iter()
-        .map(|t| t[..n].iter().sum::<f64>() / n as f64)
+        .map(|t| t.iter().sum::<f64>() / n as f64)
         .collect();
     let grand = chain_means.iter().sum::<f64>() / m as f64;
     let b = n as f64 / (m as f64 - 1.0)
@@ -38,7 +39,7 @@ pub fn rhat(traces: &[Vec<f64>]) -> f64 {
     let w = traces
         .iter()
         .zip(&chain_means)
-        .map(|(t, &mu)| t[..n].iter().map(|&x| (x - mu) * (x - mu)).sum::<f64>() / (n as f64 - 1.0))
+        .map(|(t, &mu)| t.iter().map(|&x| (x - mu) * (x - mu)).sum::<f64>() / (n as f64 - 1.0))
         .sum::<f64>()
         / m as f64;
     if w <= 0.0 {
@@ -50,16 +51,15 @@ pub fn rhat(traces: &[Vec<f64>]) -> f64 {
 
 /// Split-R̂: each chain is halved before the classic computation,
 /// catching within-chain trends (Stan's default diagnostic).
-pub fn split_rhat(traces: &[Vec<f64>]) -> f64 {
-    let mut halves: Vec<Vec<f64>> = Vec::with_capacity(traces.len() * 2);
+pub fn split_rhat(traces: &[impl AsRef<[f64]>]) -> f64 {
+    let mut halves: Vec<&[f64]> = Vec::with_capacity(traces.len() * 2);
     for t in traces {
-        let n = t.len();
-        if n < 4 {
+        let t = t.as_ref();
+        if t.len() < 4 {
             return f64::NAN;
         }
-        let mid = n / 2;
-        halves.push(t[..mid].to_vec());
-        halves.push(t[mid..].to_vec());
+        let (first, second) = t.split_at(t.len() / 2);
+        halves.extend([first, second]);
     }
     rhat(&halves)
 }
@@ -78,24 +78,30 @@ pub fn split_rhat(traces: &[Vec<f64>]) -> f64 {
 /// * constant traces → the full draw count `m·n` (no noise to average
 ///   out);
 /// * a single chain is fine — the between-chain term is simply zero.
-pub fn ess(traces: &[Vec<f64>]) -> f64 {
+pub fn ess(traces: &[impl AsRef<[f64]>]) -> f64 {
     let m = traces.len();
-    let n = traces.iter().map(Vec::len).min().unwrap_or(0);
+    let n = traces.iter().map(|t| t.as_ref().len()).min().unwrap_or(0);
     if m == 0 || n < 4 {
         return f64::NAN;
     }
-    if traces.iter().any(|t| t[..n].iter().any(|x| !x.is_finite())) {
+    let traces: Vec<&[f64]> = traces.iter().map(|t| &t.as_ref()[..n]).collect();
+    if traces.iter().any(|t| t.iter().any(|x| !x.is_finite())) {
         return f64::NAN;
     }
     // Per-chain autocovariances, averaged.
     let chain_means: Vec<f64> = traces
         .iter()
-        .map(|t| t[..n].iter().sum::<f64>() / n as f64)
+        .map(|t| t.iter().sum::<f64>() / n as f64)
         .collect();
-    let chain_vars: Vec<f64> = traces
+    // Each chain's deviations from its mean, chain after chain.
+    let dev: Vec<f64> = traces
         .iter()
         .zip(&chain_means)
-        .map(|(t, &mu)| t[..n].iter().map(|&x| (x - mu) * (x - mu)).sum::<f64>() / n as f64)
+        .flat_map(|(t, &mu)| t.iter().map(move |&x| x - mu))
+        .collect();
+    let chain_vars: Vec<f64> = dev
+        .chunks_exact(n)
+        .map(|d| d.iter().map(|&d| d * d).sum::<f64>() / n as f64)
         .collect();
     let w = chain_vars.iter().sum::<f64>() / m as f64;
     if w <= 0.0 {
@@ -114,34 +120,36 @@ pub fn ess(traces: &[Vec<f64>]) -> f64 {
     };
     let var_plus = w * (n as f64 - 1.0) / n as f64 + b_over_n;
 
-    let acov = |t: &[f64], mu: f64, lag: usize| -> f64 {
-        (0..n - lag)
-            .map(|i| (t[i] - mu) * (t[i + lag] - mu))
-            .sum::<f64>()
-            / n as f64
-    };
-
-    let rho = |lag: usize| -> f64 {
-        if lag == 0 {
-            return 1.0;
+    // ρ at `lag` and at `lag + 1` (`lag + 1 < n`), both lags' products
+    // accumulated in one pass over each chain. Each sum runs in index
+    // order from -0.0, as `Iterator::sum` does.
+    let rho_pair = |lag: usize| -> (f64, f64) {
+        let (mut total0, mut total1) = (-0.0, -0.0);
+        for d in dev.chunks_exact(n) {
+            let (mut acov0, mut acov1) = (-0.0, -0.0);
+            let last = n - lag - 1;
+            for i in 0..last {
+                acov0 += d[i] * d[i + lag];
+                acov1 += d[i] * d[i + lag + 1];
+            }
+            acov0 += d[last] * d[n - 1];
+            total0 += acov0 / n as f64;
+            total1 += acov1 / n as f64;
         }
-        let mean_acov = traces
-            .iter()
-            .zip(&chain_means)
-            .map(|(t, &mu)| acov(&t[..n], mu, lag))
-            .sum::<f64>()
-            / m as f64;
-        1.0 - (w - mean_acov) / var_plus
+        let rho = |total: f64| 1.0 - (w - total / m as f64) / var_plus;
+        (rho(total0), rho(total1))
     };
 
     // Geyer pairs from lag 0 — (ρ_0+ρ_1), (ρ_2+ρ_3), … — exactly as
     // Stan does. Pairing from lag 1 (the previous behaviour) misaligns
-    // every pair and biases τ low for correlated chains.
-    let mut pair_sum = rho(0) + rho(1); // Γ̂_0 is always included
+    // every pair and biases τ low for correlated chains. ρ_0 is 1 by
+    // definition, not by estimate.
+    let mut pair_sum = 1.0 + rho_pair(0).1; // Γ̂_0 is always included
     let mut prev_pair = pair_sum;
     let mut lag = 2;
     while lag + 1 < n {
-        let pair = rho(lag) + rho(lag + 1);
+        let (rho0, rho1) = rho_pair(lag);
+        let pair = rho0 + rho1;
         if pair < 0.0 {
             break;
         }
@@ -329,7 +337,7 @@ mod tests {
     #[test]
     fn ess_degenerate_inputs() {
         // Empty / too short.
-        assert!(ess(&[]).is_nan());
+        assert!(ess(&[] as &[Vec<f64>]).is_nan());
         assert!(ess(&[vec![1.0, 2.0, 3.0]]).is_nan());
         // Non-finite draws must not report a usable ESS.
         assert!(ess(&[vec![0.0, f64::NAN, 1.0, 2.0, 3.0]]).is_nan());

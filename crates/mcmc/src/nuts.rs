@@ -74,14 +74,14 @@ impl Nuts {
     }
 }
 
-/// One subtree built by the doubling procedure. Its five buffers come
-/// from the chain's [`Workspace`] and go back to it.
+/// One subtree built by the doubling procedure: the slots of its two
+/// edges and its proposal, and its scalars. A leaf names one slot three
+/// times; the names change, the slots' contents never do.
+#[derive(Debug, Clone, Copy)]
 struct Tree {
-    s_minus: State,
-    p_minus: Vec<f64>,
-    s_plus: State,
-    p_plus: Vec<f64>,
-    s_prop: State,
+    minus: u32,
+    plus: u32,
+    prop: u32,
     /// Number of slice-valid states in the subtree.
     n: f64,
     /// False once a U-turn or divergence is detected inside.
@@ -93,82 +93,120 @@ struct Tree {
 
 impl Tree {
     /// The edge a doubling in direction `dir` continues from.
-    fn edge(&self, dir: f64) -> (&State, &[f64]) {
+    fn edge(&self, dir: f64) -> u32 {
         if dir < 0.0 {
-            (&self.s_minus, &self.p_minus)
+            self.minus
         } else {
-            (&self.s_plus, &self.p_plus)
+            self.plus
         }
     }
 
-    /// Takes over `sub`'s outer edge in direction `dir`; `sub` keeps
-    /// the replaced buffers until it is recycled.
-    fn extend(&mut self, sub: &mut Tree, dir: f64) {
+    /// Takes over `sub`'s outer edge in direction `dir`.
+    fn extend(&mut self, sub: &Tree, dir: f64) {
         if dir < 0.0 {
-            mem::swap(&mut self.s_minus, &mut sub.s_minus);
-            mem::swap(&mut self.p_minus, &mut sub.p_minus);
+            self.minus = sub.minus;
         } else {
-            mem::swap(&mut self.s_plus, &mut sub.s_plus);
-            mem::swap(&mut self.p_plus, &mut sub.p_plus);
+            self.plus = sub.plus;
         }
+    }
+
+    /// The slots this tree names, each once.
+    fn slots(&self) -> impl Iterator<Item = u32> {
+        let (m, p, r) = (self.minus, self.plus, self.prop);
+        [
+            Some(m),
+            (p != m).then_some(p),
+            (r != m && r != p).then_some(r),
+        ]
+        .into_iter()
+        .flatten()
     }
 }
 
-/// Every phase-space buffer one chain's trees are made of, as free
-/// lists. A transition has at most `max_depth + 1` trees alive — the
-/// root, one finished half per recursion level below it, and the leaf
-/// being stepped — so the lists are filled once for that many and
-/// tree building never allocates (DESIGN.md §5d).
+/// One trajectory point: a phase-space state and its momentum.
+#[derive(Debug)]
+struct Slot {
+    s: State,
+    p: Vec<f64>,
+}
+
+/// Every trajectory point one chain's trees are made of, and a free
+/// list of their indices. A slot taken from the list is written once,
+/// by the leapfrog that makes its point (at the root, by a swap with
+/// the chain's state), and is only read until it goes back. A
+/// transition has at most `max_depth + 1` trees alive — the root, one
+/// finished half per recursion level below it, and the subtree being
+/// built — and a tree names at most three slots, so the slots are
+/// allocated once for that many and tree building never allocates
+/// (DESIGN.md §5d).
 #[derive(Debug)]
 struct Workspace {
-    states: Vec<State>,
-    momenta: Vec<Vec<f64>>,
+    slots: Vec<Slot>,
+    free: Vec<u32>,
 }
 
 impl Workspace {
     fn new(dim: usize, max_depth: usize) -> Self {
-        let trees = max_depth + 1;
+        let n = 3 * (max_depth + 1);
         Self {
-            states: (0..3 * trees).map(|_| State::zeros(dim)).collect(),
-            momenta: (0..2 * trees).map(|_| vec![0.0; dim]).collect(),
+            slots: (0..n)
+                .map(|_| Slot {
+                    s: State::zeros(dim),
+                    p: vec![0.0; dim],
+                })
+                .collect(),
+            free: (0..u32::try_from(n).expect("slot count fits in u32"))
+                .rev()
+                .collect(),
         }
     }
 
-    /// An empty tree over five buffers whose contents are stale.
-    fn tree(&mut self) -> Tree {
-        const BOUND: &str = "at most max_depth + 1 trees are alive";
-        Tree {
-            s_minus: self.states.pop().expect(BOUND),
-            p_minus: self.momenta.pop().expect(BOUND),
-            s_plus: self.states.pop().expect(BOUND),
-            p_plus: self.momenta.pop().expect(BOUND),
-            s_prop: self.states.pop().expect(BOUND),
-            n: 0.0,
-            ok: true,
-            alpha: 0.0,
-            n_alpha: 0.0,
-            diverged: false,
+    /// A slot no tree names, whose contents are stale.
+    fn take(&mut self) -> u32 {
+        self.free
+            .pop()
+            .expect("at most max_depth + 1 trees of three slots are alive")
+    }
+
+    /// Frees every slot the disjoint trees `old` name that `kept` does
+    /// not.
+    fn release(&mut self, old: &[Tree], kept: &[u32]) {
+        for slot in old.iter().flat_map(Tree::slots) {
+            if !kept.contains(&slot) {
+                self.free.push(slot);
+            }
         }
     }
 
-    fn recycle(&mut self, tree: Tree) {
-        self.states.extend([tree.s_minus, tree.s_plus, tree.s_prop]);
-        self.momenta.extend([tree.p_minus, tree.p_plus]);
+    /// The point at `from` to read and the distinct slot `to` to write.
+    fn read_write(&mut self, from: u32, to: u32) -> (&Slot, &mut Slot) {
+        let (from, to) = (from as usize, to as usize);
+        if from < to {
+            let (head, tail) = self.slots.split_at_mut(to);
+            (&head[from], &mut tail[0])
+        } else {
+            let (head, tail) = self.slots.split_at_mut(from);
+            (&tail[0], &mut head[to])
+        }
     }
 }
 
-fn no_uturn(ham: &Hamiltonian<'_>, tree: &Tree) -> bool {
+fn no_uturn(ham: &Hamiltonian<'_>, ws: &Workspace, tree: &Tree) -> bool {
+    let (minus, plus) = (
+        &ws.slots[tree.minus as usize],
+        &ws.slots[tree.plus as usize],
+    );
     let dot = |p: &[f64]| -> f64 {
-        tree.s_plus
+        plus.s
             .q
             .iter()
-            .zip(&tree.s_minus.q)
+            .zip(&minus.s.q)
             .zip(p)
             .zip(ham.inv_mass)
             .map(|(((a, b), pi), im)| (a - b) * pi * im)
             .sum()
     };
-    dot(&tree.p_minus) >= 0.0 && dot(&tree.p_plus) >= 0.0
+    dot(&minus.p) >= 0.0 && dot(&plus.p) >= 0.0
 }
 
 /// The doubling procedure of one transition: what all its subtrees
@@ -187,57 +225,66 @@ struct Doubling<'a, 'm> {
 
 impl Doubling<'_, '_> {
     /// Builds the subtree of `2^depth` leapfrog steps that continues
-    /// from the edge `(s, p)` in direction `dir`.
-    fn build(&mut self, (s, p): (&State, &[f64]), dir: f64, depth: usize) -> Tree {
+    /// from the edge in slot `from` in direction `dir`.
+    fn build(&mut self, from: u32, dir: f64, depth: usize) -> Tree {
         if depth == 0 {
-            let mut leaf = self.ws.tree();
-            let (s1, p1) = (&mut leaf.s_prop, &mut leaf.p_plus);
-            self.ham
-                .leapfrog_into(s, p, dir * self.eps, self.grad_evals, s1, p1);
-            let joint = self.ham.log_joint(s1, p1);
+            let slot = self.ws.take();
+            let (edge, leaf) = self.ws.read_write(from, slot);
+            self.ham.leapfrog_into(
+                &edge.s,
+                &edge.p,
+                dir * self.eps,
+                self.grad_evals,
+                &mut leaf.s,
+                &mut leaf.p,
+            );
+            let joint = self.ham.log_joint(&leaf.s, &leaf.p);
             let valid = self.ln_u <= joint;
-            leaf.diverged = !(joint.is_finite() && self.ln_u - MAX_DELTA_H < joint);
-            leaf.alpha = if joint.is_finite() {
-                (joint - self.h0).exp().min(1.0)
-            } else {
-                0.0
-            };
+            let diverged = !(joint.is_finite() && self.ln_u - MAX_DELTA_H < joint);
             // The new point is both edges and the proposal.
-            leaf.s_minus.copy_from(&leaf.s_prop);
-            leaf.s_plus.copy_from(&leaf.s_prop);
-            leaf.p_minus.copy_from_slice(&leaf.p_plus);
-            leaf.n = if valid { 1.0 } else { 0.0 };
-            leaf.ok = !leaf.diverged;
-            leaf.n_alpha = 1.0;
-            return leaf;
+            return Tree {
+                minus: slot,
+                plus: slot,
+                prop: slot,
+                n: if valid { 1.0 } else { 0.0 },
+                ok: !diverged,
+                alpha: if joint.is_finite() {
+                    (joint - self.h0).exp().min(1.0)
+                } else {
+                    0.0
+                },
+                n_alpha: 1.0,
+                diverged,
+            };
         }
 
-        let mut t1 = self.build((s, p), dir, depth - 1);
+        let mut t1 = self.build(from, dir, depth - 1);
         if !t1.ok {
             return t1;
         }
-        let mut t2 = self.build(t1.edge(dir), dir, depth - 1);
+        let t2 = self.build(t1.edge(dir), dir, depth - 1);
+        let halves = [t1, t2];
         // Merge: extend the relevant edge, sample the proposal
         // proportionally to subtree weights.
-        t1.extend(&mut t2, dir);
+        t1.extend(&t2, dir);
         let total = t1.n + t2.n;
         if total > 0.0 && self.rng.gen_range(0.0..1.0) < t2.n / total {
-            mem::swap(&mut t1.s_prop, &mut t2.s_prop);
+            t1.prop = t2.prop;
         }
         t1.alpha += t2.alpha;
         t1.n_alpha += t2.n_alpha;
         t1.n = total;
         t1.diverged |= t2.diverged;
-        t1.ok = t2.ok && no_uturn(self.ham, &t1);
-        self.ws.recycle(t2);
+        t1.ok = t2.ok && no_uturn(self.ham, self.ws, &t1);
+        self.ws.release(&halves, &[t1.minus, t1.plus, t1.prop]);
         t1
     }
 }
 
 /// One NUTS transition: doubles a trajectory around `state` until it
 /// turns back, diverges or reaches `max_depth`, and leaves the selected
-/// point in `state`. Every buffer it takes from `ws` is back there
-/// when it returns.
+/// point in `state`. Every slot it takes from `ws` is free again when
+/// it returns.
 fn transition(
     ham: &Hamiltonian<'_>,
     ws: &mut Workspace,
@@ -247,17 +294,25 @@ fn transition(
     rng: &mut StdRng,
     grad_evals: &mut u64,
 ) -> Info {
-    let mut tree = ws.tree();
-    ham.draw_momentum_into(rng, &mut tree.p_plus);
-    let h0 = ham.log_joint(state, &tree.p_plus);
+    // The current point is both edges and the first proposal; `state`
+    // holds a stale buffer until the selected point is swapped back
+    // below.
+    let root = ws.take();
+    let start = &mut ws.slots[root as usize];
+    ham.draw_momentum_into(rng, &mut start.p);
+    mem::swap(&mut start.s, state);
+    let h0 = ham.log_joint(&start.s, &start.p);
     let ln_u = h0 + rng.gen_range(0.0f64..1.0).ln();
-    tree.p_minus.copy_from_slice(&tree.p_plus);
-    tree.s_minus.copy_from(state);
-    tree.s_plus.copy_from(state);
-    // The current point is the first proposal; `state` holds a stale
-    // buffer until the selected one is swapped back below.
-    mem::swap(&mut tree.s_prop, state);
-    tree.n = 1.0;
+    let mut tree = Tree {
+        minus: root,
+        plus: root,
+        prop: root,
+        n: 1.0,
+        ok: true,
+        alpha: 0.0,
+        n_alpha: 0.0,
+        diverged: false,
+    };
 
     let mut doubling = Doubling {
         ham,
@@ -279,26 +334,29 @@ fn transition(
         } else {
             1.0
         };
-        let mut sub = doubling.build(tree.edge(dir), dir, depth);
+        let sub = doubling.build(tree.edge(dir), dir, depth);
+        let before = [tree, sub];
         tree.alpha += sub.alpha;
         tree.n_alpha += sub.n_alpha;
         tree.diverged |= sub.diverged;
-        let accepted = sub.ok;
-        if accepted {
+        if sub.ok {
             if doubling.rng.gen_range(0.0..1.0) < sub.n / tree.n.max(1.0) {
-                mem::swap(&mut tree.s_prop, &mut sub.s_prop);
+                tree.prop = sub.prop;
             }
-            tree.extend(&mut sub, dir);
+            tree.extend(&sub, dir);
             tree.n += sub.n;
         }
-        doubling.ws.recycle(sub);
-        if !(accepted && no_uturn(ham, &tree)) {
+        doubling
+            .ws
+            .release(&before, &[tree.minus, tree.plus, tree.prop]);
+        if !(sub.ok && no_uturn(ham, doubling.ws, &tree)) {
             break;
         }
     }
 
-    mem::swap(state, &mut tree.s_prop);
-    let out = Info {
+    mem::swap(state, &mut ws.slots[tree.prop as usize].s);
+    ws.release(&[tree], &[]);
+    Info {
         accept_stat: if tree.n_alpha > 0.0 {
             tree.alpha / tree.n_alpha
         } else {
@@ -307,9 +365,7 @@ fn transition(
         diverged: tree.diverged,
         tree_depth: depth_reached,
         step_size: eps,
-    };
-    doubling.ws.recycle(tree);
-    out
+    }
 }
 
 /// A NUTS chain between transitions: the state it shares with static
@@ -436,6 +492,15 @@ mod tests {
         }
     }
 
+    /// Every slot is on the free list exactly once: none leaked, none
+    /// freed twice.
+    fn assert_all_free(ws: &Workspace, what: &str) {
+        let mut free = ws.free.clone();
+        free.sort_unstable();
+        let all: Vec<u32> = (0..ws.slots.len() as u32).collect();
+        assert_eq!(free, all, "{what}");
+    }
+
     #[test]
     fn every_transition_returns_its_buffers_to_the_workspace() {
         let model = AdModel::new("g3", Gauss3);
@@ -445,13 +510,12 @@ mod tests {
         };
         let max_depth = 4;
         let mut ws = Workspace::new(3, max_depth);
-        let full = (ws.states.len(), ws.momenta.len());
         let mut rng = StdRng::seed_from_u64(1);
         let mut state = State::at(&model, vec![0.3, 1.9, -0.5]);
         let mut evals = 0;
         let mut step = |eps: f64, ws: &mut Workspace| {
             let t = transition(&ham, ws, &mut state, eps, max_depth, &mut rng, &mut evals);
-            assert_eq!((ws.states.len(), ws.momenta.len()), full, "eps {eps}");
+            assert_all_free(ws, &format!("eps {eps}"));
             assert!(state.q.iter().all(|x| x.is_finite()));
             t
         };
@@ -468,6 +532,53 @@ mod tests {
             step(0.7, &mut ws);
         }
         assert!(evals > 15 + 1 + 200);
+    }
+
+    #[test]
+    fn no_slot_is_read_before_it_is_written() {
+        // Two chains from one seed, one of them with every free slot
+        // NaN-filled before each transition: a stale read anywhere
+        // would carry a NaN into its draws.
+        let model = AdModel::new("g3", Gauss3);
+        let ham = Hamiltonian {
+            model: &model,
+            inv_mass: &[0.8, 0.3, 2.5],
+        };
+        let max_depth = 6;
+        let chain = |poison: bool| {
+            let mut ws = Workspace::new(3, max_depth);
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut state = State::at(&model, vec![0.3, 1.9, -0.5]);
+            let mut evals = 0;
+            let mut out = Vec::new();
+            // Short, ordinary and divergent steps.
+            for i in 0..300 {
+                if poison {
+                    for &k in &ws.free {
+                        let slot = &mut ws.slots[k as usize];
+                        slot.s.q.fill(f64::NAN);
+                        slot.s.grad.fill(f64::NAN);
+                        slot.s.lp = f64::NAN;
+                        slot.p.fill(f64::NAN);
+                    }
+                }
+                let eps = [0.01, 0.6, 1.1, 40.0][i % 4];
+                let t = transition(
+                    &ham, &mut ws, &mut state, eps, max_depth, &mut rng, &mut evals,
+                );
+                out.extend(state.q.iter().chain(&state.grad).map(|x| x.to_bits()));
+                out.extend([
+                    state.lp.to_bits(),
+                    t.accept_stat.to_bits(),
+                    t.tree_depth as u64,
+                    u64::from(t.diverged),
+                ]);
+            }
+            (out, evals)
+        };
+        let (clean, poisoned) = (chain(false), chain(true));
+        assert!(clean.0.iter().all(|&b| !f64::from_bits(b).is_nan()));
+        assert_eq!(clean, poisoned);
     }
 
     #[test]

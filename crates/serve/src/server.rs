@@ -1727,6 +1727,26 @@ mod tests {
         server.join();
     }
 
+    #[test]
+    fn a_job_too_short_for_an_ess_reports_no_error_bars() {
+        // Three iterations a chain leave too few draws for an ESS, so
+        // the summary has neither a rank-R̂ nor an MCSE; the job
+        // completes with both NaN rather than an error bar of `sd`.
+        let server = JobServer::start(ServerConfig::new(2, predictor()));
+        let spec = JobSpec::new("short", "votes").with_chains(2).with_iters(3);
+        let done = server.submit(spec).wait();
+        let crate::job::JobOutcome::Completed(result) = done.outcome else {
+            panic!("expected completion, got {:?}", done.outcome);
+        };
+        assert!(!result.summary.is_empty());
+        for row in &result.summary {
+            assert!(row.mean.is_finite(), "{row:?}");
+            assert!(row.ess.is_nan() && row.rhat_rank.is_nan(), "{row:?}");
+            assert!(row.mcse.is_nan(), "{row:?}");
+        }
+        server.join();
+    }
+
     fn iteration(iter: u64) -> Event {
         Event::Iteration {
             chain: 0,
