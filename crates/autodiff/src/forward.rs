@@ -249,10 +249,14 @@ impl<const K: usize> Real for Dual<K> {
     }
     fn log1p_exp(self) -> Self {
         // d/dx ln(1+eˣ) = σ(x).
-        self.chain(special::log1p_exp(self.val), special::sigmoid(self.val))
+        let (value, sigmoid) = special::log1p_exp_and_sigmoid(self.val);
+        self.chain(value, sigmoid)
     }
     fn ln_gamma(self) -> Self {
         self.chain(special::ln_gamma(self.val), special::digamma(self.val))
+    }
+    fn precomputed(self, value: f64, derivative: f64) -> Self {
+        self.chain(value, derivative)
     }
 }
 

@@ -71,6 +71,14 @@ pub trait Real:
     fn log1p_exp(self) -> Self;
     /// Log-gamma function.
     fn ln_gamma(self) -> Self;
+    /// `f(self)` for a unary transcendental `f` whose value and
+    /// derivative at `self` the caller has already computed — one node
+    /// with weight `derivative`, counted as one transcendental, exactly
+    /// what [`Real::ln`] or [`Real::ln_gamma`] records. A kernel that
+    /// applies `f` to the same parameter once per observation computes
+    /// `value` and `derivative` once and calls this per observation
+    /// instead.
+    fn precomputed(self, value: f64, derivative: f64) -> Self;
 }
 
 impl Real for f64 {
@@ -138,6 +146,10 @@ impl Real for f64 {
     fn ln_gamma(self) -> Self {
         special::ln_gamma(self)
     }
+    #[inline]
+    fn precomputed(self, value: f64, _derivative: f64) -> Self {
+        value
+    }
 }
 
 impl Real for Var<'_> {
@@ -204,6 +216,10 @@ impl Real for Var<'_> {
     #[inline]
     fn ln_gamma(self) -> Self {
         Var::ln_gamma(self)
+    }
+    #[inline]
+    fn precomputed(self, value: f64, derivative: f64) -> Self {
+        Var::precomputed(self, value, derivative)
     }
 }
 

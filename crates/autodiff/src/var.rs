@@ -54,12 +54,15 @@ impl<'t> Var<'t> {
         self.unary(val, dval)
     }
 
+    /// # Panics
+    ///
+    /// Panics if `rhs` belongs to another tape, in every build: a
+    /// foreign index would name the wrong slot in the reverse sweep.
     #[inline]
     fn binary(self, rhs: Self, val: f64, dl: f64, dr: f64) -> Self {
-        debug_assert!(
-            std::ptr::eq(self.tape, rhs.tape),
-            "mixing variables from different tapes"
-        );
+        if !std::ptr::eq(self.tape, rhs.tape) {
+            foreign_operand();
+        }
         let idx = self.tape.push([self.idx, rhs.idx], [dl, dr], false);
         Self::new(self.tape, idx, val)
     }
@@ -147,10 +150,12 @@ impl<'t> Var<'t> {
         self.unary_trans(s, s * (1.0 - s))
     }
 
-    /// `ln(1 + eˣ)` (softplus), the log-logistic-CDF kernel.
+    /// `ln(1 + eˣ)` (softplus), the log-logistic-CDF kernel; its
+    /// derivative is the sigmoid, from the same `exp`.
     #[inline]
     pub fn log1p_exp(self) -> Self {
-        self.unary_trans(special::log1p_exp(self.val), special::sigmoid(self.val))
+        let (value, sigmoid) = special::log1p_exp_and_sigmoid(self.val);
+        self.unary_trans(value, sigmoid)
     }
 
     /// `ln Γ(x)`; derivative is the digamma function.
@@ -158,6 +163,20 @@ impl<'t> Var<'t> {
     pub fn ln_gamma(self) -> Self {
         self.unary_trans(special::ln_gamma(self.val), special::digamma(self.val))
     }
+
+    /// A unary transcendental of this variable whose value and
+    /// derivative the caller computed: see [`crate::Real::precomputed`].
+    #[inline]
+    pub fn precomputed(self, value: f64, derivative: f64) -> Self {
+        self.unary_trans(value, derivative)
+    }
+}
+
+/// Out of line, so the check costs the recording path one compare.
+#[cold]
+#[inline(never)]
+fn foreign_operand() -> ! {
+    panic!("mixing variables from different tapes")
 }
 
 impl Add for Var<'_> {
@@ -303,6 +322,47 @@ mod tests {
         check_unary(|x| x.log1p_exp(), special::log1p_exp, -0.7);
         check_unary(|x| x.ln_gamma(), special::ln_gamma, 3.6);
         check_unary(|x| -x, |v| -v, 1.1);
+    }
+
+    #[test]
+    fn log1p_exp_value_and_derivative_equal_the_special_functions_bit_for_bit() {
+        use crate::{Dual, Real};
+        let subnormal = f64::from_bits(0x000f_0000_0000_0001);
+        for x in [
+            0.0,
+            -0.0,
+            subnormal,
+            -subnormal,
+            1e-300,
+            -1e-300,
+            36.7,
+            -36.7,
+            709.0,
+            -709.0,
+            745.0,
+            -745.0,
+            1e308,
+            -1e308,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            let (value, derivative) = (special::log1p_exp(x), special::sigmoid(x));
+            let tape = Tape::new();
+            let v = tape.var(x);
+            let y = v.log1p_exp();
+            assert_eq!(y.value().to_bits(), value.to_bits(), "Var value at {x:e}");
+            let g = tape.grad(y)[v.index()];
+            assert_eq!(g.to_bits(), derivative.to_bits(), "Var derivative at {x:e}");
+            let d = Real::log1p_exp(Dual::<1>::seeded(x, 0));
+            assert_eq!(d.val.to_bits(), value.to_bits(), "Dual value at {x:e}");
+            assert_eq!(
+                d.dot[0].to_bits(),
+                derivative.to_bits(),
+                "Dual derivative at {x:e}"
+            );
+        }
     }
 
     #[test]

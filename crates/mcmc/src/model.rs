@@ -513,8 +513,12 @@ impl<D: ShardedDensity> Model for ShardedModel<D> {
 
     fn ln_posterior(&self, theta: &[f64]) -> f64 {
         // Same term order as the gradient path: prior first, then
-        // shards ascending, so value-only and gradient evaluations of
-        // the same configuration agree bitwise.
+        // shards ascending. The two agree bitwise wherever a taped op
+        // computes its value as `f64` does. A division by a `Var`
+        // multiplies by the reciprocal where `f64` divides, so a
+        // density that divides by a parameter — eight of the ten
+        // registry models — agrees only to an ulp or two
+        // (`tests/gradient_bitwise.rs`, DESIGN.md §5b).
         let mut total: f64 = self.density.ln_prior(theta);
         for range in &self.ranges {
             total += self.density.ln_likelihood_shard(theta, range.clone());

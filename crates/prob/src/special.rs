@@ -203,6 +203,21 @@ pub fn log1p_exp(x: f64) -> f64 {
     }
 }
 
+/// `(log1p_exp(x), sigmoid(x))` from one `exp`, each bit-equal to
+/// its own function. Both take `e^{−|x|}` on every branch — `x = ±0`
+/// included, where either sign gives `e⁰ = 1` — so one value serves.
+pub fn log1p_exp_and_sigmoid(x: f64) -> (f64, f64) {
+    // The branch of `log1p_exp`, so a NaN `x` feeds `exp` as it does.
+    let e = if x > 0.0 { (-x).exp() } else { x.exp() };
+    let value = if x > 0.0 { x + e.ln_1p() } else { e.ln_1p() };
+    let sigmoid = if x >= 0.0 {
+        1.0 / (1.0 + e)
+    } else {
+        e / (1.0 + e)
+    };
+    (value, sigmoid)
+}
+
 /// Numerically stable `ln(e^a + e^b)`.
 pub fn log_sum_exp(a: f64, b: f64) -> f64 {
     if a == f64::NEG_INFINITY {

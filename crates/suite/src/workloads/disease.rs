@@ -156,7 +156,7 @@ impl ShardedDensity for DiseaseDensity {
         // ln w_k → w_k hoisted once per shard — bounded bookkeeping
         // slack relative to the serial sweep.
         let ws: [R; BASIS] = std::array::from_fn(|k| theta[k].exp());
-        let sigma = theta[BASIS].exp();
+        let normal = lp::NormalData::new(theta[BASIS].exp());
         let deltas = &theta[BASIS + 2..];
         let mut acc = theta[0] * 0.0;
         for i in range {
@@ -166,7 +166,7 @@ impl ShardedDensity for DiseaseDensity {
             for (k, w) in ws.iter().enumerate() {
                 f = f + *w * ispline_basis(s, k);
             }
-            acc = acc + lp::normal_lpdf_data(self.data.y[i], f, sigma);
+            acc = acc + normal.lpdf(self.data.y[i], f);
         }
         acc
     }

@@ -143,14 +143,14 @@ impl ShardedDensity for TicketsDensity {
     fn ln_likelihood_shard<R: Real>(&self, theta: &[R], range: Range<usize>) -> R {
         let beta_eom = theta[2];
         let beta_season = theta[3];
-        let phi = theta[4].exp();
+        let nb = lp::NegBinomial2Log::new(theta[4].exp());
         let alphas = &theta[5..];
         let mut acc = theta[0] * 0.0;
         for i in range {
             let eta = alphas[self.data.officer[i]]
                 + beta_eom * self.data.eom[i]
                 + beta_season * self.data.season[i];
-            acc = acc + lp::neg_binomial_2_log_lpmf(self.data.y[i], eta, phi);
+            acc = acc + nb.lpmf(self.data.y[i], eta);
         }
         acc
     }
