@@ -4,9 +4,9 @@
 //! One [`BenchCell`] is one `{sampler} × {workload} × {scale}` run
 //! scored against the cell's golden reference posterior
 //! ([`bayes_core::suite::score`]). A [`BenchMatrix`] is a set of cells
-//! plus a schema-versioned header, encoded through the same
-//! [`ObjWriter`] JSON encoder as the trace events, so encoding rules
-//! are identical across every artifact the repo writes.
+//! plus a schema-versioned header; a cell is declared through the same
+//! [`bayes_core::obs::record!`] schema as the trace events, so encoding
+//! rules are identical across every artifact the repo writes.
 //!
 //! The document is a single JSON object (any JSON tool can load it)
 //! that is also line-structured — header first, then one cell object
@@ -20,7 +20,8 @@
 //!   ([`BenchMatrix::malformed`]), so one corrupt row cannot take down
 //!   a regression gate.
 
-use bayes_core::obs::json::{parse, Json, ObjWriter};
+use bayes_core::obs::json::{parse, Json};
+use bayes_core::obs::schema::{self, Field};
 use bayes_core::obs::DecodeError;
 use bayes_core::suite::RunScore;
 
@@ -43,46 +44,48 @@ pub const DEFAULT_TIME_FACTOR: f64 = 10.0;
 /// so the gate is tighter than the wall-clock one.
 pub const ESS_REGRESSION_FACTOR: f64 = 0.5;
 
-/// One scored benchmark cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchCell {
-    /// Workload name (registry canonical).
-    pub workload: String,
-    /// Sampler tag: `mh`, `hmc`, `nuts`, or `advi`.
-    pub sampler: String,
-    /// Data scale of the cell.
-    pub scale: f64,
-    /// Iterations per chain (optimization steps for `advi`).
-    pub iters: u64,
-    /// Chain count (1 for `advi`).
-    pub chains: u64,
-    /// Chain seed of the run (data seed is always the registry's
-    /// `REFERENCE_SEED`).
-    pub seed: u64,
-    /// Within-chain gradient workers the run used.
-    pub inner_threads: u64,
-    /// Whether the sufficient-statistics fast path was enabled for the
-    /// run (workloads without one simply ignore it). Not part of the
-    /// cell identity: on/off flavors live in separate matrix files.
-    pub fastpath: bool,
-    /// Wall-clock seconds of the sampling run.
-    pub wall_time_s: f64,
-    /// Minimum ESS across dimensions (NaN → `null` for `advi`).
-    pub min_ess: f64,
-    /// `min_ess / wall_time_s`.
-    pub ess_per_sec: f64,
-    /// Maximum rank-normalized split-R̂ (NaN → `null` for `advi`).
-    pub max_rhat: f64,
-    /// Gradient evaluations charged to the run.
-    pub grad_evals: u64,
-    /// Divergent transitions.
-    pub divergences: u64,
-    /// Normalized posterior error vs the reference (≤ 1 passes).
-    pub norm_err: f64,
-    /// Dimensions compared.
-    pub checked_params: u64,
-    /// Whether the cell passed its reference tolerance.
-    pub pass: bool,
+bayes_core::obs::record! {
+    /// One scored benchmark cell.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BenchCell = "bench_cell" {
+        /// Workload name (registry canonical).
+        pub workload: String,
+        /// Sampler tag: `mh`, `hmc`, `nuts`, or `advi`.
+        pub sampler: String,
+        /// Data scale of the cell.
+        pub scale: f64,
+        /// Iterations per chain (optimization steps for `advi`).
+        pub iters: u64,
+        /// Chain count (1 for `advi`).
+        pub chains: u64,
+        /// Chain seed of the run (data seed is always the registry's
+        /// `REFERENCE_SEED`).
+        pub seed: u64,
+        /// Within-chain gradient workers the run used.
+        pub inner_threads: u64,
+        /// Whether the sufficient-statistics fast path was enabled for the
+        /// run (workloads without one simply ignore it). Not part of the
+        /// cell identity: on/off flavors live in separate matrix files.
+        pub fastpath: bool,
+        /// Wall-clock seconds of the sampling run.
+        pub wall_time_s: f64,
+        /// Minimum ESS across dimensions (NaN → `null` for `advi`).
+        pub min_ess: f64,
+        /// `min_ess / wall_time_s`.
+        pub ess_per_sec: f64,
+        /// Maximum rank-normalized split-R̂ (NaN → `null` for `advi`).
+        pub max_rhat: f64,
+        /// Gradient evaluations charged to the run.
+        pub grad_evals: u64,
+        /// Divergent transitions.
+        pub divergences: u64,
+        /// Normalized posterior error vs the reference (≤ 1 passes).
+        pub norm_err: f64,
+        /// Dimensions compared.
+        pub checked_params: u64,
+        /// Whether the cell passed its reference tolerance.
+        pub pass: bool,
+    }
 }
 
 impl BenchCell {
@@ -127,79 +130,26 @@ impl BenchCell {
 
     /// Encodes as one JSON object line.
     pub fn to_json(&self) -> String {
-        ObjWriter::new("bench_cell")
-            .field_str("workload", &self.workload)
-            .field_str("sampler", &self.sampler)
-            .field_f64("scale", self.scale)
-            .field_u64("iters", self.iters)
-            .field_u64("chains", self.chains)
-            .field_u64("seed", self.seed)
-            .field_u64("inner_threads", self.inner_threads)
-            .field_bool("fastpath", self.fastpath)
-            .field_f64("wall_time_s", self.wall_time_s)
-            .field_f64("min_ess", self.min_ess)
-            .field_f64("ess_per_sec", self.ess_per_sec)
-            .field_f64("max_rhat", self.max_rhat)
-            .field_u64("grad_evals", self.grad_evals)
-            .field_u64("divergences", self.divergences)
-            .field_f64("norm_err", self.norm_err)
-            .field_u64("checked_params", self.checked_params)
-            .field_bool("pass", self.pass)
-            .finish()
+        schema::to_line(self)
     }
 
     /// Decodes one cell object. `null` numeric fields decode as NaN,
     /// mirroring the trace-event convention.
     pub fn from_json(v: &Json) -> Result<Self, DecodeError> {
-        let field = |k: &str| {
-            v.get(k)
-                .ok_or_else(|| DecodeError::Malformed(format!("cell missing field {k:?}")))
-        };
-        let f64_of = |k: &str| -> Result<f64, DecodeError> {
-            let v = field(k)?;
-            if v.is_null() {
-                return Ok(f64::NAN);
-            }
-            v.as_f64()
-                .ok_or_else(|| DecodeError::Malformed(format!("cell field {k:?} is not a number")))
-        };
-        let u64_of = |k: &str| -> Result<u64, DecodeError> {
-            field(k)?.as_u64().ok_or_else(|| {
-                DecodeError::Malformed(format!("cell field {k:?} is not an integer"))
-            })
-        };
-        let str_of = |k: &str| -> Result<String, DecodeError> {
-            Ok(field(k)?
-                .as_str()
-                .ok_or_else(|| DecodeError::Malformed(format!("cell field {k:?} is not a string")))?
-                .to_string())
-        };
-        if str_of("type")? != "bench_cell" {
+        if schema::tag(v).ok() != Some("bench_cell") {
             return Err(DecodeError::Malformed("not a bench_cell object".into()));
         }
-        Ok(Self {
-            workload: str_of("workload")?,
-            sampler: str_of("sampler")?,
-            scale: f64_of("scale")?,
-            iters: u64_of("iters")?,
-            chains: u64_of("chains")?,
-            seed: u64_of("seed")?,
-            inner_threads: u64_of("inner_threads")?,
-            // Added in schema 1.1; 1.0 documents ran with the runtime
-            // default, which is fast-path on.
-            fastpath: v.get("fastpath").and_then(Json::as_bool).unwrap_or(true),
-            wall_time_s: f64_of("wall_time_s")?,
-            min_ess: f64_of("min_ess")?,
-            ess_per_sec: f64_of("ess_per_sec")?,
-            max_rhat: f64_of("max_rhat")?,
-            grad_evals: u64_of("grad_evals")?,
-            divergences: u64_of("divergences")?,
-            norm_err: f64_of("norm_err")?,
-            checked_params: u64_of("checked_params")?,
-            pass: field("pass")?.as_bool().ok_or_else(|| {
-                DecodeError::Malformed("cell field \"pass\" is not a bool".into())
-            })?,
-        })
+        // Added in schema 1.1; 1.0 documents ran with the runtime
+        // default, which is fast-path on.
+        let read = match v {
+            Json::Obj(fields) if v.get("fastpath").is_none() => {
+                let mut fields = fields.clone();
+                fields.push(("fastpath".into(), Json::Bool(true)));
+                Self::read(&Json::Obj(fields))
+            }
+            _ => Self::read(v),
+        };
+        read.map_err(|e| DecodeError::Malformed(format!("cell {e}")))
     }
 }
 

@@ -10,9 +10,11 @@
 //!
 //! A checkpoint file is a log of frames, one appended per checkpoint
 //! boundary. A frame is one checksummed header line, one line of JSON
-//! holding everything but the draw history, then one binary block per
-//! chain holding, as raw little-endian words, the rows that chain drew
-//! since its previous frame (every row, in a log's first frame):
+//! holding everything but the draw history (the structs below, each
+//! declared once through [`bayes_obs::record!`], which writes and reads
+//! that line), then one binary block per chain holding, as raw
+//! little-endian words, the rows that chain drew since its previous
+//! frame (every row, in a log's first frame):
 //!
 //! ```text
 //! BAYESCKPT 3 <payload_len, 20 digits> <fnv1a64, 16 hex digits>\n
@@ -47,8 +49,8 @@
 //! compare bitwise, mixed configs do not (DESIGN.md §8).
 
 use crate::stream::{Purpose, StreamKey};
-use bayes_obs::json::{parse, write_escaped, Json};
-use std::fmt::Write as _;
+use bayes_obs::json::{parse, Json};
+use bayes_obs::schema::{read_field, Field};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -89,329 +91,181 @@ pub fn segment_seed(chain_stream_seed: u64, iter: usize) -> u64 {
         .derive()
 }
 
-/// Serialized dual-averaging step-size adapter state.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DualAveragingState {
-    /// Shrinkage anchor `ln(10 ε₀)`.
-    pub mu: f64,
-    /// Current `ln ε`.
-    pub log_eps: f64,
-    /// Smoothed `ln ε` (frozen at warmup end).
-    pub log_eps_bar: f64,
-    /// Running acceptance-error average.
-    pub h_bar: f64,
-    /// Update count.
-    pub t: f64,
-    /// Target acceptance statistic.
-    pub target: f64,
-    /// Adaptation gain.
-    pub gamma: f64,
-    /// Iteration offset stabilizing early updates.
-    pub t0: f64,
-    /// Smoothing decay exponent.
-    pub kappa: f64,
-}
-
-/// Serialized Welford variance-accumulator state.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WelfordState {
-    /// Samples accumulated.
-    pub n: f64,
-    /// Running mean per dimension.
-    pub mean: Vec<f64>,
-    /// Running sum of squared deviations per dimension.
-    pub m2: Vec<f64>,
-}
-
-/// Everything one sampler needs to continue a chain from iteration
-/// [`SamplerCheckpoint::iter`] bit-identically (together with the
-/// segmented RNG stream — see [`segment_seed`]).
-///
-/// The chain loop fills `iter` and the four counters below the
-/// adaptation states; [`crate::Sampler::snapshot`] fills the rest with
-/// what its state is. NUTS and static HMC use every field as named.
-/// Metropolis–Hastings keeps its position and log density in `q` and
-/// `lp` and its proposal scale in `eps`; its `grad` and `inv_mass` are
-/// empty and its adaptation states zero (DESIGN.md §8).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SamplerCheckpoint {
-    /// Iteration the checkpoint was taken at: the chain has completed
-    /// iterations `[0, iter)` and resumes at `iter`, which must be a
-    /// segment boundary.
-    pub iter: usize,
-    /// Current position (the draw of iteration `iter - 1`).
-    pub q: Vec<f64>,
-    /// Log-posterior at `q`.
-    pub lp: f64,
-    /// Gradient at `q`.
-    pub grad: Vec<f64>,
-    /// Step size the next iteration will use.
-    pub eps: f64,
-    /// Inverse mass diagonal.
-    pub inv_mass: Vec<f64>,
-    /// Dual-averaging adapter state.
-    pub step_adapt: DualAveragingState,
-    /// Mass-matrix Welford accumulator state.
-    pub mass_adapt: WelfordState,
-    /// Accumulated post-warmup acceptance statistic.
-    pub accept_sum: f64,
-    /// Post-warmup divergences so far.
-    pub divergences: u64,
-    /// Cumulative gradient evaluations so far.
-    pub grad_evals: u64,
-    /// Per-iteration gradient evaluations of iterations `[0, iter)`, as
-    /// the chain hands it to the supervisor. The supervisor moves it
-    /// into [`ChainCheckpoint::evals_per_iter`]; the file does not carry
-    /// this one, so it is empty after a load.
-    pub evals_per_iter: Vec<u32>,
-}
-
-/// One chain's slice of a [`RunCheckpoint`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChainCheckpoint {
-    /// Chain index within the run.
-    pub chain: usize,
-    /// The transition-stream seed this chain runs on. Recorded
-    /// explicitly (rather than re-derived from the run seed) because a
-    /// reseeded retry may have moved the chain to a
-    /// [`Purpose::Retry`]-derived stream.
-    pub stream_seed: u64,
-    /// Draws of iterations `[0, iter)`.
-    pub draws: Vec<Vec<f64>>,
-    /// Gradient evaluations per iteration over the same prefix.
-    pub evals_per_iter: Vec<u32>,
-    /// Sampler state at the checkpoint boundary.
-    pub sampler: SamplerCheckpoint,
-}
-
-/// Detector parameters a checkpoint was taken under. The checkpoint
-/// schedule doubles as the RNG segmentation schedule, so resuming with
-/// a different detector would silently change every stream — the
-/// fingerprint is validated on resume instead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DetectorFingerprint {
-    /// R̂ threshold.
-    pub threshold: f64,
-    /// Checking cadence.
-    pub check_every: usize,
-    /// First checkable iteration.
-    pub min_iters: usize,
-    /// Consecutive sub-threshold checkpoints required.
-    pub consecutive: usize,
-}
-
-/// A complete, resumable snapshot of a supervised run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunCheckpoint {
-    /// Schema version ([`CHECKPOINT_VERSION`]).
-    pub version: u64,
-    /// Model (workload) name.
-    pub model: String,
-    /// Parameter dimensionality.
-    pub dim: usize,
-    /// Base run seed.
-    pub seed: u64,
-    /// Configured chain count.
-    pub chains: usize,
-    /// Configured iterations per chain.
-    pub iters: usize,
-    /// Configured warmup length.
-    pub warmup: usize,
-    /// Detector parameters (also the segmentation schedule).
-    pub detector: DetectorFingerprint,
-    /// Iteration the checkpoint captures: every chain has completed
-    /// exactly `[0, iter)`.
-    pub iter: usize,
-    /// Per-chain state, in chain order.
-    pub chain_states: Vec<ChainCheckpoint>,
-}
-
-fn push_f64(buf: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(buf, "{v}");
-    } else {
-        // Same convention as the event schema: JSON has no non-finite
-        // literals, so they encode as null and decode as NaN.
-        buf.push_str("null");
+bayes_obs::record! {
+    /// Serialized dual-averaging step-size adapter state.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct DualAveragingState {
+        /// Shrinkage anchor `ln(10 ε₀)`.
+        pub mu: f64,
+        /// Current `ln ε`.
+        pub log_eps: f64,
+        /// Smoothed `ln ε` (frozen at warmup end).
+        pub log_eps_bar: f64,
+        /// Running acceptance-error average.
+        pub h_bar: f64,
+        /// Update count.
+        pub t: f64,
+        /// Target acceptance statistic.
+        pub target: f64,
+        /// Adaptation gain.
+        pub gamma: f64,
+        /// Iteration offset stabilizing early updates.
+        pub t0: f64,
+        /// Smoothing decay exponent.
+        pub kappa: f64,
     }
 }
 
-fn push_f64_arr(buf: &mut String, vs: &[f64]) {
-    buf.push('[');
-    for (i, &v) in vs.iter().enumerate() {
-        if i > 0 {
-            buf.push(',');
+bayes_obs::record! {
+    /// Serialized Welford variance-accumulator state.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct WelfordState {
+        /// Samples accumulated.
+        pub n: f64,
+        /// Running mean per dimension.
+        pub mean: Vec<f64>,
+        /// Running sum of squared deviations per dimension.
+        pub m2: Vec<f64>,
+    }
+}
+
+bayes_obs::record! {
+    /// Everything one sampler needs to continue a chain from iteration
+    /// [`SamplerCheckpoint::iter`] bit-identically (together with the
+    /// segmented RNG stream — see [`segment_seed`]).
+    ///
+    /// The chain loop fills `iter` and the four counters below the
+    /// adaptation states; [`crate::Sampler::snapshot`] fills the rest with
+    /// what its state is. NUTS and static HMC use every field as named.
+    /// Metropolis–Hastings keeps its position and log density in `q` and
+    /// `lp` and its proposal scale in `eps`; its `grad` and `inv_mass` are
+    /// empty and its adaptation states zero (DESIGN.md §8).
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct SamplerCheckpoint {
+        /// Iteration the checkpoint was taken at: the chain has completed
+        /// iterations `[0, iter)` and resumes at `iter`, which must be a
+        /// segment boundary.
+        pub iter: usize,
+        /// Current position (the draw of iteration `iter - 1`).
+        pub q: Vec<f64>,
+        /// Log-posterior at `q`.
+        pub lp: f64,
+        /// Gradient at `q`.
+        pub grad: Vec<f64>,
+        /// Step size the next iteration will use.
+        pub eps: f64,
+        /// Inverse mass diagonal.
+        pub inv_mass: Vec<f64>,
+        /// Dual-averaging adapter state.
+        pub step_adapt: DualAveragingState,
+        /// Mass-matrix Welford accumulator state.
+        pub mass_adapt: WelfordState,
+        /// Accumulated post-warmup acceptance statistic.
+        pub accept_sum: f64,
+        /// Post-warmup divergences so far.
+        pub divergences: u64,
+        /// Cumulative gradient evaluations so far.
+        pub grad_evals: u64,
+        /// Per-iteration gradient evaluations of iterations `[0, iter)`, as
+        /// the chain hands it to the supervisor. The supervisor moves it
+        /// into [`ChainCheckpoint::evals_per_iter`]; the file does not carry
+        /// this one, so it is empty after a load.
+        pub evals_per_iter: Vec<u32> = Vec::new(),
+    }
+}
+
+bayes_obs::record! {
+    /// One chain's slice of a [`RunCheckpoint`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ChainCheckpoint {
+        /// Chain index within the run.
+        pub chain: usize,
+        /// The transition-stream seed this chain runs on. Recorded
+        /// explicitly (rather than re-derived from the run seed) because a
+        /// reseeded retry may have moved the chain to a
+        /// [`Purpose::Retry`]-derived stream.
+        pub stream_seed: u64,
+        /// Draws of iterations `[0, iter)`. Not in the state line: the
+        /// chain's blocks hold them.
+        pub draws: Vec<Vec<f64>> = Vec::new(),
+        /// Gradient evaluations per iteration over the same prefix (in the
+        /// blocks, too).
+        pub evals_per_iter: Vec<u32> = Vec::new(),
+        /// Sampler state at the checkpoint boundary.
+        pub sampler: SamplerCheckpoint,
+    }
+}
+
+bayes_obs::record! {
+    /// Detector parameters a checkpoint was taken under. The checkpoint
+    /// schedule doubles as the RNG segmentation schedule, so resuming with
+    /// a different detector would silently change every stream — the
+    /// fingerprint is validated on resume instead.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct DetectorFingerprint {
+        /// R̂ threshold.
+        pub threshold: f64,
+        /// Checking cadence.
+        pub check_every: usize,
+        /// First checkable iteration.
+        pub min_iters: usize,
+        /// Consecutive sub-threshold checkpoints required.
+        pub consecutive: usize,
+    }
+}
+
+bayes_obs::record! {
+    /// A complete, resumable snapshot of a supervised run.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RunCheckpoint {
+        /// Schema version ([`CHECKPOINT_VERSION`]).
+        pub version: u64,
+        /// Model (workload) name.
+        pub model: String,
+        /// Parameter dimensionality.
+        pub dim: usize,
+        /// Base run seed.
+        pub seed: u64,
+        /// Configured chain count.
+        pub chains: usize,
+        /// Configured iterations per chain.
+        pub iters: usize,
+        /// Configured warmup length.
+        pub warmup: usize,
+        /// Detector parameters (also the segmentation schedule).
+        pub detector: DetectorFingerprint,
+        /// Iteration the checkpoint captures: every chain has completed
+        /// exactly `[0, iter)`.
+        pub iter: usize,
+        /// Per-chain state, in chain order.
+        pub chain_states: Vec<ChainCheckpoint>,
+    }
+}
+
+impl RunCheckpoint {
+    /// Refuses per-dimension state of another length than `dim`: `q`
+    /// always holds `dim` values; `grad`, `inv_mass` and the Welford
+    /// vectors hold `dim` or none (a sampler that keeps no such state).
+    fn check_dims(&self) -> Result<(), String> {
+        for c in &self.chain_states {
+            let s = &c.sampler;
+            for (key, v, optional) in [
+                ("q", &s.q, false),
+                ("grad", &s.grad, true),
+                ("inv_mass", &s.inv_mass, true),
+                ("mean", &s.mass_adapt.mean, true),
+                ("m2", &s.mass_adapt.m2, true),
+            ] {
+                if v.len() != self.dim && !(optional && v.is_empty()) {
+                    return Err(format!(
+                        "checkpoint: field '{key}' holds {} values, dim is {}",
+                        v.len(),
+                        self.dim
+                    ));
+                }
+            }
         }
-        push_f64(buf, v);
-    }
-    buf.push(']');
-}
-
-fn req<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
-    obj.get(key)
-        .ok_or_else(|| format!("checkpoint: missing field '{key}'"))
-}
-
-/// A number, or NaN for the `null` a non-finite value encodes as.
-fn f64_of(j: &Json) -> Option<f64> {
-    if j.is_null() {
-        Some(f64::NAN)
-    } else {
-        j.as_f64()
-    }
-}
-
-fn get_f64(obj: &Json, key: &str) -> Result<f64, String> {
-    f64_of(req(obj, key)?).ok_or_else(|| format!("checkpoint: field '{key}' is not a number"))
-}
-
-fn get_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    req(obj, key)?
-        .as_u64()
-        .ok_or_else(|| format!("checkpoint: field '{key}' is not a u64"))
-}
-
-fn get_usize(obj: &Json, key: &str) -> Result<usize, String> {
-    usize::try_from(get_u64(obj, key)?)
-        .map_err(|_| format!("checkpoint: field '{key}' does not fit a usize"))
-}
-
-fn get_str(obj: &Json, key: &str) -> Result<String, String> {
-    Ok(req(obj, key)?
-        .as_str()
-        .ok_or_else(|| format!("checkpoint: field '{key}' is not a string"))?
-        .to_string())
-}
-
-fn get_arr<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    match req(obj, key)? {
-        Json::Arr(items) => Ok(items),
-        _ => Err(format!("checkpoint: field '{key}' is not an array")),
-    }
-}
-
-fn get_f64_arr(obj: &Json, key: &str) -> Result<Vec<f64>, String> {
-    get_arr(obj, key)?
-        .iter()
-        .map(|j| f64_of(j).ok_or_else(|| format!("checkpoint: field '{key}' holds a non-number")))
-        .collect()
-}
-
-/// [`get_f64_arr`] for a per-dimension vector: `dim` values, or none
-/// where the sampler keeps no such state (`optional`).
-fn get_dim_arr(obj: &Json, key: &str, dim: usize, optional: bool) -> Result<Vec<f64>, String> {
-    let v = get_f64_arr(obj, key)?;
-    if v.len() == dim || (optional && v.is_empty()) {
-        Ok(v)
-    } else {
-        Err(format!(
-            "checkpoint: field '{key}' holds {} values, dim is {dim}",
-            v.len()
-        ))
-    }
-}
-
-impl DualAveragingState {
-    fn write(&self, buf: &mut String) {
-        let _ = write!(buf, "{{\"mu\":");
-        push_f64(buf, self.mu);
-        buf.push_str(",\"log_eps\":");
-        push_f64(buf, self.log_eps);
-        buf.push_str(",\"log_eps_bar\":");
-        push_f64(buf, self.log_eps_bar);
-        buf.push_str(",\"h_bar\":");
-        push_f64(buf, self.h_bar);
-        buf.push_str(",\"t\":");
-        push_f64(buf, self.t);
-        buf.push_str(",\"target\":");
-        push_f64(buf, self.target);
-        buf.push_str(",\"gamma\":");
-        push_f64(buf, self.gamma);
-        buf.push_str(",\"t0\":");
-        push_f64(buf, self.t0);
-        buf.push_str(",\"kappa\":");
-        push_f64(buf, self.kappa);
-        buf.push('}');
-    }
-
-    fn read(j: &Json) -> Result<Self, String> {
-        Ok(Self {
-            mu: get_f64(j, "mu")?,
-            log_eps: get_f64(j, "log_eps")?,
-            log_eps_bar: get_f64(j, "log_eps_bar")?,
-            h_bar: get_f64(j, "h_bar")?,
-            t: get_f64(j, "t")?,
-            target: get_f64(j, "target")?,
-            gamma: get_f64(j, "gamma")?,
-            t0: get_f64(j, "t0")?,
-            kappa: get_f64(j, "kappa")?,
-        })
-    }
-}
-
-impl WelfordState {
-    fn write(&self, buf: &mut String) {
-        buf.push_str("{\"n\":");
-        push_f64(buf, self.n);
-        buf.push_str(",\"mean\":");
-        push_f64_arr(buf, &self.mean);
-        buf.push_str(",\"m2\":");
-        push_f64_arr(buf, &self.m2);
-        buf.push('}');
-    }
-
-    fn read(j: &Json, dim: usize) -> Result<Self, String> {
-        Ok(Self {
-            n: get_f64(j, "n")?,
-            mean: get_dim_arr(j, "mean", dim, true)?,
-            m2: get_dim_arr(j, "m2", dim, true)?,
-        })
-    }
-}
-
-impl SamplerCheckpoint {
-    /// Everything but `evals_per_iter`, which the file keeps in the
-    /// chain's block.
-    fn write(&self, buf: &mut String) {
-        let _ = write!(buf, "{{\"iter\":{}", self.iter);
-        buf.push_str(",\"q\":");
-        push_f64_arr(buf, &self.q);
-        buf.push_str(",\"lp\":");
-        push_f64(buf, self.lp);
-        buf.push_str(",\"grad\":");
-        push_f64_arr(buf, &self.grad);
-        buf.push_str(",\"eps\":");
-        push_f64(buf, self.eps);
-        buf.push_str(",\"inv_mass\":");
-        push_f64_arr(buf, &self.inv_mass);
-        buf.push_str(",\"step_adapt\":");
-        self.step_adapt.write(buf);
-        buf.push_str(",\"mass_adapt\":");
-        self.mass_adapt.write(buf);
-        buf.push_str(",\"accept_sum\":");
-        push_f64(buf, self.accept_sum);
-        let _ = write!(
-            buf,
-            ",\"divergences\":{},\"grad_evals\":{}}}",
-            self.divergences, self.grad_evals
-        );
-    }
-
-    fn read(j: &Json, dim: usize) -> Result<Self, String> {
-        Ok(Self {
-            iter: get_usize(j, "iter")?,
-            q: get_dim_arr(j, "q", dim, false)?,
-            lp: get_f64(j, "lp")?,
-            grad: get_dim_arr(j, "grad", dim, true)?,
-            eps: get_f64(j, "eps")?,
-            inv_mass: get_dim_arr(j, "inv_mass", dim, true)?,
-            step_adapt: DualAveragingState::read(req(j, "step_adapt")?)?,
-            mass_adapt: WelfordState::read(req(j, "mass_adapt")?, dim)?,
-            accept_sum: get_f64(j, "accept_sum")?,
-            divergences: get_u64(j, "divergences")?,
-            grad_evals: get_u64(j, "grad_evals")?,
-            evals_per_iter: Vec::new(),
-        })
+        Ok(())
     }
 }
 
@@ -440,36 +294,8 @@ impl DurableWriter {
     pub(crate) fn begin(ck: &RunCheckpoint) -> Self {
         let mut text = header(0, 0);
         let header_len = text.len();
-        let _ = write!(text, "{{\"version\":{}", ck.version);
-        text.push_str(",\"model\":");
-        write_escaped(&mut text, &ck.model);
-        let _ = write!(
-            text,
-            ",\"dim\":{},\"seed\":{},\"chains\":{},\"iters\":{},\"warmup\":{}",
-            ck.dim, ck.seed, ck.chains, ck.iters, ck.warmup
-        );
-        text.push_str(",\"detector\":{\"threshold\":");
-        push_f64(&mut text, ck.detector.threshold);
-        let _ = write!(
-            text,
-            ",\"check_every\":{},\"min_iters\":{},\"consecutive\":{}}}",
-            ck.detector.check_every, ck.detector.min_iters, ck.detector.consecutive
-        );
-        let _ = write!(text, ",\"iter\":{}", ck.iter);
-        text.push_str(",\"chain_states\":[");
-        for (i, c) in ck.chain_states.iter().enumerate() {
-            if i > 0 {
-                text.push(',');
-            }
-            let _ = write!(
-                text,
-                "{{\"chain\":{},\"stream_seed\":{},\"sampler\":",
-                c.chain, c.stream_seed
-            );
-            c.sampler.write(&mut text);
-            text.push('}');
-        }
-        text.push_str("]}\n");
+        ck.write(&mut text);
+        text.push('\n');
         Self {
             out: text.into_bytes(),
             header_len,
@@ -784,43 +610,16 @@ impl RunCheckpoint {
 
     /// The JSON state, with every chain's draws still empty.
     fn read_state(v: &Json) -> Result<Self, String> {
-        let version = get_u64(v, "version")?;
+        let checkpoint = |e| format!("checkpoint: {e}");
+        let version: u64 = read_field(v, "version").map_err(checkpoint)?;
         if version != CHECKPOINT_VERSION {
             return Err(format!(
                 "checkpoint: unsupported version {version} (expected {CHECKPOINT_VERSION})"
             ));
         }
-        let dim = get_usize(v, "dim")?;
-        let det = req(v, "detector")?;
-        let chain_states = get_arr(v, "chain_states")?
-            .iter()
-            .map(|c| {
-                Ok(ChainCheckpoint {
-                    chain: get_usize(c, "chain")?,
-                    stream_seed: get_u64(c, "stream_seed")?,
-                    draws: Vec::new(),
-                    evals_per_iter: Vec::new(),
-                    sampler: SamplerCheckpoint::read(req(c, "sampler")?, dim)?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(Self {
-            version,
-            model: get_str(v, "model")?,
-            dim,
-            seed: get_u64(v, "seed")?,
-            chains: get_usize(v, "chains")?,
-            iters: get_usize(v, "iters")?,
-            warmup: get_usize(v, "warmup")?,
-            detector: DetectorFingerprint {
-                threshold: get_f64(det, "threshold")?,
-                check_every: get_usize(det, "check_every")?,
-                min_iters: get_usize(det, "min_iters")?,
-                consecutive: get_usize(det, "consecutive")?,
-            },
-            iter: get_usize(v, "iter")?,
-            chain_states,
-        })
+        let ck = Self::read(v).map_err(checkpoint)?;
+        ck.check_dims()?;
+        Ok(ck)
     }
 
     /// Reads the checkpoint log at `path` (see

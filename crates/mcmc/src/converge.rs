@@ -98,9 +98,14 @@ impl ConvergenceDetector {
     ///
     /// # Panics
     ///
-    /// Panics unless `threshold > 1`.
+    /// Panics unless `threshold` is finite and above 1. (An infinite
+    /// one would be written to a job server's journal as `null`, which
+    /// reads back as NaN.)
     pub fn with_threshold(mut self, threshold: f64) -> Self {
-        assert!(threshold > 1.0, "R-hat threshold must exceed 1");
+        assert!(
+            threshold.is_finite() && threshold > 1.0,
+            "R-hat threshold must exceed 1 and be finite"
+        );
         self.threshold = threshold;
         self
     }
@@ -414,5 +419,11 @@ mod tests {
     #[should_panic(expected = "must exceed 1")]
     fn rejects_bad_threshold() {
         let _ = ConvergenceDetector::new().with_threshold(0.9);
+    }
+
+    #[test]
+    #[should_panic(expected = "be finite")]
+    fn rejects_an_infinite_threshold() {
+        let _ = ConvergenceDetector::new().with_threshold(f64::INFINITY);
     }
 }

@@ -1,11 +1,12 @@
 //! Minimal JSON value, parser, and string escaping.
 //!
 //! The workspace deliberately carries no `serde_json` dependency; the
-//! event schema is flat and small, so a ~150-line recursive-descent
-//! parser keeps the observability layer self-contained. Numbers keep
-//! their source lexeme (`Json::Num` stores the string) so `u64` seeds
-//! above 2^53 and shortest-round-trip `f64` values survive a
-//! decode/encode cycle exactly.
+//! records it writes are small, so a ~150-line recursive-descent parser
+//! keeps the observability layer self-contained. Numbers keep their
+//! source lexeme (`Json::Num` stores the string) so `u64` seeds above
+//! 2^53 and shortest-round-trip `f64` values survive a decode/encode
+//! cycle exactly. Records are encoded and decoded through
+//! [`crate::schema`].
 
 use std::fmt::Write as _;
 
@@ -70,95 +71,6 @@ impl Json {
     /// Whether the value is `null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Json::Null)
-    }
-}
-
-/// Single-line JSON object writer: `{"type":"…", …}`.
-///
-/// This is the one encoder every schema in the workspace shares — the
-/// trace events in [`crate::event`] and the `BENCH_matrix.json` rows in
-/// `bayes-bench` both render through it, so encoding rules (shortest
-/// round-trip `f64`, non-finite → `null`, full-precision `u64`) are
-/// defined exactly once.
-#[derive(Debug)]
-pub struct ObjWriter {
-    buf: String,
-}
-
-impl ObjWriter {
-    /// Opens an object whose first field is `"type": kind`.
-    pub fn new(kind: &str) -> Self {
-        let mut buf = String::with_capacity(160);
-        buf.push_str("{\"type\":\"");
-        buf.push_str(kind);
-        buf.push('"');
-        Self { buf }
-    }
-
-    fn key(&mut self, k: &str) {
-        self.buf.push(',');
-        self.buf.push('"');
-        self.buf.push_str(k);
-        self.buf.push_str("\":");
-    }
-
-    /// Appends a string field (escaped).
-    pub fn field_str(mut self, k: &str, v: &str) -> Self {
-        self.key(k);
-        write_escaped(&mut self.buf, v);
-        self
-    }
-
-    /// Appends an unsigned integer field at full `u64` precision.
-    pub fn field_u64(mut self, k: &str, v: u64) -> Self {
-        self.key(k);
-        let _ = write!(self.buf, "{v}");
-        self
-    }
-
-    /// Appends a float field; non-finite values encode as `null`.
-    pub fn field_f64(mut self, k: &str, v: f64) -> Self {
-        self.key(k);
-        if v.is_finite() {
-            // `Display` for f64 is the shortest decimal that parses
-            // back to the same bits, so documents round-trip exactly.
-            let _ = write!(self.buf, "{v}");
-        } else {
-            self.buf.push_str("null");
-        }
-        self
-    }
-
-    /// Appends a boolean field.
-    pub fn field_bool(mut self, k: &str, v: bool) -> Self {
-        self.key(k);
-        self.buf.push_str(if v { "true" } else { "false" });
-        self
-    }
-
-    /// Appends a pre-rendered JSON value verbatim (nested objects).
-    pub fn field_raw(mut self, k: &str, v: &str) -> Self {
-        self.key(k);
-        self.buf.push_str(v);
-        self
-    }
-
-    /// Appends an optional integer field; `None` encodes as `null`.
-    pub fn field_opt_u64(mut self, k: &str, v: Option<u64>) -> Self {
-        self.key(k);
-        match v {
-            Some(n) => {
-                let _ = write!(self.buf, "{n}");
-            }
-            None => self.buf.push_str("null"),
-        }
-        self
-    }
-
-    /// Closes the object and returns the rendered line.
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
     }
 }
 

@@ -36,8 +36,11 @@
 //!    proves it). Wall-clock payloads (`elapsed_ns`, span times) are
 //!    the one non-deterministic carve-out.
 //!
-//! The crate is dependency-free: the event schema is flat, so a small
-//! hand-rolled JSON module ([`json`]) replaces `serde_json`.
+//! The crate is dependency-free: a small JSON parser ([`json`]) replaces
+//! `serde_json`, and every record type of the workspace — trace events,
+//! write-ahead-log records, the checkpoint state line — is declared once
+//! through [`record!`], which generates its encoder and decoder from one
+//! wire rule per field type ([`schema`]).
 
 #![warn(missing_docs)]
 
@@ -45,6 +48,7 @@ pub mod event;
 pub mod json;
 pub mod metrics;
 pub mod recorder;
+pub mod schema;
 pub mod span;
 pub mod telemetry;
 

@@ -19,7 +19,8 @@
 //! deterministic across runs; determinism here means the aggregation
 //! itself never depends on thread scheduling.
 
-use crate::json::{write_escaped, Json};
+use crate::json::Json;
+use crate::schema::{read_field, Field};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -47,7 +48,7 @@ fn bucket_bounds(index: u32) -> (u64, u64) {
         let sub = (index % 16) as u64;
         let width = 1u64 << (octave - 4);
         let lower = (SUB + sub) << (octave - 4);
-        (lower, lower + width - 1)
+        (lower, lower + (width - 1))
     }
 }
 
@@ -153,8 +154,10 @@ impl Histogram {
             *self.buckets.entry(idx).or_insert(0) += c;
         }
     }
+}
 
-    fn write_json(&self, out: &mut String) {
+impl Field for Histogram {
+    fn write(&self, out: &mut String) {
         let _ = write!(
             out,
             "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
@@ -169,50 +172,69 @@ impl Histogram {
         out.push_str("]}");
     }
 
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let field = |k: &str| -> Result<u64, String> {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("histogram field '{k}' missing or not a u64"))
-        };
+    /// Reads a histogram back, refusing one its own methods could not
+    /// use: a bucket index past the last bucket a `u64` can land in
+    /// (its bounds would not be `u64`s), a repeated index, bucket counts
+    /// that do not add up to `count`, or `min > max` in a non-empty one.
+    fn read(v: &Json) -> Result<Self, String> {
+        let (count, sum, min, max): (u64, u64, u64, u64) = (
+            read_field(v, "count")?,
+            read_field(v, "sum")?,
+            read_field(v, "min")?,
+            read_field(v, "max")?,
+        );
         let mut buckets = BTreeMap::new();
-        match v.get("buckets") {
-            Some(Json::Arr(items)) => {
-                for item in items {
-                    let pair = match item {
-                        Json::Arr(p) if p.len() == 2 => p,
-                        _ => return Err("histogram bucket is not a [index, count] pair".into()),
-                    };
-                    let idx = pair[0].as_u64().ok_or("bucket index is not a u64")? as u32;
-                    let c = pair[1].as_u64().ok_or("bucket count is not a u64")?;
-                    buckets.insert(idx, c);
-                }
+        let mut total = 0u64;
+        for pair in read_field::<Vec<Vec<u64>>>(v, "buckets")? {
+            let [idx, c] = pair[..] else {
+                return Err("histogram bucket is not an [index, count] pair".into());
+            };
+            let idx = u32::try_from(idx)
+                .ok()
+                .filter(|&i| i <= bucket_index(u64::MAX))
+                .ok_or("histogram bucket index is out of range")?;
+            total = total
+                .checked_add(c)
+                .ok_or("histogram bucket counts overflow")?;
+            if buckets.insert(idx, c).is_some() {
+                return Err(format!("histogram bucket {idx} appears twice"));
             }
-            _ => return Err("histogram field 'buckets' missing or not an array".into()),
+        }
+        if total != count {
+            return Err(format!(
+                "histogram bucket counts add up to {total}, count is {count}"
+            ));
+        }
+        if count > 0 && min > max {
+            return Err(format!("histogram min {min} exceeds max {max}"));
         }
         Ok(Self {
-            count: field("count")?,
-            sum: field("sum")?,
-            min: field("min")?,
-            max: field("max")?,
+            count,
+            sum,
+            min,
+            max,
             buckets,
         })
     }
 }
 
-/// A frozen, mergeable view of a [`MetricsRegistry`].
-///
-/// Merge semantics: counters add, gauges take the max, histograms
-/// merge bucket-wise. All three are associative and commutative, so
-/// any join order over per-chain snapshots yields the same bytes.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MetricsSnapshot {
-    /// Monotonic counters by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauges by name (merge keeps the max).
-    pub gauges: BTreeMap<String, f64>,
-    /// Histograms by name.
-    pub histograms: BTreeMap<String, Histogram>,
+crate::record! {
+    /// A frozen, mergeable view of a [`MetricsRegistry`].
+    ///
+    /// Merge semantics: counters add, gauges take the max, histograms
+    /// merge bucket-wise. All three are associative and commutative, so
+    /// any join order over per-chain snapshots yields the same bytes.
+    /// Encoded, each map is an object in key order, so encoding is
+    /// deterministic.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct MetricsSnapshot {
+        /// Monotonic counters by name.
+        pub counters: BTreeMap<String, u64>,
+        /// Gauges by name (merge keeps the max).
+        pub gauges: BTreeMap<String, f64>,
+        /// Histograms by name.
+        pub histograms: BTreeMap<String, Histogram>,
+    }
 }
 
 impl MetricsSnapshot {
@@ -267,78 +289,6 @@ impl MetricsSnapshot {
             .filter(|(k, _)| k.starts_with("span."))
             .map(|(_, h)| h.sum())
             .fold(0u64, u64::saturating_add)
-    }
-
-    /// Encodes the snapshot as one JSON object (no surrounding event
-    /// framing); key order is the `BTreeMap` order, so encoding is
-    /// deterministic.
-    pub fn write_json(&self, out: &mut String) {
-        out.push_str("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_escaped(out, k);
-            let _ = write!(out, ":{v}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_escaped(out, k);
-            out.push(':');
-            if v.is_finite() {
-                let _ = write!(out, "{v}");
-            } else {
-                out.push_str("null"); // non-finite → null → NaN
-            }
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_escaped(out, k);
-            out.push(':');
-            h.write_json(out);
-        }
-        out.push_str("}}");
-    }
-
-    /// Decodes a snapshot from a parsed JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first schema violation.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let obj = |k: &str| -> Result<&Vec<(String, Json)>, String> {
-            match v.get(k) {
-                Some(Json::Obj(fields)) => Ok(fields),
-                _ => Err(format!("metrics field '{k}' missing or not an object")),
-            }
-        };
-        let mut snap = Self::new();
-        for (k, val) in obj("counters")? {
-            let n = val
-                .as_u64()
-                .ok_or_else(|| format!("counter '{k}' is not a u64"))?;
-            snap.counters.insert(k.clone(), n);
-        }
-        for (k, val) in obj("gauges")? {
-            let g = if val.is_null() {
-                f64::NAN
-            } else {
-                val.as_f64()
-                    .ok_or_else(|| format!("gauge '{k}' is not a number"))?
-            };
-            snap.gauges.insert(k.clone(), g);
-        }
-        for (k, val) in obj("histograms")? {
-            snap.histograms
-                .insert(k.clone(), Histogram::from_json(val)?);
-        }
-        Ok(snap)
     }
 }
 
@@ -545,8 +495,8 @@ mod tests {
         }
         let snap = r.snapshot();
         let mut s = String::new();
-        snap.write_json(&mut s);
-        let back = MetricsSnapshot::from_json(&parse(&s).unwrap()).unwrap();
+        snap.write(&mut s);
+        let back = MetricsSnapshot::read(&parse(&s).unwrap()).unwrap();
         assert_eq!(back.counters, snap.counters);
         assert_eq!(back.histograms, snap.histograms);
         assert!(back.gauges["bad"].is_nan());
@@ -556,8 +506,38 @@ mod tests {
         );
         // Encoding is stable across a decode cycle.
         let mut s2 = String::new();
-        back.write_json(&mut s2);
+        back.write(&mut s2);
         assert_eq!(s, s2);
+    }
+
+    /// A histogram whose buckets its own methods could not use is
+    /// refused on read: before, a bucket index of 2000 decoded and
+    /// `quantile` then shifted a `u64` by more than 63 bits.
+    #[test]
+    fn histograms_that_do_not_add_up_are_refused() {
+        let read = |count: u64, min: u64, max: u64, buckets: &str| {
+            let text = format!(
+                r#"{{"count":{count},"sum":5,"min":{min},"max":{max},"buckets":[{buckets}]}}"#
+            );
+            Histogram::read(&parse(&text).unwrap())
+        };
+        let last = bucket_index(u64::MAX);
+        let h = read(2, 1, u64::MAX, &format!("[1,1],[{last},1]")).unwrap();
+        assert_eq!(h.quantile(1.0), Some(u64::MAX));
+        for (count, min, buckets, why) in [
+            (1, 5, "[2000,1]", "out of range"),
+            (1, 5, "[976,1]", "out of range"),
+            (1, 5, "[4294967301,1]", "out of range"),
+            (3, 5, "[5,1]", "add up"),
+            (0, 5, "[5,1]", "add up"),
+            (1, 5, "[5,18446744073709551615],[6,1]", "overflow"),
+            (2, 5, "[5,1],[5,1]", "twice"),
+            (1, 5, "[5,1,1]", "pair"),
+            (1, 6, "[5,1]", "exceeds"),
+        ] {
+            let err = read(count, min, 5, buckets).unwrap_err();
+            assert!(err.contains(why), "{buckets}: {err}");
+        }
     }
 
     #[test]
@@ -565,8 +545,8 @@ mod tests {
         let snap = MetricsSnapshot::new();
         assert!(snap.is_empty());
         let mut s = String::new();
-        snap.write_json(&mut s);
-        let back = MetricsSnapshot::from_json(&parse(&s).unwrap()).unwrap();
+        snap.write(&mut s);
+        let back = MetricsSnapshot::read(&parse(&s).unwrap()).unwrap();
         assert!(back.is_empty());
     }
 }

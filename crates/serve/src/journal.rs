@@ -16,8 +16,8 @@
 //! ```
 //!
 //! where `len` is the payload byte count and the checksum is
-//! [`bayes_obs::fnv1a64`] over the payload (a single-line JSON object
-//! rendered by the shared [`bayes_obs::json::ObjWriter`] encoder). The
+//! [`bayes_obs::fnv1a64`] over the payload (a single-line JSON object,
+//! [`JournalRecord`] declared through [`bayes_obs::record!`]). The
 //! fixed-width hex prefix makes the frame self-describing without
 //! binary encoding, and the checksum + trailing newline detect torn
 //! tails: [`Journal::open`] replays the longest valid prefix and
@@ -32,7 +32,7 @@
 
 use crate::job::{JobSpec, SamplerKind};
 use bayes_mcmc::ConvergenceDetector;
-use bayes_obs::json::{parse, Json, ObjWriter};
+use bayes_obs::schema;
 use bayes_obs::{fnv1a64, span, Phase};
 use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
@@ -43,46 +43,48 @@ use std::time::Duration;
 /// (checksum) + space.
 const FRAME_PREFIX: usize = 8 + 1 + 16 + 1;
 
-/// The serializable identity of a [`JobSpec`] — everything needed to
-/// re-admit the job after a crash with bit-identical draws.
-///
-/// The one field deliberately *not* captured is the fault injector:
-/// closures do not serialize, and replaying injected faults against a
-/// recovered run would double-apply them. A recovered job runs clean.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpecRecord {
-    /// Client-supplied label.
-    pub name: String,
-    /// Registry workload name.
-    pub workload: String,
-    /// Data scale.
-    pub scale: f64,
-    /// Chains to run.
-    pub chains: u64,
-    /// Iterations per chain.
-    pub iters: u64,
-    /// Base RNG seed.
-    pub seed: u64,
-    /// Scheduling priority.
-    pub priority: u64,
-    /// Sampler tag: `"nuts"` or `"mh"`.
-    pub sampler: String,
-    /// Convergence detector threshold.
-    pub threshold: f64,
-    /// Detector check cadence.
-    pub check_every: u64,
-    /// Detector warm-up floor.
-    pub min_iters: u64,
-    /// Consecutive passes the detector requires.
-    pub consecutive: u64,
-    /// Explicit chain quorum, if any.
-    pub min_quorum: Option<u64>,
-    /// Wall-clock deadline in milliseconds, if any.
-    pub deadline_ms: Option<u64>,
-    /// Restart budget.
-    pub restarts: u64,
-    /// Base restart backoff in milliseconds.
-    pub backoff_ms: u64,
+bayes_obs::record! {
+    /// The serializable identity of a [`JobSpec`] — everything needed to
+    /// re-admit the job after a crash with bit-identical draws.
+    ///
+    /// The one field deliberately *not* captured is the fault injector:
+    /// closures do not serialize, and replaying injected faults against a
+    /// recovered run would double-apply them. A recovered job runs clean.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SpecRecord = "spec" {
+        /// Client-supplied label.
+        pub name: String,
+        /// Registry workload name.
+        pub workload: String,
+        /// Data scale.
+        pub scale: f64,
+        /// Chains to run.
+        pub chains: u64,
+        /// Iterations per chain.
+        pub iters: u64,
+        /// Base RNG seed.
+        pub seed: u64,
+        /// Scheduling priority.
+        pub priority: u64,
+        /// Sampler tag: `"nuts"` or `"mh"`.
+        pub sampler: String,
+        /// Convergence detector threshold.
+        pub threshold: f64,
+        /// Detector check cadence.
+        pub check_every: u64,
+        /// Detector warm-up floor.
+        pub min_iters: u64,
+        /// Consecutive passes the detector requires.
+        pub consecutive: u64,
+        /// Explicit chain quorum, if any.
+        pub min_quorum: Option<u64>,
+        /// Wall-clock deadline in milliseconds, if any.
+        pub deadline_ms: Option<u64>,
+        /// Restart budget.
+        pub restarts: u64,
+        /// Base restart backoff in milliseconds.
+        pub backoff_ms: u64,
+    }
 }
 
 impl SpecRecord {
@@ -112,17 +114,40 @@ impl SpecRecord {
     }
 
     /// Rebuilds a [`JobSpec`] (without any fault injector).
-    pub fn to_spec(&self) -> JobSpec {
+    ///
+    /// # Errors
+    ///
+    /// A record no [`JobSpec`] could have produced — an unknown
+    /// sampler tag, or detector settings its builder refuses (a
+    /// threshold that is not a finite number above 1, a zero cadence or
+    /// streak, fewer than 4 warm-up iterations) — is described, not
+    /// rebuilt: a write-ahead log is read back after a crash, and one
+    /// bad record must not take the other jobs down with it.
+    pub fn to_spec(&self) -> Result<JobSpec, String> {
+        let sampler = match self.sampler.as_str() {
+            "nuts" => SamplerKind::Nuts,
+            "mh" => SamplerKind::Mh,
+            other => return Err(format!("unknown sampler '{other}'")),
+        };
+        if !(self.threshold.is_finite() && self.threshold > 1.0) {
+            return Err(format!(
+                "R-hat threshold {} is not a finite number above 1",
+                self.threshold
+            ));
+        }
+        if self.check_every == 0 || self.consecutive == 0 || self.min_iters < 4 {
+            return Err(format!(
+                "detector cadence {}, streak {} and warm-up {} are not all valid",
+                self.check_every, self.consecutive, self.min_iters
+            ));
+        }
         let mut spec = JobSpec::new(self.name.clone(), self.workload.clone())
             .with_scale(self.scale)
             .with_chains(self.chains as usize)
             .with_iters(self.iters as usize)
             .with_seed(self.seed)
             .with_priority(self.priority.min(u64::from(u8::MAX)) as u8)
-            .with_sampler(match self.sampler.as_str() {
-                "mh" => SamplerKind::Mh,
-                _ => SamplerKind::Nuts,
-            })
+            .with_sampler(sampler)
             .with_detector(
                 ConvergenceDetector::new()
                     .with_threshold(self.threshold)
@@ -138,200 +163,94 @@ impl SpecRecord {
         if let Some(ms) = self.deadline_ms {
             spec = spec.with_deadline(Duration::from_millis(ms));
         }
-        spec
-    }
-
-    fn to_json(&self) -> String {
-        ObjWriter::new("spec")
-            .field_str("name", &self.name)
-            .field_str("workload", &self.workload)
-            .field_f64("scale", self.scale)
-            .field_u64("chains", self.chains)
-            .field_u64("iters", self.iters)
-            .field_u64("seed", self.seed)
-            .field_u64("priority", self.priority)
-            .field_str("sampler", &self.sampler)
-            .field_f64("threshold", self.threshold)
-            .field_u64("check_every", self.check_every)
-            .field_u64("min_iters", self.min_iters)
-            .field_u64("consecutive", self.consecutive)
-            .field_opt_u64("min_quorum", self.min_quorum)
-            .field_opt_u64("deadline_ms", self.deadline_ms)
-            .field_u64("restarts", self.restarts)
-            .field_u64("backoff_ms", self.backoff_ms)
-            .finish()
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(Self {
-            name: get_str(v, "name")?,
-            workload: get_str(v, "workload")?,
-            scale: get_f64(v, "scale")?,
-            chains: get_u64(v, "chains")?,
-            iters: get_u64(v, "iters")?,
-            seed: get_u64(v, "seed")?,
-            priority: get_u64(v, "priority")?,
-            sampler: get_str(v, "sampler")?,
-            threshold: get_f64(v, "threshold")?,
-            check_every: get_u64(v, "check_every")?,
-            min_iters: get_u64(v, "min_iters")?,
-            consecutive: get_u64(v, "consecutive")?,
-            min_quorum: get_opt_u64(v, "min_quorum")?,
-            deadline_ms: get_opt_u64(v, "deadline_ms")?,
-            restarts: get_u64(v, "restarts")?,
-            backoff_ms: get_u64(v, "backoff_ms")?,
-        })
+        Ok(spec)
     }
 }
 
-/// One journaled lifecycle transition.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JournalRecord {
-    /// The job passed admission; `spec` is its full identity.
-    Submitted {
-        /// Server-assigned job id.
-        job: u64,
-        /// Serializable spec (injector excluded).
-        spec: SpecRecord,
-    },
-    /// The job started (or resumed) on a core grant.
-    Placed {
-        /// Job id.
-        job: u64,
-        /// Cores granted.
-        cores: u64,
-    },
-    /// A run checkpoint was persisted at `iter`.
-    Checkpointed {
-        /// Job id.
-        job: u64,
-        /// Boundary the checkpoint captures.
-        iter: u64,
-    },
-    /// The job was paused bit-exactly at `at` and re-queued.
-    Preempted {
-        /// Job id.
-        job: u64,
-        /// Committed pause boundary.
-        at: u64,
-    },
-    /// A failed run consumed one unit of restart budget.
-    Restarted {
-        /// Job id.
-        job: u64,
-        /// Restarts consumed so far.
-        attempt: u64,
-    },
-    /// The job was re-admitted by crash recovery.
-    Recovered {
-        /// Job id.
-        job: u64,
-        /// Checkpoint iteration it resumes from (`None` = clean
-        /// restart of the same RNG streams).
-        resumed_from: Option<u64>,
-    },
-    /// Terminal: finished.
-    Completed {
-        /// Job id.
-        job: u64,
-    },
-    /// Terminal: failed with no budget left.
-    Failed {
-        /// Job id.
-        job: u64,
-    },
-    /// Terminal: deadline passed.
-    Expired {
-        /// Job id.
-        job: u64,
-    },
-    /// Terminal: dropped from the pending queue under overload.
-    Shed {
-        /// Job id.
-        job: u64,
-    },
+bayes_obs::record! {
+    /// One journaled lifecycle transition.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum JournalRecord {
+        /// The job passed admission; `spec` is its full identity.
+        Submitted = "submitted" {
+            /// Server-assigned job id.
+            job: u64,
+            /// Serializable spec (injector excluded).
+            spec: SpecRecord,
+        },
+        /// The job started (or resumed) on a core grant.
+        Placed = "placed" {
+            /// Job id.
+            job: u64,
+            /// Cores granted.
+            cores: u64,
+        },
+        /// A run checkpoint was persisted at `iter`.
+        Checkpointed = "checkpointed" {
+            /// Job id.
+            job: u64,
+            /// Boundary the checkpoint captures.
+            iter: u64,
+        },
+        /// The job was paused bit-exactly at `at` and re-queued.
+        Preempted = "preempted" {
+            /// Job id.
+            job: u64,
+            /// Committed pause boundary.
+            at: u64,
+        },
+        /// A failed run consumed one unit of restart budget.
+        Restarted = "restarted" {
+            /// Job id.
+            job: u64,
+            /// Restarts consumed so far.
+            attempt: u64,
+        },
+        /// The job was re-admitted by crash recovery.
+        Recovered = "recovered" {
+            /// Job id.
+            job: u64,
+            /// Checkpoint iteration it resumes from (`None` = clean
+            /// restart of the same RNG streams).
+            resumed_from: Option<u64>,
+        },
+        /// Terminal: finished.
+        Completed = "completed" {
+            /// Job id.
+            job: u64,
+        },
+        /// Terminal: failed with no budget left.
+        Failed = "failed" {
+            /// Job id.
+            job: u64,
+        },
+        /// Terminal: deadline passed.
+        Expired = "expired" {
+            /// Job id.
+            job: u64,
+        },
+        /// Terminal: dropped from the pending queue under overload.
+        Shed = "shed" {
+            /// Job id.
+            job: u64,
+        },
+    }
 }
 
 impl JournalRecord {
     /// The record as a single-line JSON object.
     pub fn to_json(&self) -> String {
-        match self {
-            JournalRecord::Submitted { job, spec } => ObjWriter::new("submitted")
-                .field_u64("job", *job)
-                .field_raw("spec", &spec.to_json())
-                .finish(),
-            JournalRecord::Placed { job, cores } => ObjWriter::new("placed")
-                .field_u64("job", *job)
-                .field_u64("cores", *cores)
-                .finish(),
-            JournalRecord::Checkpointed { job, iter } => ObjWriter::new("checkpointed")
-                .field_u64("job", *job)
-                .field_u64("iter", *iter)
-                .finish(),
-            JournalRecord::Preempted { job, at } => ObjWriter::new("preempted")
-                .field_u64("job", *job)
-                .field_u64("at", *at)
-                .finish(),
-            JournalRecord::Restarted { job, attempt } => ObjWriter::new("restarted")
-                .field_u64("job", *job)
-                .field_u64("attempt", *attempt)
-                .finish(),
-            JournalRecord::Recovered { job, resumed_from } => ObjWriter::new("recovered")
-                .field_u64("job", *job)
-                .field_opt_u64("resumed_from", *resumed_from)
-                .finish(),
-            JournalRecord::Completed { job } => {
-                ObjWriter::new("completed").field_u64("job", *job).finish()
-            }
-            JournalRecord::Failed { job } => {
-                ObjWriter::new("failed").field_u64("job", *job).finish()
-            }
-            JournalRecord::Expired { job } => {
-                ObjWriter::new("expired").field_u64("job", *job).finish()
-            }
-            JournalRecord::Shed { job } => ObjWriter::new("shed").field_u64("job", *job).finish(),
-        }
+        schema::to_line(self)
     }
 
     /// Parses a record from its JSON payload.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, an unknown record type, or a missing or mistyped
+    /// field.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = parse(text)?;
-        let kind = get_str(&v, "type")?;
-        let job = get_u64(&v, "job")?;
-        match kind.as_str() {
-            "submitted" => {
-                let spec = v.get("spec").ok_or("missing field 'spec'")?;
-                Ok(JournalRecord::Submitted {
-                    job,
-                    spec: SpecRecord::from_json(spec)?,
-                })
-            }
-            "placed" => Ok(JournalRecord::Placed {
-                job,
-                cores: get_u64(&v, "cores")?,
-            }),
-            "checkpointed" => Ok(JournalRecord::Checkpointed {
-                job,
-                iter: get_u64(&v, "iter")?,
-            }),
-            "preempted" => Ok(JournalRecord::Preempted {
-                job,
-                at: get_u64(&v, "at")?,
-            }),
-            "restarted" => Ok(JournalRecord::Restarted {
-                job,
-                attempt: get_u64(&v, "attempt")?,
-            }),
-            "recovered" => Ok(JournalRecord::Recovered {
-                job,
-                resumed_from: get_opt_u64(&v, "resumed_from")?,
-            }),
-            "completed" => Ok(JournalRecord::Completed { job }),
-            "failed" => Ok(JournalRecord::Failed { job }),
-            "expired" => Ok(JournalRecord::Expired { job }),
-            "shed" => Ok(JournalRecord::Shed { job }),
-            other => Err(format!("unknown journal record type '{other}'")),
-        }
+        schema::from_line(text)
     }
 
     /// The job id the record concerns.
@@ -348,36 +267,6 @@ impl JournalRecord {
             | JournalRecord::Expired { job }
             | JournalRecord::Shed { job } => *job,
         }
-    }
-}
-
-fn get_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing integer field '{key}'"))
-}
-
-fn get_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing number field '{key}'"))
-}
-
-fn get_opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None => Err(format!("missing field '{key}'")),
-        Some(Json::Null) => Ok(None),
-        Some(other) => other
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field '{key}' is not an integer")),
     }
 }
 
@@ -663,9 +552,57 @@ mod tests {
             .with_seed(7)
             .with_deadline(Duration::from_millis(750))
             .with_restarts(2);
-        let rebuilt = SpecRecord::of(&original).to_spec();
+        let rebuilt = SpecRecord::of(&original).to_spec().expect("a valid spec");
         assert_eq!(SpecRecord::of(&rebuilt), SpecRecord::of(&original));
         assert!(rebuilt.injector.is_none());
+    }
+
+    /// An infinite threshold is journaled as `null`; the record reads
+    /// back, as NaN, and the records after it replay too.
+    #[test]
+    fn a_null_threshold_does_not_cut_the_log() {
+        let mut spec = sample_records().remove(0);
+        if let JournalRecord::Submitted { spec, .. } = &mut spec {
+            spec.threshold = f64::INFINITY;
+        }
+        let records = [
+            JournalRecord::Placed { job: 1, cores: 2 },
+            spec,
+            JournalRecord::Completed { job: 2 },
+            JournalRecord::Shed { job: 3 },
+        ];
+        let bytes: Vec<u8> = records.iter().flat_map(frame).collect();
+        assert!(String::from_utf8_lossy(&bytes).contains("\"threshold\":null"));
+        let (replayed, len) = scan(&bytes);
+        assert_eq!((replayed.len(), len), (4, bytes.len()));
+        let JournalRecord::Submitted { spec, .. } = &replayed[1] else {
+            panic!("{:?}", replayed[1]);
+        };
+        assert!(spec.threshold.is_nan());
+        assert!(spec.to_spec().unwrap_err().contains("threshold"));
+    }
+
+    #[test]
+    fn to_spec_refuses_what_the_builders_refuse() {
+        let JournalRecord::Submitted { spec: good, .. } = sample_records().remove(0) else {
+            unreachable!()
+        };
+        assert!(good.to_spec().is_ok());
+        type Spoil = fn(&mut SpecRecord);
+        let cases: [(Spoil, &str); 6] = [
+            (|s| s.threshold = 1.0, "threshold"),
+            (|s| s.threshold = f64::NAN, "threshold"),
+            (|s| s.check_every = 0, "cadence"),
+            (|s| s.min_iters = 3, "warm-up"),
+            (|s| s.consecutive = 0, "streak"),
+            (|s| s.sampler = "hmc".into(), "unknown sampler 'hmc'"),
+        ];
+        for (spoil, expected) in cases {
+            let mut spec = good.clone();
+            spoil(&mut spec);
+            let err = spec.to_spec().unwrap_err();
+            assert!(err.contains(expected), "{err}");
+        }
     }
 
     #[test]

@@ -955,14 +955,27 @@ impl Scheduler {
             jobs_recovered: recovery.jobs.len() as u64,
         });
         for (id, spec_record, tx) in recovery.jobs {
-            let spec = spec_record.to_spec();
-            let Some(wl) = registry::workload(&spec.workload, spec.scale, spec.seed) else {
-                self.journal_append(&JournalRecord::Failed { job: id });
-                let _ = tx.send(JobUpdate::Failed(format!(
-                    "workload '{}' vanished from the registry across restarts",
-                    spec.workload
-                )));
-                continue;
+            // A job that cannot be rebuilt fails alone; the others
+            // still recover.
+            let rebuilt = spec_record
+                .to_spec()
+                .map_err(|e| format!("the journaled spec cannot be rebuilt: {e}"))
+                .and_then(
+                    |spec| match registry::workload(&spec.workload, spec.scale, spec.seed) {
+                        Some(wl) => Ok((spec, wl)),
+                        None => Err(format!(
+                            "workload '{}' vanished from the registry across restarts",
+                            spec.workload
+                        )),
+                    },
+                );
+            let (spec, wl) = match rebuilt {
+                Ok(rebuilt) => rebuilt,
+                Err(message) => {
+                    self.journal_append(&JournalRecord::Failed { job: id });
+                    let _ = tx.send(JobUpdate::Failed(message));
+                    continue;
+                }
             };
             let data_bytes = wl.meta().modeled_data_bytes;
             drop(wl);
@@ -1854,5 +1867,66 @@ mod tests {
     #[test]
     fn recover_without_a_journal_is_an_error() {
         assert!(JobServer::recover(ServerConfig::new(4, predictor())).is_err());
+    }
+
+    /// A journaled spec its builders would refuse fails its own job at
+    /// recovery, journaled `failed`, and every other job recovers: an
+    /// infinite threshold (journaled `null`, read back as NaN), a
+    /// threshold of 1, a zero cadence, too short a warm-up, a zero
+    /// streak, an unknown sampler.
+    #[test]
+    fn a_spec_that_cannot_be_rebuilt_fails_alone_at_recovery() {
+        let dir = std::env::temp_dir().join(format!("bayes-serve-bad-spec-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = dir.join("wal.log");
+        let good = SpecRecord::of(&JobSpec::new("good", "votes").with_chains(1).with_iters(20));
+        let bad: [fn(&mut SpecRecord); 6] = [
+            |s| s.threshold = f64::INFINITY,
+            |s| s.threshold = 1.0,
+            |s| s.check_every = 0,
+            |s| s.min_iters = 3,
+            |s| s.consecutive = 0,
+            |s| s.sampler = "hmc".into(),
+        ];
+        let mut journal = Journal::create(&wal).unwrap();
+        for (job, spoil) in (1..).zip(bad) {
+            let mut spec = good.clone();
+            spoil(&mut spec);
+            journal
+                .append(&JournalRecord::Submitted { job, spec })
+                .unwrap();
+        }
+        journal
+            .append(&JournalRecord::Submitted { job: 7, spec: good })
+            .unwrap();
+        drop(journal);
+
+        let cfg = ServerConfig::new(2, predictor())
+            .with_journal(&wal)
+            .with_checkpoint_dir(dir.join("ckpt"));
+        let (server, handles) = JobServer::recover(cfg).unwrap();
+        assert_eq!(handles.len(), 7, "every submission replays");
+        for handle in handles {
+            let id = handle.id;
+            match (id, handle.wait().outcome) {
+                (7, crate::job::JobOutcome::Completed(_)) => {}
+                (1..=6, crate::job::JobOutcome::Failed(msg)) => {
+                    assert!(msg.contains("cannot be rebuilt"), "job {id}: {msg}")
+                }
+                (_, other) => panic!("job {id}: {other:?}"),
+            }
+        }
+        server.join();
+        let (_, replay) = Journal::open(&wal).unwrap();
+        let failed: Vec<u64> = replay
+            .records
+            .iter()
+            .filter_map(|r| match r {
+                JournalRecord::Failed { job } => Some(*job),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(failed, [1, 2, 3, 4, 5, 6]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
