@@ -4,7 +4,7 @@
 //! implies. Chains are symmetric here, so partitioning mostly loses:
 //! a chain that fits 8 MB alone no longer fits its 2 MB slice.
 
-use bayes_core::prelude::*;
+use bayes_archsim::{characterize, Platform, SimConfig};
 
 fn main() {
     bayes_bench::banner(

@@ -4,8 +4,8 @@
 //! working set fits the LLC. Figure 3 can be used to estimate the
 //! proper sub-sampled data size."
 
-use bayes_core::prelude::*;
-use bayes_core::sched::SubsampleAdvisor;
+use bayes_archsim::{Platform, SimConfig};
+use bayes_sched::SubsampleAdvisor;
 
 fn main() {
     bayes_bench::banner(

@@ -6,8 +6,8 @@
 //! quantile error, and the distribution-popularity census that
 //! motivates picking these two.
 
-use bayes_core::archsim::accel::SimdAccelerator;
-use bayes_core::prob::lut::{CauchyLut, NormalLut};
+use bayes_archsim::accel::SimdAccelerator;
+use bayes_prob::lut::{CauchyLut, NormalLut};
 
 fn main() {
     bayes_bench::banner(

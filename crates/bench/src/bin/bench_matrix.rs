@@ -1,11 +1,11 @@
-//! Cross-sampler benchmark matrix: run any `{mh, hmc, nuts, advi} ×
+//! Cross-sampler benchmark matrix: run any `{mh, hmc, nuts} ×
 //! workload × scale` cell against its golden reference posterior and
 //! emit a schema-versioned `BENCH_matrix.json` plus a human-readable
 //! table.
 //!
 //! ```text
 //! bench_matrix [--tier1]
-//!              [--workloads a,b,c] [--samplers nuts,hmc,mh,advi]
+//!              [--workloads a,b,c] [--samplers nuts,hmc,mh]
 //!              [--scales 0.25,0.5] [--iters N] [--chains N] [--seed N]
 //!              [--out BENCH_matrix.json] [--refs DIR] [--bless]
 //!              [--baseline OLD.json] [--time-factor F]
@@ -24,12 +24,13 @@
 
 use bayes_bench::matrix::{compare, BenchCell, BenchMatrix, DEFAULT_TIME_FACTOR};
 use bayes_bench::CommonArgs;
-use bayes_core::mcmc::hmc::StaticHmc;
-use bayes_core::mcmc::mh::MetropolisHastings;
-use bayes_core::mcmc::vi::{Advi, AdviConfig};
-use bayes_core::prelude::*;
-use bayes_core::suite::registry::{REFERENCE_SEED, SMOKE_SCALE};
-use bayes_core::suite::{score_gaussian_fit, score_run, ReferencePosterior};
+use bayes_mcmc::hmc::StaticHmc;
+use bayes_mcmc::mh::MetropolisHastings;
+use bayes_mcmc::nuts::Nuts;
+use bayes_mcmc::{chain, RunConfig};
+use bayes_obs::RecorderHandle;
+use bayes_suite::registry::{self, REFERENCE_SEED, SMOKE_SCALE};
+use bayes_suite::{score_run, ReferencePosterior};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -40,7 +41,7 @@ const TIER1_WORKLOADS: [&str; 3] = ["12cities", "memory", "votes"];
 /// Iterations per chain in the smoke subset.
 const TIER1_ITERS: usize = 400;
 
-const SAMPLERS: [&str; 4] = ["mh", "hmc", "nuts", "advi"];
+const SAMPLERS: [&str; 3] = ["mh", "hmc", "nuts"];
 
 struct Args {
     workloads: Vec<String>,
@@ -150,7 +151,7 @@ fn parse_args(rest: &[String]) -> Args {
     }
     for s in &args.samplers {
         if !SAMPLERS.contains(&s.as_str()) {
-            usage(&format!("unknown sampler {s:?} (use mh|hmc|nuts|advi)"));
+            usage(&format!("unknown sampler {s:?} (use mh|hmc|nuts)"));
         }
     }
     for w in &args.workloads {
@@ -192,44 +193,25 @@ fn run_cell(
     let w = registry::workload(workload, scale, REFERENCE_SEED).expect("validated name");
     w.attach_recorder(recorder);
     let model = w.dynamics_model();
-    let (score, chains) = if sampler == "advi" {
-        // ADVI drives the model directly (no RunConfig), so the
-        // fast-path toggle is applied by hand.
-        model.set_fast_path(args.fastpath);
-        let t0 = Instant::now();
-        let fit = Advi::new(AdviConfig {
-            steps: args.iters,
-            learning_rate: 0.05,
-            mc_samples: 1,
-            seed: args.seed,
-        })
-        .fit(model);
-        let wall = t0.elapsed().as_secs_f64();
-        (
-            score_gaussian_fit(&fit.mu, reference, wall, fit.grad_evals),
-            1,
-        )
-    } else {
-        let cfg = common.configure(
-            RunConfig::new(args.iters)
-                .with_chains(args.chains)
-                .with_seed(args.seed)
-                .with_recorder(recorder.clone())
-                .with_profiler(bayes_bench::trace_profiler(recorder))
-                .with_fast_path(args.fastpath)
-                .threaded(),
-        );
-        let t0 = Instant::now();
-        let run = match sampler {
-            "nuts" => chain::run(&Nuts::default(), model, &cfg),
-            "hmc" => chain::run(&StaticHmc::new(32), model, &cfg),
-            "mh" => chain::run(&MetropolisHastings::new(), model, &cfg),
-            other => unreachable!("validated sampler {other}"),
-        };
-        let wall = t0.elapsed().as_secs_f64();
-        w.flush_telemetry();
-        (score_run(&run, reference, wall), args.chains)
+    let cfg = common.configure(
+        RunConfig::new(args.iters)
+            .with_chains(args.chains)
+            .with_seed(args.seed)
+            .with_recorder(recorder.clone())
+            .with_profiler(bayes_bench::trace_profiler(recorder))
+            .with_fast_path(args.fastpath)
+            .threaded(),
+    );
+    let t0 = Instant::now();
+    let run = match sampler {
+        "nuts" => chain::run(&Nuts::default(), model, &cfg),
+        "hmc" => chain::run(&StaticHmc::new(32), model, &cfg),
+        "mh" => chain::run(&MetropolisHastings::new(), model, &cfg),
+        other => unreachable!("validated sampler {other}"),
     };
+    let wall = t0.elapsed().as_secs_f64();
+    w.flush_telemetry();
+    let score = score_run(&run, reference, wall);
     let inner_threads = common
         .configure(RunConfig::new(1))
         .effective_inner_threads();
@@ -238,7 +220,7 @@ fn run_cell(
         sampler,
         scale,
         args.iters,
-        chains,
+        args.chains,
         args.seed,
         inner_threads,
         args.fastpath,

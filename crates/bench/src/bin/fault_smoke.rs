@@ -17,10 +17,15 @@
 //! as JSONL; CI validates those traces. Exits 0 on success, 1 when the
 //! resumed draws are not bit-identical to the uninterrupted run's.
 
+use bayes_autodiff::Real;
 use bayes_bench::{banner, trace_recorder_from_args};
-use bayes_core::mcmc::checkpoint::RunCheckpoint;
-use bayes_core::mcmc::supervisor::{FaultInjector, InjectedFault};
-use bayes_core::prelude::*;
+use bayes_mcmc::checkpoint::RunCheckpoint;
+use bayes_mcmc::nuts::Nuts;
+use bayes_mcmc::supervisor::{FaultInjector, InjectedFault, Runtime as Supervisor};
+use bayes_mcmc::{
+    AdModel, ConvergenceDetector, LogDensity, RunConfig, RunReport, SupervisorConfig,
+};
+use bayes_obs::RecorderHandle;
 use std::path::PathBuf;
 use std::sync::Arc;
 

@@ -2,7 +2,7 @@
 //! IPC, i-cache MPKI, branch MPKI, LLC MPKI, memory bandwidth, and
 //! total execution time.
 
-use bayes_core::prelude::*;
+use bayes_archsim::{characterize, Platform, SimConfig};
 
 fn main() {
     bayes_bench::banner(

@@ -1,7 +1,7 @@
 //! Figure 2: IPC, LLC miss rates, and speedups from 1 to 4 Skylake
 //! cores (4 chains). The LLC-bound workloads saturate below 2×.
 
-use bayes_core::prelude::*;
+use bayes_archsim::{characterize, Platform, SimConfig};
 
 fn main() {
     bayes_bench::banner(

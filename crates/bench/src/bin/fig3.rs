@@ -2,8 +2,10 @@
 //! modeled data size, including the half (-h) and quarter (-q) data
 //! runs, plus the fitted static predictor.
 
-use bayes_core::prelude::*;
-use bayes_core::sched::predictor::MissSample;
+use bayes_archsim::{characterize, Platform, SimConfig};
+use bayes_sched::predictor::MissSample;
+use bayes_sched::LlcMissPredictor;
+use bayes_suite::registry;
 
 fn main() {
     bayes_bench::banner(

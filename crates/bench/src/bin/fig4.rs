@@ -2,7 +2,7 @@
 //! speedup over Broadwell, IPC, and LLC MPKI — plus the Section V-B
 //! scheduled-placement speedup (paper: 1.16×).
 
-use bayes_core::prelude::*;
+use bayes_archsim::{characterize, Platform, SimConfig};
 
 fn main() {
     bayes_bench::banner(

@@ -2,8 +2,9 @@
 //! divergence to ground truth per iteration checkpoint, with the
 //! detected convergence point.
 
-use bayes_core::prelude::*;
-use bayes_core::sched::StudyConfig;
+use bayes_sched::ElisionStudy;
+use bayes_sched::StudyConfig;
+use bayes_suite::registry;
 
 fn main() {
     let trace = bayes_bench::trace_recorder_from_args();

@@ -4,7 +4,9 @@
 //! point, with the user setting, the detection-achievable points, and
 //! the energy oracle marked.
 
-use bayes_core::prelude::*;
+use bayes_archsim::{Platform, WorkloadSignature};
+use bayes_sched::DesignSpace;
+use bayes_suite::registry;
 
 fn main() {
     bayes_bench::banner(

@@ -2,7 +2,8 @@
 //! and the energy oracle, relative to the original user settings, on
 //! both platforms (paper: 70% average saving).
 
-use bayes_core::prelude::*;
+use bayes_archsim::Platform;
+use bayes_sched::DesignSpace;
 
 fn main() {
     bayes_bench::banner(
@@ -19,7 +20,7 @@ fn main() {
     let mut count = 0.0;
     for m in bayes_bench::measure_all(1.0, 30, 42) {
         let probe =
-            bayes_core::sched::dse::QualityProbe::collect(m.workload.dynamics_model(), &m.sig, 42);
+            bayes_sched::dse::QualityProbe::collect(m.workload.dynamics_model(), &m.sig, 42);
         let mut cells = Vec::new();
         for plat in &platforms {
             let space = DesignSpace::explore_with(&probe, &m.sig, plat);

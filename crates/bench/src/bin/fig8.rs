@@ -2,7 +2,8 @@
 //! detection + platform selection) over the naive baseline — the
 //! paper's 5.8× average (oracle 6.2×).
 
-use bayes_core::prelude::*;
+use bayes_sched::Pipeline;
+use bayes_suite::registry;
 
 fn main() {
     bayes_bench::banner(
@@ -42,7 +43,7 @@ fn main() {
         );
         results.push(r);
     }
-    let avg = bayes_core::sched::pipeline::average_speedup(&results);
+    let avg = bayes_sched::pipeline::average_speedup(&results);
     let avg_oracle = results.iter().map(|r| r.oracle_speedup()).sum::<f64>() / results.len() as f64;
     println!(
         "\naverage speedup {avg:.2}x (paper: 5.8x); oracle average {avg_oracle:.2}x (paper: 6.2x)"

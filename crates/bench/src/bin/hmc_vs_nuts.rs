@@ -3,8 +3,9 @@
 //! concluding the two samplers are architecturally interchangeable for
 //! the characterization.
 
-use bayes_core::mcmc::hmc::StaticHmc;
-use bayes_core::prelude::*;
+use bayes_archsim::{characterize, Platform, SimConfig};
+use bayes_mcmc::hmc::StaticHmc;
+use bayes_mcmc::{chain, RunConfig};
 
 fn main() {
     bayes_bench::banner(

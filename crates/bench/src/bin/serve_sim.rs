@@ -38,12 +38,12 @@
 //! run each as a check.
 
 use bayes_bench::{banner, trace_recorder_from_args};
-use bayes_core::mcmc::{ConvergenceDetector, FaultInjector, InjectedFault};
-use bayes_core::obs::{
+use bayes_mcmc::{ConvergenceDetector, FaultInjector, InjectedFault};
+use bayes_obs::{
     Event, MemoryRecorder, Recorder, RecorderHandle, TelemetryHandle, TelemetrySampler,
 };
-use bayes_core::sched::predictor::MissSample;
-use bayes_core::sched::LlcMissPredictor;
+use bayes_sched::predictor::MissSample;
+use bayes_sched::LlcMissPredictor;
 use bayes_serve::{JobHandle, JobOutcome, JobServer, JobSpec, SamplerKind, ServerConfig};
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -15,8 +15,9 @@
 //! path (no data sweep left to shard), so their rows are flat by
 //! design.
 
-use bayes_core::mcmc::POOL_CROSSOVER_NODES;
-use bayes_core::prelude::*;
+use bayes_mcmc::{Model, POOL_CROSSOVER_NODES};
+use bayes_obs::{Event, MemoryRecorder, RecorderHandle};
+use bayes_suite::registry;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -1,6 +1,6 @@
 //! Table I: a summary of BayesSuite workloads.
 
-use bayes_core::prelude::registry;
+use bayes_suite::registry;
 
 fn main() {
     bayes_bench::banner(

@@ -1,7 +1,7 @@
 //! Table II: a summary of experiment platforms.
 
-use bayes_core::obs::Event;
-use bayes_core::prelude::Platform;
+use bayes_archsim::Platform;
+use bayes_obs::Event;
 
 fn main() {
     let trace = bayes_bench::trace_recorder_from_args();

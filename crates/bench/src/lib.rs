@@ -5,8 +5,10 @@
 //! original. The harness keeps the expensive steps (signature
 //! measurement) in one place so figures stay consistent.
 
-use bayes_core::obs::{JsonlRecorder, ProfilerHandle};
-use bayes_core::prelude::*;
+use bayes_archsim::WorkloadSignature;
+use bayes_mcmc::RunConfig;
+use bayes_obs::{JsonlRecorder, ProfilerHandle, RecorderHandle};
+use bayes_suite::{registry, Workload};
 use std::sync::Arc;
 
 pub mod matrix;

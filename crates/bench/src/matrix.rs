@@ -3,9 +3,9 @@
 //!
 //! One [`BenchCell`] is one `{sampler} × {workload} × {scale}` run
 //! scored against the cell's golden reference posterior
-//! ([`bayes_core::suite::score`]). A [`BenchMatrix`] is a set of cells
+//! ([`bayes_suite::score`]). A [`BenchMatrix`] is a set of cells
 //! plus a schema-versioned header; a cell is declared through the same
-//! [`bayes_core::obs::record!`] schema as the trace events, so encoding
+//! [`bayes_obs::record!`] schema as the trace events, so encoding
 //! rules are identical across every artifact the repo writes.
 //!
 //! The document is a single JSON object (any JSON tool can load it)
@@ -20,10 +20,10 @@
 //!   ([`BenchMatrix::malformed`]), so one corrupt row cannot take down
 //!   a regression gate.
 
-use bayes_core::obs::json::{parse, Json};
-use bayes_core::obs::schema::{self, Field};
-use bayes_core::obs::DecodeError;
-use bayes_core::suite::RunScore;
+use bayes_obs::json::{parse, Json};
+use bayes_obs::schema::{self, Field};
+use bayes_obs::DecodeError;
+use bayes_suite::RunScore;
 
 /// Major version of the `BENCH_*.json` schema. Bump on breaking layout
 /// changes; decoders reject anything newer than they know.
@@ -44,19 +44,19 @@ pub const DEFAULT_TIME_FACTOR: f64 = 10.0;
 /// so the gate is tighter than the wall-clock one.
 pub const ESS_REGRESSION_FACTOR: f64 = 0.5;
 
-bayes_core::obs::record! {
+bayes_obs::record! {
     /// One scored benchmark cell.
     #[derive(Debug, Clone, PartialEq)]
     pub struct BenchCell = "bench_cell" {
         /// Workload name (registry canonical).
         pub workload: String,
-        /// Sampler tag: `mh`, `hmc`, `nuts`, or `advi`.
+        /// Sampler tag: `mh`, `hmc` or `nuts`.
         pub sampler: String,
         /// Data scale of the cell.
         pub scale: f64,
-        /// Iterations per chain (optimization steps for `advi`).
+        /// Iterations per chain.
         pub iters: u64,
-        /// Chain count (1 for `advi`).
+        /// Chain count.
         pub chains: u64,
         /// Chain seed of the run (data seed is always the registry's
         /// `REFERENCE_SEED`).
@@ -69,11 +69,11 @@ bayes_core::obs::record! {
         pub fastpath: bool,
         /// Wall-clock seconds of the sampling run.
         pub wall_time_s: f64,
-        /// Minimum ESS across dimensions (NaN → `null` for `advi`).
+        /// Minimum ESS across dimensions (NaN is written as `null`).
         pub min_ess: f64,
         /// `min_ess / wall_time_s`.
         pub ess_per_sec: f64,
-        /// Maximum rank-normalized split-R̂ (NaN → `null` for `advi`).
+        /// Maximum rank-normalized split-R̂ (NaN is written as `null`).
         pub max_rhat: f64,
         /// Gradient evaluations charged to the run.
         pub grad_evals: u64,
@@ -355,7 +355,7 @@ mod tests {
 
     #[test]
     fn nan_fields_round_trip_as_null() {
-        let mut c = cell("ode", "advi");
+        let mut c = cell("ode", "nuts");
         c.min_ess = f64::NAN;
         c.max_rhat = f64::NAN;
         c.ess_per_sec = f64::NAN;

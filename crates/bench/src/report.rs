@@ -11,7 +11,7 @@
 //! round-trip through [`parse_csv`] without loss — every value is
 //! written with Rust's shortest-round-trip float formatting.
 
-use bayes_core::obs::{CheckpointSource, DecodeError, Event, MetricsSnapshot, Phase};
+use bayes_obs::{CheckpointSource, DecodeError, Event, MetricsSnapshot, Phase};
 use std::fmt;
 
 /// One convergence checkpoint in a run's timeline.
@@ -1306,7 +1306,7 @@ impl fmt::Display for TraceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bayes_core::obs::{MetricsRegistry, TRACE_SCHEMA_MAJOR, TRACE_SCHEMA_MINOR};
+    use bayes_obs::{MetricsRegistry, TRACE_SCHEMA_MAJOR, TRACE_SCHEMA_MINOR};
 
     fn sample_trace() -> String {
         let mut reg = MetricsRegistry::new();

@@ -409,11 +409,6 @@ impl MultiChainRun {
     pub fn grad_evals_per_chain(&self) -> Vec<u64> {
         self.chains.iter().map(|c| c.grad_evals).collect()
     }
-
-    /// Moment-matched Gaussian summary `(mean, sd)` for every parameter.
-    pub fn gaussian_summary(&self) -> Vec<(f64, f64)> {
-        (0..self.dim).map(|j| (self.mean(j), self.sd(j))).collect()
-    }
 }
 
 /// What one transition reports besides the new state.

@@ -59,7 +59,6 @@ pub mod runtime;
 pub mod stream;
 pub mod summary;
 pub mod supervisor;
-pub mod vi;
 
 mod adapt;
 mod dynamics;

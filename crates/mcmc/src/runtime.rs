@@ -445,19 +445,47 @@ mod tests {
     fn stopped_run_halts_within_one_detector_cadence() {
         // Well-mixed iid chains pass the very first checkpoint; the
         // chains must then stop before running one more cadence's
-        // worth of iterations (condvar wakeup + per-iteration poll).
+        // worth of iterations (per-iteration poll of the stop).
         let model = AdModel::new("g", Gauss);
-        let cfg = RunConfig::new(400).with_chains(2).with_seed(7);
         let det = ConvergenceDetector::new()
             .with_threshold(50.0)
             .with_check_every(10)
             .with_min_iters(20)
             .with_consecutive(1);
-        // iid normal draws, one a millisecond; the longest chain
-        // actually generated (pre-truncation) is kept.
+        // A latch the monitor opens when it reports the decision, which
+        // it does only once the stop is in force. Each chain waits on it
+        // before its first draw past the checkpoint, so the chains reach
+        // the decision in the same state however the threads run.
+        struct Decision(Mutex<bool>, Condvar);
+        impl bayes_obs::Recorder for Decision {
+            fn record(&self, event: &Event) {
+                if matches!(
+                    event,
+                    Event::Checkpoint {
+                        converged: true,
+                        ..
+                    }
+                ) {
+                    *lock(&self.0) = true;
+                    self.1.notify_all();
+                }
+            }
+        }
+        let decision = Arc::new(Decision(Mutex::new(false), Condvar::new()));
+        let cfg = RunConfig::new(400)
+            .with_chains(2)
+            .with_seed(7)
+            .with_recorder(RecorderHandle::new(decision.clone()));
+        let first = det.checkpoints(cfg.iters).next().expect("a checkpoint");
+        // iid normal draws; the longest chain actually generated
+        // (pre-truncation) is kept.
         let max_generated = AtomicUsize::new(0);
         let walker = Scripted(|env: &mut Env<'_>, iter, draw: &mut [f64]| {
-            std::thread::sleep(Duration::from_millis(1));
+            if iter == first {
+                let decided = lock(&decision.0);
+                let waited = decision.1.wait_timeout_while(decided, NEVER, |d| !*d);
+                drop(waited.unwrap_or_else(PoisonError::into_inner));
+            }
             for d in draw.iter_mut() {
                 *d = (0..12).map(|_| env.rng.gen_range(0.0..1.0)).sum::<f64>() - 6.0;
             }

@@ -1290,6 +1290,10 @@ impl Runtime {
                                 streak = 0;
                             }
                             let converged = streak >= detector.consecutive();
+                            // A stop is in force before it is reported.
+                            if converged {
+                                cancel_all();
+                            }
                             if cfg.recorder.enabled() {
                                 cfg.recorder.record(Event::Checkpoint {
                                     source: CheckpointSource::Online,
@@ -1301,7 +1305,6 @@ impl Runtime {
                             }
                             if converged {
                                 out.decided = Some(t);
-                                cancel_all();
                                 break;
                             }
                         }

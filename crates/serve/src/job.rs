@@ -4,6 +4,7 @@ use bayes_mcmc::summary::ParamSummary;
 use bayes_mcmc::supervisor::FaultInjector;
 use bayes_mcmc::ConvergenceDetector;
 use bayes_obs::Event;
+use bayes_suite::registry;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -30,7 +31,8 @@ pub struct JobSpec {
     pub name: String,
     /// Registry workload name (`"12cities"`, `"ad"`, …).
     pub workload: String,
-    /// Data scale, one of the registry's declared scales.
+    /// Data scale: a number above 0 and at most the largest of the
+    /// registry's declared scales. The server refuses any other.
     pub scale: f64,
     /// Chains to run.
     pub chains: usize,
@@ -179,6 +181,24 @@ impl JobSpec {
     pub fn with_injector(mut self, injector: Arc<dyn FaultInjector>) -> Self {
         self.injector = Some(injector);
         self
+    }
+}
+
+/// Refuses a data scale that is NaN, infinite, zero or negative, or
+/// above the largest of [`registry::SCALES`]. The server checks this
+/// before it asks the registry for the workload: generating the data
+/// is what a huge scale would make expensive, and the LLC-budget check
+/// can only run after it.
+///
+/// # Errors
+///
+/// A description of the refused scale.
+pub(crate) fn check_scale(scale: f64) -> Result<(), String> {
+    let largest = registry::SCALES.iter().copied().fold(0.0, f64::max);
+    if scale > 0.0 && scale <= largest {
+        Ok(())
+    } else {
+        Err(format!("data scale {scale} is not in (0, {largest}]"))
     }
 }
 

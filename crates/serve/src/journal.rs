@@ -30,7 +30,7 @@
 //! would additionally need an `fsync` per append, a durability/latency
 //! trade the serving layer deliberately does not make.
 
-use crate::job::{JobSpec, SamplerKind};
+use crate::job::{check_scale, JobSpec, SamplerKind};
 use bayes_mcmc::ConvergenceDetector;
 use bayes_obs::schema;
 use bayes_obs::{fnv1a64, span, Phase};
@@ -118,17 +118,19 @@ impl SpecRecord {
     /// # Errors
     ///
     /// A record no [`JobSpec`] could have produced — an unknown
-    /// sampler tag, or detector settings its builder refuses (a
-    /// threshold that is not a finite number above 1, a zero cadence or
-    /// streak, fewer than 4 warm-up iterations) — is described, not
-    /// rebuilt: a write-ahead log is read back after a crash, and one
-    /// bad record must not take the other jobs down with it.
+    /// sampler tag, a scale outside [`JobSpec::scale`]'s range, or
+    /// detector settings its builder refuses (a threshold that is not a
+    /// finite number above 1, a zero cadence or streak, fewer than 4
+    /// warm-up iterations) — is described, not rebuilt: a write-ahead
+    /// log is read back after a crash, and one bad record must not take
+    /// the other jobs down with it.
     pub fn to_spec(&self) -> Result<JobSpec, String> {
         let sampler = match self.sampler.as_str() {
             "nuts" => SamplerKind::Nuts,
             "mh" => SamplerKind::Mh,
             other => return Err(format!("unknown sampler '{other}'")),
         };
+        check_scale(self.scale)?;
         if !(self.threshold.is_finite() && self.threshold > 1.0) {
             return Err(format!(
                 "R-hat threshold {} is not a finite number above 1",
@@ -589,7 +591,12 @@ mod tests {
         };
         assert!(good.to_spec().is_ok());
         type Spoil = fn(&mut SpecRecord);
-        let cases: [(Spoil, &str); 6] = [
+        let cases: [(Spoil, &str); 11] = [
+            (|s| s.scale = f64::NAN, "scale"),
+            (|s| s.scale = 0.0, "scale"),
+            (|s| s.scale = -1.0, "scale"),
+            (|s| s.scale = f64::INFINITY, "scale"),
+            (|s| s.scale = 2.0, "scale"),
             (|s| s.threshold = 1.0, "threshold"),
             (|s| s.threshold = f64::NAN, "threshold"),
             (|s| s.check_every = 0, "cadence"),

@@ -57,7 +57,7 @@
 //!   pending job — or the newcomer itself when nothing cheaper is
 //!   queued — with [`JobUpdate::Shed`].
 
-use crate::job::{JobHandle, JobResult, JobSpec, JobUpdate, SamplerKind};
+use crate::job::{check_scale, JobHandle, JobResult, JobSpec, JobUpdate, SamplerKind};
 use crate::journal::{Journal, JournalRecord, SpecRecord, WalFaultInjector};
 use crate::store::CheckpointStore;
 use bayes_mcmc::mh::MetropolisHastings;
@@ -1028,6 +1028,9 @@ impl Scheduler {
                 spec.name, spec.chains, spec.iters
             ));
         }
+        if let Err(e) = check_scale(spec.scale) {
+            return reject(format!("job '{}': {e}", spec.name));
+        }
         let Some(wl) = registry::workload(&spec.workload, spec.scale, spec.seed) else {
             return reject(format!("unknown workload '{}'", spec.workload));
         };
@@ -1701,7 +1704,9 @@ mod tests {
         let server = JobServer::start(ServerConfig::new(4, predictor()));
         let bad_shape = server.submit(JobSpec::new("empty", "12cities").with_chains(0));
         let bad_name = server.submit(JobSpec::new("typo", "13cities"));
-        for handle in [bad_shape, bad_name] {
+        let bad_scales = [f64::NAN, 0.0, 2.0]
+            .map(|scale| server.submit(JobSpec::new("bad-scale", "12cities").with_scale(scale)));
+        for handle in [bad_shape, bad_name].into_iter().chain(bad_scales) {
             match handle.wait().outcome {
                 crate::job::JobOutcome::Rejected(_) => {}
                 other => panic!("expected rejection, got {other:?}"),
@@ -1873,20 +1878,21 @@ mod tests {
     /// recovery, journaled `failed`, and every other job recovers: an
     /// infinite threshold (journaled `null`, read back as NaN), a
     /// threshold of 1, a zero cadence, too short a warm-up, a zero
-    /// streak, an unknown sampler.
+    /// streak, an unknown sampler, a NaN scale.
     #[test]
     fn a_spec_that_cannot_be_rebuilt_fails_alone_at_recovery() {
         let dir = std::env::temp_dir().join(format!("bayes-serve-bad-spec-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let wal = dir.join("wal.log");
         let good = SpecRecord::of(&JobSpec::new("good", "votes").with_chains(1).with_iters(20));
-        let bad: [fn(&mut SpecRecord); 6] = [
+        let bad: [fn(&mut SpecRecord); 7] = [
             |s| s.threshold = f64::INFINITY,
             |s| s.threshold = 1.0,
             |s| s.check_every = 0,
             |s| s.min_iters = 3,
             |s| s.consecutive = 0,
             |s| s.sampler = "hmc".into(),
+            |s| s.scale = f64::NAN,
         ];
         let mut journal = Journal::create(&wal).unwrap();
         for (job, spoil) in (1..).zip(bad) {
@@ -1897,7 +1903,7 @@ mod tests {
                 .unwrap();
         }
         journal
-            .append(&JournalRecord::Submitted { job: 7, spec: good })
+            .append(&JournalRecord::Submitted { job: 8, spec: good })
             .unwrap();
         drop(journal);
 
@@ -1905,12 +1911,12 @@ mod tests {
             .with_journal(&wal)
             .with_checkpoint_dir(dir.join("ckpt"));
         let (server, handles) = JobServer::recover(cfg).unwrap();
-        assert_eq!(handles.len(), 7, "every submission replays");
+        assert_eq!(handles.len(), 8, "every submission replays");
         for handle in handles {
             let id = handle.id;
             match (id, handle.wait().outcome) {
-                (7, crate::job::JobOutcome::Completed(_)) => {}
-                (1..=6, crate::job::JobOutcome::Failed(msg)) => {
+                (8, crate::job::JobOutcome::Completed(_)) => {}
+                (1..=7, crate::job::JobOutcome::Failed(msg)) => {
                     assert!(msg.contains("cannot be rebuilt"), "job {id}: {msg}")
                 }
                 (_, other) => panic!("job {id}: {other:?}"),
@@ -1926,7 +1932,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(failed, [1, 2, 3, 4, 5, 6]);
+        assert_eq!(failed, [1, 2, 3, 4, 5, 6, 7]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -45,4 +45,4 @@ pub mod workloads;
 
 pub use meta::{Workload, WorkloadMeta};
 pub use reference::{RefParam, ReferencePosterior};
-pub use score::{score_gaussian_fit, score_run, score_summaries, RunScore};
+pub use score::{score_run, score_summaries, RunScore};

@@ -25,23 +25,16 @@ pub const NORM_ERR_Z: f64 = 5.0;
 /// the short smoke-cell runs).
 pub const RHAT_PASS: f64 = 1.2;
 
-/// Mean-error tolerance for variational fits, in units of the
-/// reference posterior sd. ADVI is biased by construction, so it is
-/// scored against the posterior scale instead of MCSE.
-pub const ADVI_SD_TOL: f64 = 0.5;
-
 /// Condensed quality/efficiency score of one benchmark cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunScore {
     /// Wall-clock seconds of the sampling run.
     pub wall_time_s: f64,
-    /// Minimum effective sample size across dimensions (NaN for
-    /// variational fits, which have no draws).
+    /// Minimum effective sample size across dimensions.
     pub min_ess: f64,
     /// `min_ess / wall_time_s` — the paper's headline efficiency axis.
     pub ess_per_sec: f64,
-    /// Maximum rank-normalized split-R̂ across dimensions (NaN for
-    /// variational fits).
+    /// Maximum rank-normalized split-R̂ across dimensions.
     pub max_rhat: f64,
     /// Total gradient (or density) evaluations charged to the run.
     pub grad_evals: u64,
@@ -52,7 +45,7 @@ pub struct RunScore {
     pub norm_err: f64,
     /// Dimensions compared against the reference.
     pub checked_params: usize,
-    /// Whether the cell passes: finite `norm_err ≤ 1` and (for MCMC)
+    /// Whether the cell passes: finite `norm_err ≤ 1` and
     /// `max_rhat < RHAT_PASS`.
     pub pass: bool,
 }
@@ -114,39 +107,6 @@ pub fn score_summaries(
         norm_err,
         checked_params: summaries.len(),
         pass,
-    }
-}
-
-/// Scores a variational (ADVI) fit — a vector of posterior means —
-/// against `reference`, sd-scaled (see [`ADVI_SD_TOL`]).
-pub fn score_gaussian_fit(
-    means: &[f64],
-    reference: &ReferencePosterior,
-    wall_time_s: f64,
-    grad_evals: u64,
-) -> RunScore {
-    assert_eq!(
-        means.len(),
-        reference.params.len(),
-        "fit dimensionality does not match reference {}@{}",
-        reference.workload,
-        reference.scale
-    );
-    let mut norm_err = 0.0f64;
-    for (m, r) in means.iter().zip(&reference.params) {
-        let scale = r.sd.max(1e-12);
-        norm_err = norm_err.max((m - r.mean).abs() / (scale * ADVI_SD_TOL));
-    }
-    RunScore {
-        wall_time_s,
-        min_ess: f64::NAN,
-        ess_per_sec: f64::NAN,
-        max_rhat: f64::NAN,
-        grad_evals,
-        divergences: 0,
-        norm_err,
-        checked_params: means.len(),
-        pass: norm_err.is_finite() && norm_err <= 1.0,
     }
 }
 
@@ -265,33 +225,6 @@ mod tests {
         let s = score_summaries(&[summary], &reference, 1.0, 7, 0);
         let expected = 0.5 / (NORM_ERR_Z * (0.02f64).sqrt());
         assert!((s.norm_err - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gaussian_fit_scoring_is_sd_scaled() {
-        let reference = ReferencePosterior {
-            workload: "hand".into(),
-            scale: 1.0,
-            seed: 1,
-            chains: 4,
-            iters: 100,
-            params: vec![RefParam {
-                mean: 2.0,
-                sd: 4.0,
-                mcse: 0.01,
-                q05: 0.0,
-                q50: 2.0,
-                q95: 4.0,
-                ess: 100.0,
-            }],
-        };
-        // Off by one sd·ADVI_SD_TOL exactly → norm_err == 1, passes.
-        let on_edge = score_gaussian_fit(&[2.0 + 4.0 * ADVI_SD_TOL], &reference, 1.0, 50);
-        assert!((on_edge.norm_err - 1.0).abs() < 1e-12);
-        assert!(on_edge.pass);
-        let beyond = score_gaussian_fit(&[2.0 + 4.0 * ADVI_SD_TOL * 1.01], &reference, 1.0, 50);
-        assert!(!beyond.pass);
-        assert!(on_edge.min_ess.is_nan() && on_edge.max_rhat.is_nan());
     }
 
     proptest! {

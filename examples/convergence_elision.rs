@@ -3,9 +3,12 @@
 //! moment R̂ stays below 1.1 — no preset iteration count executed in
 //! full, exactly Section VI-A's proposal.
 
-use bayes_core::mcmc::runtime::run_until_converged;
-use bayes_core::mcmc::summary;
-use bayes_core::prelude::*;
+use bayes_mcmc::nuts::Nuts;
+use bayes_mcmc::runtime::run_until_converged;
+use bayes_mcmc::summary;
+use bayes_mcmc::{ConvergenceDetector, RunConfig};
+use bayes_obs::{Event, MemoryRecorder, RecorderHandle};
+use bayes_suite::registry;
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

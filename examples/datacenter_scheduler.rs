@@ -3,7 +3,8 @@
 //! static LLC-miss prediction picks the platform, runtime convergence
 //! detection elides redundant sampling iterations.
 
-use bayes_core::prelude::*;
+use bayes_sched::Pipeline;
+use bayes_suite::registry;
 
 fn main() {
     println!("training the static LLC-miss predictor on the Figure 3 points…");

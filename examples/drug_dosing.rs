@@ -3,8 +3,10 @@
 //! use the posterior to predict the nadir — the clinically critical
 //! minimum of the circulating-cell trajectory — for a new dose level.
 
-use bayes_core::prelude::*;
-use bayes_core::suite::workloads::ode::simulate_circulating;
+use bayes_mcmc::nuts::Nuts;
+use bayes_mcmc::{chain, RunConfig};
+use bayes_suite::registry;
+use bayes_suite::workloads::ode::simulate_circulating;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = registry::workload("ode", 1.0, 99).ok_or("unknown workload")?;

@@ -6,9 +6,11 @@
 //! forecast for the next three cycles by conditioning the GP on the
 //! observed series at the posterior-mean hyperparameters.
 
-use bayes_core::linalg::{Cholesky, Matrix};
-use bayes_core::prelude::*;
-use bayes_core::suite::workloads::votes::VotesData;
+use bayes_linalg::{Cholesky, Matrix};
+use bayes_mcmc::nuts::Nuts;
+use bayes_mcmc::{chain, RunConfig};
+use bayes_suite::registry;
+use bayes_suite::workloads::votes::VotesData;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = registry::workload("votes", 1.0, 2020).ok_or("unknown workload")?;
@@ -40,9 +42,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for step in 1..=3 {
         let t_star = data.t[n - 1] + 0.25 * step as f64;
         let k_star: Vec<f64> = (0..n).map(|i| kernel(data.t[i], t_star)).collect();
-        let mean = mu + bayes_core::linalg::dot(&k_star, &alpha_vec);
+        let mean = mu + bayes_linalg::dot(&k_star, &alpha_vec);
         let v = ch.solve_lower(&k_star)?;
-        let var = (kernel(t_star, t_star) + sigma_n2 - bayes_core::linalg::dot(&v, &v)).max(0.0);
+        let var = (kernel(t_star, t_star) + sigma_n2 - bayes_linalg::dot(&v, &v)).max(0.0);
         println!(
             "{:>6} {:>10.3} {:>10.3}",
             2016 + 4 * step,

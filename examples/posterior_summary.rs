@@ -3,8 +3,10 @@
 //! "Bayesian inference as a service" endpoint of the paper's
 //! introduction would return to a user.
 
-use bayes_core::mcmc::summary;
-use bayes_core::prelude::*;
+use bayes_mcmc::nuts::Nuts;
+use bayes_mcmc::summary;
+use bayes_mcmc::{chain, RunConfig};
+use bayes_suite::registry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = registry::workload("racial", 1.0, 7).ok_or("unknown workload")?;

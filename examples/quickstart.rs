@@ -5,7 +5,10 @@
 //! cargo run --release -p bayes-repro --example quickstart
 //! ```
 
-use bayes_core::prelude::*;
+use bayes_archsim::{characterize, Platform, SimConfig, WorkloadSignature};
+use bayes_mcmc::nuts::Nuts;
+use bayes_mcmc::{chain, RunConfig};
+use bayes_suite::registry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Pick a workload from the registry (scale 1.0 = full synthetic

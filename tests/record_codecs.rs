@@ -349,7 +349,8 @@ fn sealed(payload: &[u8]) -> Vec<u8> {
 
 /// Every spec a `submitted` record can carry reads back, and rebuilds
 /// into a job exactly when the job's builders accept its detector and
-/// sampler; the rest are errors, not panics.
+/// sampler and its scale is in (0, 1], 1 being the registry's largest;
+/// the rest are errors, not panics.
 fn spec_round_trip(spec: SpecRecord) -> Result<(), String> {
     let record = JournalRecord::Submitted { job: 1, spec };
     let (got, len) = scan_bounded(&frame(&record));
@@ -366,7 +367,9 @@ fn spec_round_trip(spec: SpecRecord) -> Result<(), String> {
         && spec.check_every > 0
         && spec.min_iters >= 4
         && spec.consecutive > 0
-        && matches!(spec.sampler.as_str(), "nuts" | "mh");
+        && matches!(spec.sampler.as_str(), "nuts" | "mh")
+        && spec.scale > 0.0
+        && spec.scale <= 1.0;
     match back.to_spec() {
         Ok(rebuilt) => {
             prop_assert!(valid, "{:?} rebuilt", spec);

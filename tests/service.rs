@@ -11,12 +11,12 @@
 //! All runs use an unreachable R̂ threshold so every chain executes
 //! its full iteration budget and draw comparisons are exact.
 
-use bayes_core::obs::{Event, MemoryRecorder, RecorderHandle};
 use bayes_mcmc::checkpoint::RunCheckpoint;
 use bayes_mcmc::mh::MetropolisHastings;
 use bayes_mcmc::nuts::Nuts;
 use bayes_mcmc::supervisor::{InjectedFault, Runtime, SupervisorConfig};
 use bayes_mcmc::{ConvergenceDetector, MultiChainRun, RunConfig, Sampler};
+use bayes_obs::{Event, MemoryRecorder, RecorderHandle};
 use bayes_sched::predictor::MissSample;
 use bayes_sched::LlcMissPredictor;
 use bayes_serve::{JobOutcome, JobServer, JobSpec, SamplerKind, ServerConfig};
