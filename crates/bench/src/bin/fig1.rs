@@ -1,10 +1,15 @@
 //! Figure 1: runtime statistics of BayesSuite on single-core Skylake —
 //! IPC, i-cache MPKI, branch MPKI, LLC MPKI, memory bandwidth, and
 //! total execution time.
+//!
+//! With `--trace <path>`, each workload's simulated counters are also
+//! recorded as one `counters` event.
 
 use bayes_archsim::{characterize, Platform, SimConfig};
+use bayes_obs::Event;
 
 fn main() {
+    let trace = bayes_bench::trace_recorder_from_args();
     bayes_bench::banner(
         "Figure 1",
         "Runtime statistics of BayesSuite (1 Skylake core, 4 chains, user iterations).",
@@ -24,6 +29,18 @@ fn main() {
                 iters: m.sig.default_iters,
             },
         );
+        if trace.enabled() {
+            trace.record(Event::Counters {
+                workload: r.workload.clone(),
+                platform: r.platform.to_string(),
+                cores: r.config.cores as u64,
+                ipc: r.ipc,
+                llc_mpki: r.llc_mpki,
+                bandwidth_gbs: r.bandwidth_gbs,
+                time_s: r.time_s,
+                energy_j: r.energy_j,
+            });
+        }
         println!(
             "{:<10} {:>6.2} {:>13.2} {:>12.2} {:>9.2} {:>10.0} {:>9}",
             r.workload,
@@ -35,4 +52,5 @@ fn main() {
             bayes_bench::fmt_time(r.time_s)
         );
     }
+    trace.flush();
 }

@@ -6,37 +6,28 @@
 //! measurement) in one place so figures stay consistent.
 
 use bayes_archsim::WorkloadSignature;
-use bayes_mcmc::RunConfig;
 use bayes_obs::{JsonlRecorder, ProfilerHandle, RecorderHandle};
 use bayes_suite::{registry, Workload};
 use std::sync::Arc;
 
-pub mod matrix;
 pub mod report;
 
 /// Flags every bench binary understands, parsed in one place so
-/// `--trace` and `--inner-threads` behave identically across binaries
-/// (the env fallback `BAYES_INNER_THREADS` is resolved by
-/// [`RunConfig::effective_inner_threads`], not here).
+/// `--trace` and `--cores` behave identically across binaries.
 #[derive(Debug, Clone, Default)]
 pub struct CommonArgs {
     /// `--trace <path>`: stream every event as one JSON line to path.
     pub trace: Option<String>,
-    /// `--inner-threads <n>`: explicit within-chain worker override
-    /// (takes precedence over the `BAYES_INNER_THREADS` env variable).
-    pub inner_threads: Option<usize>,
     /// `--cores <n>`: the core allotment granted to this process by an
     /// outer scheduler. Binaries that size work from host parallelism
     /// must prefer this over `available_parallelism`, which assumes
     /// sole tenancy of the machine.
     pub cores: Option<usize>,
-    rest: Vec<String>,
 }
 
 impl CommonArgs {
-    /// Parses the common flags out of an argument list; everything the
-    /// common layer does not understand is kept, in order, for the
-    /// binary's own parser ([`CommonArgs::rest`]).
+    /// Parses the common flags out of an argument list, skipping
+    /// everything else (a binary parses its own flags itself).
     pub fn from_args(args: &[String]) -> Result<Self, String> {
         let mut out = Self::default();
         let mut it = args.iter();
@@ -46,13 +37,6 @@ impl CommonArgs {
                     let path = it.next().ok_or("--trace requires a file path")?;
                     out.trace = Some(path.clone());
                 }
-                "--inner-threads" => {
-                    let n = it.next().ok_or("--inner-threads requires a count")?;
-                    let n: usize = n
-                        .parse()
-                        .map_err(|_| format!("--inner-threads: bad count {n:?}"))?;
-                    out.inner_threads = Some(n);
-                }
                 "--cores" => {
                     let n = it.next().ok_or("--cores requires a count")?;
                     let n: usize = n.parse().map_err(|_| format!("--cores: bad count {n:?}"))?;
@@ -61,7 +45,7 @@ impl CommonArgs {
                     }
                     out.cores = Some(n);
                 }
-                _ => out.rest.push(arg.clone()),
+                _ => {}
             }
         }
         Ok(out)
@@ -75,11 +59,6 @@ impl CommonArgs {
             eprintln!("{err}");
             std::process::exit(2);
         })
-    }
-
-    /// Arguments left for the binary's own parser.
-    pub fn rest(&self) -> &[String] {
-        &self.rest
     }
 
     /// Builds the recorder the flags ask for: a [`JsonlRecorder`] on
@@ -96,17 +75,6 @@ impl CommonArgs {
                 std::process::exit(2);
             }
         }
-    }
-
-    /// Applies the common flags to a run configuration.
-    pub fn configure(&self, mut cfg: RunConfig) -> RunConfig {
-        if let Some(n) = self.inner_threads {
-            cfg = cfg.with_inner_threads(n);
-        }
-        if let Some(n) = self.cores {
-            cfg = cfg.with_core_allotment(n);
-        }
-        cfg
     }
 
     /// The core allotment for this process: the explicit `--cores`

@@ -114,10 +114,9 @@ pub struct RunConfig {
     /// chooses. Results are bit-identical for every setting.
     pub inner_threads: Option<usize>,
     /// Whether models with a sufficient-statistics fast path
-    /// ([`crate::StatsModel`]) should use it; `None` defers to the
-    /// `BAYES_FASTPATH` environment variable, then to on. Models
+    /// ([`crate::StatsModel`]) should use it; on by default. Models
     /// without a fast path ignore the setting either way.
-    pub fast_path: Option<bool>,
+    pub fast_path: bool,
     /// Cores granted to this run by an external placement (the job
     /// server, or `--cores` on a bench bin); `None` means the run may
     /// assume sole tenancy of the machine. When set and no explicit
@@ -154,7 +153,7 @@ impl RunConfig {
             seed: 0,
             parallelism: Parallelism::Sequential,
             inner_threads: None,
-            fast_path: None,
+            fast_path: true,
             core_allotment: None,
             recorder: RecorderHandle::null(),
             profiler: ProfilerHandle::null(),
@@ -193,11 +192,10 @@ impl RunConfig {
         self
     }
 
-    /// Pins the sufficient-statistics fast path on or off for models
-    /// that have one, overriding the `BAYES_FASTPATH` environment
-    /// variable.
+    /// Turns the sufficient-statistics fast path on or off for models
+    /// that have one.
     pub fn with_fast_path(mut self, on: bool) -> Self {
-        self.fast_path = Some(on);
+        self.fast_path = on;
         self
     }
 
@@ -253,20 +251,6 @@ impl RunConfig {
             })
             .unwrap_or(1)
             .max(1)
-    }
-
-    /// Resolves the fast-path toggle: an explicit
-    /// [`RunConfig::with_fast_path`] wins, then the `BAYES_FASTPATH`
-    /// environment variable (`0`/`off`/`false` disable, anything else
-    /// enables), then on.
-    pub fn effective_fast_path(&self) -> bool {
-        self.fast_path
-            .or_else(|| {
-                std::env::var("BAYES_FASTPATH")
-                    .ok()
-                    .map(|v| !matches!(v.trim(), "0" | "off" | "false"))
-            })
-            .unwrap_or(true)
     }
 
     /// RNG seed for chain `c`'s transition kernel, derived so that no
@@ -622,7 +606,7 @@ pub fn try_run<S: Sampler>(
     cfg.validate()?;
     model.set_inner_threads(cfg.effective_inner_threads());
     model.set_recorder(&cfg.recorder);
-    model.set_fast_path(cfg.effective_fast_path());
+    model.set_fast_path(cfg.fast_path);
     if cfg.recorder.enabled() {
         cfg.recorder.record(Event::RunStart {
             model: model.name().to_string(),

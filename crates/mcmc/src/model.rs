@@ -635,7 +635,7 @@ pub trait SufficientStats: Send + Sync {
 /// [`SufficientStats`] evaluator for the same posterior.
 ///
 /// The fast path is on by default; [`Model::set_fast_path`] (driven by
-/// `RunConfig`/`BAYES_FASTPATH`) switches back to the sweep model, and
+/// `RunConfig::fast_path`) switches back to the sweep model, and
 /// the equivalence test tier holds both paths to documented tolerance
 /// bounds. Two behaviors are deliberately path-independent:
 ///

@@ -9,7 +9,7 @@
 //! chains' draw buffers at the detector cadence and stops every chain
 //! once it converges. The monitor sleeps on a condition variable and is
 //! woken by the draw that completes the checkpoint it waits for
-//! ([`MonitorGate`]), so neither it nor the chains spend anything on
+//! (`MonitorGate`), so neither it nor the chains spend anything on
 //! each other between checkpoints.
 //!
 //! The stop decision is made purely in *iteration space*: checkpoints

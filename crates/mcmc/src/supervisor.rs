@@ -865,7 +865,7 @@ impl Runtime {
 
         model.set_inner_threads(cfg.effective_inner_threads());
         model.set_recorder(&cfg.recorder);
-        model.set_fast_path(cfg.effective_fast_path());
+        model.set_fast_path(cfg.fast_path);
         if cfg.recorder.enabled() {
             cfg.recorder.record(Event::RunStart {
                 model: model.name().to_string(),

@@ -16,7 +16,7 @@
 //! * [`metrics`] — monotonic counters, gauges, and deterministic
 //!   log-linear histograms with associative + commutative
 //!   snapshot/merge semantics;
-//! * [`span`] — a hierarchical phase profiler with scoped RAII timers
+//! * [`mod@span`] — a hierarchical phase profiler with scoped RAII timers
 //!   ([`span::span`]) feeding per-phase histograms and, for coarse
 //!   phases, `span_start`/`span_end` events;
 //! * [`telemetry`] — the live signal path: a wall-clock- and

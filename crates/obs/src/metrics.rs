@@ -2,7 +2,7 @@
 //! deterministic log-linear histograms with snapshot/merge semantics.
 //!
 //! The registry is the aggregation substrate under the span profiler
-//! ([`crate::span`]) and the `trace_report` characterization CLI. Two
+//! ([`mod@crate::span`]) and the `trace_report` characterization CLI. Two
 //! properties carry all the weight:
 //!
 //! * **Deterministic bucketing.** A histogram maps a `u64` sample to a

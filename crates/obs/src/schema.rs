@@ -2,8 +2,8 @@
 //!
 //! Every record the workspace writes as a line of JSON — the trace
 //! events ([`crate::Event`]), the job server's write-ahead-log records,
-//! the checkpoint state line and the `BENCH_matrix.json` cells — is
-//! declared once through [`record!`](crate::record). From that one
+//! the checkpoint state line and the metrics snapshot — is declared
+//! once through [`record!`](crate::record). From that one
 //! declaration the macro generates the type (docs included), its
 //! encoder and its decoder, so a field's name, type and doc are spelled
 //! in one place and every reader decodes what every writer wrote.
@@ -186,7 +186,7 @@ impl<T: Field> Field for BTreeMap<String, T> {
 ///
 /// The one object encoder every record shares: the encoders
 /// [`record!`](crate::record) generates — trace events, write-ahead-log
-/// records, the checkpoint state line, `BENCH_matrix.json` cells — all
+/// records, the checkpoint state line, the metrics snapshot — all
 /// write through it, so the wire rules of [`Field`] are applied the same
 /// way everywhere. It appends to the caller's buffer.
 #[derive(Debug)]

@@ -10,7 +10,7 @@
 //! the *detected* points are the ones convergence detection actually
 //! reaches.
 
-use crate::elision::{ElisionStudy, StudyConfig};
+use crate::elision::{window_summary, ElisionStudy, StudyConfig};
 use bayes_archsim::{characterize, Platform, SimConfig, WorkloadSignature};
 use bayes_mcmc::diag::kl_to_ground_truth;
 use bayes_mcmc::nuts::Nuts;
@@ -96,7 +96,7 @@ impl QualityProbe {
             .with_chains(4)
             .with_seed(StreamKey::new(seed).purpose(Purpose::GroundTruth).derive());
         let truth_run = chain::run(&Nuts::default(), model, &truth_cfg);
-        let truth = gaussian_window(&truth_run, full_iters, full_iters * 2);
+        let truth = window_summary(&truth_run, full_iters, full_iters * 2);
 
         // Real runs per chain count for quality scoring; the 4-chain
         // run is the study's own. Each chain count gets its own derived
@@ -172,7 +172,7 @@ impl DesignSpace {
                             iters,
                         },
                     );
-                    let kl = kl_to_ground_truth(&gaussian_window(run, iters / 2, iters), truth);
+                    let kl = kl_to_ground_truth(&window_summary(run, iters / 2, iters), truth);
                     let achievable = chains == sig.default_chains && iters == detected_iters;
                     if cores == 4 && chains == sig.default_chains && iters == full_iters {
                         user = points.len();
@@ -245,26 +245,6 @@ impl DesignSpace {
             .map(|&i| self.points[i].latency_s)
             .fold(f64::INFINITY, f64::min)
     }
-}
-
-/// Moment-matched `(mean, sd)` per parameter over draws `[lo, hi)`.
-fn gaussian_window(run: &bayes_mcmc::MultiChainRun, lo: usize, hi: usize) -> Vec<(f64, f64)> {
-    (0..run.dim)
-        .map(|j| {
-            let xs: Vec<f64> = run
-                .chains
-                .iter()
-                .flat_map(|c| {
-                    let hi = hi.min(c.draws.len());
-                    c.draws[lo.min(hi)..hi].iter().map(move |d| d[j])
-                })
-                .collect();
-            let n = xs.len().max(1) as f64;
-            let m = xs.iter().sum::<f64>() / n;
-            let v = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (n - 1.0).max(1.0);
-            (m, v.sqrt().max(1e-9))
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -88,7 +88,7 @@ pub struct ElisionStudy {
 
 /// Moment-matched `(mean, sd)` summary of pooled draws `[lo, hi)` of
 /// each chain.
-fn window_summary(run: &MultiChainRun, lo: usize, hi: usize) -> Vec<(f64, f64)> {
+pub(crate) fn window_summary(run: &MultiChainRun, lo: usize, hi: usize) -> Vec<(f64, f64)> {
     let dim = run.dim;
     (0..dim)
         .map(|j| {

@@ -27,8 +27,8 @@ pub fn workload_names() -> &'static [&'static str] {
 /// half (`-h`, `0.5`) and quarter (`-q`, `0.25`) points of Figure 3.
 pub const SCALES: [f64; 3] = [0.25, 0.5, 1.0];
 
-/// The scale used by the tier-1 smoke subset of the benchmark matrix
-/// (small enough to run in CI).
+/// The scale of the golden reference posteriors and of the reference
+/// gate's cells (small enough to run in CI).
 pub const SMOKE_SCALE: f64 = 0.25;
 
 /// Base seed blessed reference posteriors are generated from. The

@@ -16,8 +16,9 @@
 //! * [`golden`] — plain-text golden fixtures for deterministic
 //!   diagnostic pipelines, regenerated with `BAYES_BLESS=1` and
 //!   self-blessing when a fixture does not exist yet;
-//! * [`reference`] — the golden *reference posterior* store backing
-//!   the benchmark matrix: long blessed NUTS runs per registry cell,
+//! * [`mod@reference`] — the golden *reference posterior* store backing
+//!   the reference gate (`tests/reference_gate.rs`): long blessed NUTS
+//!   runs per registry cell,
 //!   loaded from `tests/golden/references/` and re-blessed with
 //!   `BAYES_BLESS=1`;
 //! * [`faults`] — a deterministic fault-injection schedule

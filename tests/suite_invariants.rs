@@ -61,7 +61,7 @@ fn committed_references_exist_and_round_trip_bit_exactly() {
         let text = std::fs::read_to_string(&path).unwrap_or_else(|err| {
             panic!(
                 "{}: missing committed reference {} ({err}); \
-                 bless it with `cargo run --release --bin bench_matrix`",
+                 bless it with `BAYES_BLESS=1 cargo test --release --test reference_gate -- --ignored`",
                 e.name,
                 path.display()
             )
