@@ -23,15 +23,61 @@ const LINE_BYTES: usize = 64;
 /// interleaves the cores' streams: one bit each of a `u32` mask word.
 pub const CHUNK: usize = u32::BITS as usize;
 
-/// One level of set-associative cache.
-#[derive(Debug, Clone)]
-pub struct CacheSim {
+/// Seed of every random-replacement victim stream.
+const RNG_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Lines between consecutive chains' bases: [`CHAIN_SPACING`] in lines.
+const CHAIN_SPACING_LINES: u64 = CHAIN_SPACING / LINE_BYTES as u64;
+
+/// Advances a xorshift victim stream and returns its next victim among
+/// `ways` ways.
+fn next_victim(rng_state: &mut u64, ways: usize) -> usize {
+    *rng_state ^= *rng_state << 13;
+    *rng_state ^= *rng_state >> 7;
+    *rng_state ^= *rng_state << 17;
+    (*rng_state % ways as u64) as usize
+}
+
+/// Sets × ways of 64-byte lines.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
     sets: usize,
     /// `log2(sets)` when `sets` is a power of two — every Table II
     /// geometry — so the set index and tag are a mask and a shift;
     /// other geometries (an odd way-partition of the LLC) divide.
     sets_log2: Option<u32>,
     ways: usize,
+}
+
+impl Geometry {
+    /// The geometry of a cache of `size_bytes` (see [`CacheSim::new`]).
+    fn new(size_bytes: usize, ways: usize) -> Self {
+        assert!(ways > 0, "cache needs at least one way");
+        assert!(
+            size_bytes.is_multiple_of(ways * LINE_BYTES) && size_bytes > 0,
+            "cache size must be a positive multiple of ways × line size"
+        );
+        let sets = size_bytes / (ways * LINE_BYTES);
+        Self {
+            sets,
+            sets_log2: sets.is_power_of_two().then(|| sets.trailing_zeros()),
+            ways,
+        }
+    }
+
+    /// The set `line` maps to, and its tag there.
+    fn locate(&self, line: u64) -> (usize, u64) {
+        match self.sets_log2 {
+            Some(shift) => ((line & (self.sets as u64 - 1)) as usize, line >> shift),
+            None => ((line % self.sets as u64) as usize, line / self.sets as u64),
+        }
+    }
+}
+
+/// One level of set-associative cache.
+#[derive(Debug, Clone)]
+pub struct CacheSim {
+    geometry: Geometry,
     policy: Replacement,
     /// tags[set * ways + way]; `u64::MAX` = invalid. Under LRU each set
     /// is kept in recency order, most recent first (invalid ways last),
@@ -51,19 +97,15 @@ impl CacheSim {
     /// Panics if the geometry is degenerate (zero ways, size not a
     /// multiple of `ways × 64`).
     pub fn new(size_bytes: usize, ways: usize, policy: Replacement) -> Self {
-        assert!(ways > 0, "cache needs at least one way");
-        assert!(
-            size_bytes.is_multiple_of(ways * LINE_BYTES) && size_bytes > 0,
-            "cache size must be a positive multiple of ways × line size"
-        );
-        let sets = size_bytes / (ways * LINE_BYTES);
+        Self::with_geometry(Geometry::new(size_bytes, ways), policy)
+    }
+
+    fn with_geometry(geometry: Geometry, policy: Replacement) -> Self {
         Self {
-            sets,
-            sets_log2: sets.is_power_of_two().then(|| sets.trailing_zeros()),
-            ways,
+            geometry,
             policy,
-            tags: vec![u64::MAX; sets * ways],
-            rng_state: 0x9E37_79B9_7F4A_7C15,
+            tags: vec![u64::MAX; geometry.sets * geometry.ways],
+            rng_state: RNG_SEED,
             accesses: 0,
             misses: 0,
         }
@@ -71,19 +113,16 @@ impl CacheSim {
 
     /// Total capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.sets * self.ways * LINE_BYTES
+        self.geometry.sets * self.geometry.ways * LINE_BYTES
     }
 
     /// Accesses the byte address; returns `true` on hit. On miss the
     /// line is installed (allocate-on-miss).
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
-        let line = addr / LINE_BYTES as u64;
-        let (set, tag) = match self.sets_log2 {
-            Some(shift) => ((line & (self.sets as u64 - 1)) as usize, line >> shift),
-            None => ((line % self.sets as u64) as usize, line / self.sets as u64),
-        };
-        let ways = &mut self.tags[set * self.ways..(set + 1) * self.ways];
+        let (set, tag) = self.geometry.locate(addr / LINE_BYTES as u64);
+        let n = self.geometry.ways;
+        let ways = &mut self.tags[set * n..(set + 1) * n];
         if let Some(w) = ways.iter().position(|&t| t == tag) {
             if self.policy == Replacement::Lru {
                 ways.copy_within(..w, 1);
@@ -102,13 +141,10 @@ impl CacheSim {
             Replacement::Random => {
                 // Prefer the first invalid way. Ways fill lowest first
                 // and never empty again, so the invalid ones are a suffix.
-                let victim = if ways[ways.len() - 1] == u64::MAX {
+                let victim = if ways[n - 1] == u64::MAX {
                     ways.partition_point(|&t| t != u64::MAX)
                 } else {
-                    self.rng_state ^= self.rng_state << 13;
-                    self.rng_state ^= self.rng_state >> 7;
-                    self.rng_state ^= self.rng_state << 17;
-                    (self.rng_state % self.ways as u64) as usize
+                    next_victim(&mut self.rng_state, n)
                 };
                 ways[victim] = tag;
             }
@@ -187,9 +223,13 @@ impl Private {
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     private: Vec<Private>,
-    /// The LLC every core shares; `None` when it is way-partitioned
-    /// into the cores' private slices.
-    shared_llc: Option<CacheSim>,
+    /// The geometry of the LLC every core shares; `None` when it is
+    /// way-partitioned into the cores' private slices.
+    shared_llc: Option<Geometry>,
+    /// The shared LLC as [`Hierarchy::access`] simulates it, built by
+    /// the first access that reaches it. [`Hierarchy::replay`] never
+    /// builds it: it keeps a [`Residency`] index instead.
+    llc: Option<CacheSim>,
     /// Per-core counters: accesses, l1 misses, l2 misses, llc misses.
     stats: Vec<LevelStats>,
 }
@@ -252,8 +292,8 @@ impl Hierarchy {
         };
         Self {
             private: vec![private; cores],
-            shared_llc: (!partitioned)
-                .then(|| CacheSim::new(llc_bytes, llc_ways, Replacement::Random)),
+            shared_llc: (!partitioned).then(|| Geometry::new(llc_bytes, llc_ways)),
+            llc: None,
             stats: vec![LevelStats::default(); cores],
         }
     }
@@ -262,7 +302,10 @@ impl Hierarchy {
     pub fn access(&mut self, core: usize, addr: u64) {
         let s = &mut self.stats[core];
         if self.private[core].access(addr, s) {
-            let llc = self.shared_llc.as_mut().expect("no slice, so a shared LLC");
+            let geometry = self.shared_llc.expect("no slice, so a shared LLC");
+            let llc = self
+                .llc
+                .get_or_insert_with(|| CacheSim::with_geometry(geometry, Replacement::Random));
             s.llc_misses += u64::from(!llc.access(addr));
         }
     }
@@ -275,22 +318,37 @@ impl Hierarchy {
     /// The shift moves no line to another set of a private level whose
     /// set span divides the spacing, so all cores' private levels answer
     /// alike and are simulated once; a pass that starts where the
-    /// previous one started is not simulated again (DESIGN.md §5).
+    /// previous one started is not simulated again; the shared LLC is
+    /// simulated by an index of which stream lines each core has
+    /// resident, with no tag array (DESIGN.md §5).
     ///
     /// # Panics
     ///
     /// Panics on a used hierarchy, or on several cores with a private
-    /// level whose set span does not divide the spacing.
+    /// level whose set span does not divide the spacing or a stream line
+    /// at or past the spacing (it would alias the next core's lines).
     pub fn replay(mut self, stream: &[u64], warmup: usize, measured: usize) -> Vec<LevelStats> {
         let fresh = self.stats.iter().all(|s| s.accesses == 0);
         assert!(fresh, "replay needs a fresh hierarchy");
         let mut private = self.private.swap_remove(0);
         let span_divides =
-            |c: &CacheSim| CHAIN_SPACING.is_multiple_of((c.sets * LINE_BYTES) as u64);
+            |c: &CacheSim| CHAIN_SPACING.is_multiple_of((c.geometry.sets * LINE_BYTES) as u64);
+        let cores = self.stats.len();
         assert!(
-            self.stats.len() == 1 || private.levels().all(span_divides),
+            cores == 1 || private.levels().all(span_divides),
             "a private level's set span does not divide the chain spacing"
         );
+        let lines = stream
+            .iter()
+            .max()
+            .map_or(0, |&a| a / LINE_BYTES as u64 + 1);
+        assert!(
+            cores == 1 || lines <= CHAIN_SPACING_LINES,
+            "a stream line at or past the chain spacing would alias across cores"
+        );
+        let mut llc = self
+            .shared_llc
+            .map(|geometry| Residency::new(geometry, lines as usize, cores));
         // Core 0's private counts and private-miss bits (one word per
         // chunk) in the last simulated pass, and the state it began in.
         let mut pass = LevelStats::default();
@@ -317,15 +375,15 @@ impl Hierarchy {
                     *s += pass;
                 }
             }
-            let Some(llc) = &mut self.shared_llc else {
+            let Some(llc) = &mut llc else {
                 continue;
             };
             for (chunk, &word) in stream.chunks(CHUNK).zip(&missed) {
                 for (c, s) in self.stats.iter_mut().enumerate() {
-                    let shift = c as u64 * CHAIN_SPACING;
                     let mut bits = word;
                     while bits != 0 {
-                        let miss = !llc.access(chunk[bits.trailing_zeros() as usize] + shift);
+                        let line = chunk[bits.trailing_zeros() as usize] / LINE_BYTES as u64;
+                        let miss = !llc.access(c, line);
                         s.llc_misses += u64::from(miss && measuring);
                         bits &= bits - 1;
                     }
@@ -345,6 +403,71 @@ impl Hierarchy {
         for s in &mut self.stats {
             *s = LevelStats::default();
         }
+    }
+}
+
+/// The shared LLC of [`Hierarchy::replay`], indexed by line instead of
+/// searched by tag. Every line it sees is a stream line `l` of some
+/// core `c`, shifted by `c × CHAIN_SPACING`, so each has the dense slot
+/// `c × lines + l`. Under random replacement a hit changes no state:
+/// it reads one bit of `resident`. A miss fills its set's next way
+/// while the set has one (ways fill lowest first and never empty, as in
+/// [`CacheSim`]), and otherwise evicts the way the same xorshift stream
+/// names, clearing the bit of the slot that way `held`. So it hits,
+/// misses and evicts exactly where a [`CacheSim`] of the same geometry
+/// fed the shifted addresses would.
+#[derive(Debug)]
+struct Residency {
+    geometry: Geometry,
+    /// Stream lines per core: one past the highest.
+    lines: usize,
+    /// One bit per slot: whether the slot's line is cached.
+    resident: Vec<u64>,
+    /// Per set, the ways filled so far.
+    filled: Vec<u32>,
+    /// held[set * ways + way]: the slot cached in that way.
+    held: Vec<u32>,
+    rng_state: u64,
+}
+
+impl Residency {
+    fn new(geometry: Geometry, lines: usize, cores: usize) -> Self {
+        let slots = lines * cores;
+        assert!(slots <= 1 << u32::BITS, "a slot must fit in a u32");
+        Self {
+            geometry,
+            lines,
+            resident: vec![0; slots.div_ceil(64)],
+            filled: vec![0; geometry.sets],
+            held: vec![0; geometry.sets * geometry.ways],
+            rng_state: RNG_SEED,
+        }
+    }
+
+    /// Accesses stream line `line` of `core`; returns `true` on hit.
+    fn access(&mut self, core: usize, line: u64) -> bool {
+        let slot = core * self.lines + line as usize;
+        let bit = 1u64 << (slot % 64);
+        if self.resident[slot / 64] & bit != 0 {
+            return true;
+        }
+        self.resident[slot / 64] |= bit;
+        let (set, _) = self
+            .geometry
+            .locate(line + core as u64 * CHAIN_SPACING_LINES);
+        let ways = self.geometry.ways;
+        let filled = self.filled[set] as usize;
+        let way = if filled < ways {
+            self.filled[set] += 1;
+            filled
+        } else {
+            let way = next_victim(&mut self.rng_state, ways);
+            let evicted = self.held[set * ways + way] as usize;
+            self.resident[evicted / 64] &= !(1 << (evicted % 64));
+            way
+        };
+        self.held[set * ways + way] = slot as u32;
+        false
     }
 }
 
@@ -497,5 +620,94 @@ mod tests {
             !second_touch_misses_llc(true),
             "core 1 cannot reach core 0's slice"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "stream line at or past the chain spacing")]
+    fn replay_rejects_a_stream_line_past_the_chain_spacing() {
+        // Core 0's line 2^24 would be core 1's line 0.
+        let h = Hierarchy::new(2, 1024, 4096, 65536, 16);
+        let _ = h.replay(&[0, CHAIN_SPACING], 1, 1);
+    }
+
+    /// The tags a [`CacheSim`] of the index's geometry holds when it
+    /// has seen what the index has: way `w` of set `s` holds the line of
+    /// slot `held[s × ways + w]` while `w` is below the set's fill.
+    /// Checks on the way that every held slot, and no other, is resident.
+    fn tags_of(index: &Residency) -> Vec<u64> {
+        let g = index.geometry;
+        let mut tags = vec![u64::MAX; g.sets * g.ways];
+        for set in 0..g.sets {
+            for way in 0..index.filled[set] as usize {
+                let slot = index.held[set * g.ways + way] as usize;
+                let (core, line) = (slot / index.lines, slot % index.lines);
+                let (at, tag) = g.locate(line as u64 + core as u64 * CHAIN_SPACING_LINES);
+                assert_eq!(at, set, "slot {slot} held in the wrong set");
+                assert!(index.resident[slot / 64] & 1 << (slot % 64) != 0);
+                tags[set * g.ways + way] = tag;
+            }
+        }
+        let resident: u32 = index.resident.iter().map(|w| w.count_ones()).sum();
+        let held: u32 = index.filled.iter().sum();
+        assert_eq!(resident, held, "a resident slot that no way holds");
+        tags
+    }
+
+    #[test]
+    fn residency_index_hits_and_evicts_where_the_tag_array_does() {
+        // One set, so every core's lines compete for the same ways, and
+        // few lines, so a line comes back soon after another core's
+        // turn in the same chunk evicted it.
+        const LINES: u64 = 24;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let stream: Vec<u64> = (0..8 * CHUNK)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 33) % LINES
+            })
+            .collect();
+        for ways in [1, 3, 20] {
+            for cores in [2, 4] {
+                let case = format!("{ways} ways, {cores} cores");
+                let mut sim = CacheSim::new(ways * LINE_BYTES, ways, Replacement::Random);
+                let mut index = Residency::new(sim.geometry, LINES as usize, cores);
+                // Per slot: the core and chunk of the access that last
+                // evicted it.
+                let mut evicted_by = std::collections::HashMap::new();
+                let mut retouched = 0;
+                for (k, chunk) in stream.chunks(CHUNK).enumerate() {
+                    for core in 0..cores {
+                        for &line in chunk {
+                            let slot = core * LINES as usize + line as usize;
+                            if evicted_by
+                                .get(&slot)
+                                .is_some_and(|&(by, at)| by != core && at == k)
+                            {
+                                retouched += 1;
+                            }
+                            let before = index.resident.clone();
+                            let addr = line * LINE_BYTES as u64 + core as u64 * CHAIN_SPACING;
+                            assert_eq!(index.access(core, line), sim.access(addr), "{case}");
+                            assert_eq!(tags_of(&index), sim.tags, "{case}: victims differ");
+                            assert_eq!(index.rng_state, sim.rng_state, "{case}");
+                            for (w, (b, a)) in before.iter().zip(&index.resident).enumerate() {
+                                let mut gone = b & !a;
+                                while gone != 0 {
+                                    let evicted = w * 64 + gone.trailing_zeros() as usize;
+                                    evicted_by.insert(evicted, (core, k));
+                                    gone &= gone - 1;
+                                }
+                            }
+                        }
+                    }
+                }
+                assert!(
+                    retouched > 0,
+                    "{case}: no core touched a line another core evicted in the same chunk"
+                );
+            }
+        }
     }
 }

@@ -202,11 +202,17 @@ impl ProfilerHandle {
         ScopeGuard { prev, active: true }
     }
 
-    /// A copy of the merged snapshot. Running chains publish their
-    /// registries periodically (each time a top-level span closes and
-    /// `LIVE_PUBLISH_INTERVAL` has elapsed), so mid-run snapshots are
-    /// live to within that interval; the remainder merges when each
-    /// chain's scope ends.
+    /// A copy of the merged snapshot, for reading while a run is live.
+    /// Running chains publish their registries periodically (each time
+    /// a top-level span closes and `LIVE_PUBLISH_INTERVAL` has elapsed),
+    /// so mid-run snapshots are live to within that interval; the
+    /// remainder merges when each chain's scope ends.
+    ///
+    /// It reads empty once `chain::run`, the supervisor or the elision
+    /// study has returned: each ends by draining the profiler through
+    /// [`ProfilerHandle::emit_metrics`]. After a run, read its spans
+    /// from the [`Event::Metrics`] event it recorded (or from the
+    /// snapshot `emit_metrics` returned to the run).
     pub fn snapshot(&self) -> MetricsSnapshot {
         match &self.inner {
             Some(p) => lock(&p.merged).clone(),
@@ -215,7 +221,10 @@ impl ProfilerHandle {
     }
 
     /// Takes the merged snapshot, leaving the profiler empty — one run's
-    /// metrics don't leak into the next when a handle is reused.
+    /// metrics don't leak into the next when a handle is reused. Runs
+    /// drain through [`ProfilerHandle::emit_metrics`], which records
+    /// what it takes as the [`Event::Metrics`] event: that event, not
+    /// a later `snapshot` or `drain`, is the read path after a run.
     pub fn drain(&self) -> MetricsSnapshot {
         match &self.inner {
             Some(p) => std::mem::take(&mut *lock(&p.merged)),

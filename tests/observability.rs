@@ -192,6 +192,36 @@ fn span_events_nest_well_formed_on_a_threaded_run() {
 }
 
 #[test]
+fn after_a_run_its_spans_are_read_from_the_metrics_event() {
+    use bayes_mcmc::obs::ProfilerHandle;
+
+    let mem = Arc::new(MemoryRecorder::new());
+    let profiler = ProfilerHandle::new(RecorderHandle::new(mem.clone()));
+    let model = AdModel::new("funnel", Funnel);
+    let cfg = RunConfig::new(ITERS)
+        .with_chains(CHAINS)
+        .with_seed(19)
+        .with_profiler(profiler.clone());
+    let _ = chain::run(&Nuts::default(), &model, &cfg);
+
+    // The run drained the profiler into its `metrics` event.
+    assert!(profiler.snapshot().is_empty(), "the run left spans behind");
+    let snapshot = mem
+        .take()
+        .into_iter()
+        .find_map(|e| match e {
+            Event::Metrics { snapshot, .. } => Some(snapshot),
+            _ => None,
+        })
+        .expect("profiled run emits a metrics snapshot");
+    let leapfrogs = &snapshot.histograms["span.leapfrog"];
+    assert!(
+        leapfrogs.count() > 0,
+        "the metrics event holds no leapfrog span"
+    );
+}
+
+#[test]
 fn jsonl_sink_round_trips_the_event_stream() {
     // Sequential execution makes the cross-chain event order
     // deterministic, so the two recorders of the same run see the
