@@ -3,11 +3,15 @@
 //! algorithm should be tuned to subsample the data such that the
 //! working set fits the LLC. Figure 3 can be used to estimate the
 //! proper sub-sampled data size."
+//!
+//! With `--trace <path>`, each workload's advice is also recorded as one
+//! `subsample` event.
 
 use bayes_archsim::{Platform, SimConfig};
 use bayes_sched::SubsampleAdvisor;
 
 fn main() {
+    let trace = bayes_bench::trace_recorder_from_args();
     bayes_bench::banner(
         "Subsampling ablation (Section VII-B)",
         "LLC-fitting data fractions for the bound workloads on Skylake, 4 cores x 4 chains.",
@@ -19,7 +23,7 @@ fn main() {
         "name", "fraction", "ws before", "ws after", "mpki full", "mpki sub", "speedup"
     );
     for m in bayes_bench::measure_all(1.0, 20, 42) {
-        let advice = advisor.advise(
+        let advice = advisor.advise_recorded(
             &m.sig,
             &sky,
             &SimConfig {
@@ -27,6 +31,7 @@ fn main() {
                 chains: 4,
                 iters: 200,
             },
+            &trace,
         );
         println!(
             "{:<10} {:>9.2} {:>8.2}MB {:>8.2}MB {:>10.2} {:>10.2} {:>8.2}x",
@@ -44,4 +49,5 @@ fn main() {
          Firefly-MC-style correction schemes); fractions below 1.0 trade accuracy for the \
          removal of the LLC cliff."
     );
+    trace.flush();
 }
