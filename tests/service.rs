@@ -22,7 +22,7 @@ use bayes_sched::LlcMissPredictor;
 use bayes_serve::{JobOutcome, JobServer, JobSpec, SamplerKind, ServerConfig};
 use bayes_suite::registry;
 use bayes_testkit::FaultPlan;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -53,20 +53,42 @@ fn cache_resident_predictor() -> LlcMissPredictor {
     ])
 }
 
-/// A per-test checkpoint directory so parallel tests never collide on
-/// the server's `bayes-serve-job-<id>` checkpoint names.
-fn checkpoint_dir(test: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("bayes-service-{}-{test}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
-    dir
+/// A per-test state directory (checkpoint logs, journal, flight dumps),
+/// so parallel tests never collide on the server's
+/// `bayes-serve-job-<id>` checkpoint names. Removed when the test ends;
+/// kept when it panics, so a failure leaves its files to inspect.
+struct StateDir(PathBuf);
+
+impl StateDir {
+    fn new(test: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("bayes-service-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create state dir");
+        Self(dir)
+    }
+}
+
+impl std::ops::Deref for StateDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for StateDir {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 }
 
 /// The uninterrupted reference: the same workload/shape/seed run under
 /// the supervisor with the same detector *and checkpointing enabled*
 /// (checkpointing segments the chain RNG streams, so it is part of the
 /// run's identity — the server always checkpoints).
-fn uninterrupted(workload: &str, scale: f64, cfg: &RunConfig, test: &str) -> MultiChainRun {
-    uninterrupted_with(&Nuts::default(), workload, scale, cfg, test)
+fn uninterrupted(workload: &str, scale: f64, cfg: &RunConfig, dir: &Path) -> MultiChainRun {
+    uninterrupted_with(&Nuts::default(), workload, scale, cfg, dir)
 }
 
 fn uninterrupted_with<S: Sampler>(
@@ -74,10 +96,10 @@ fn uninterrupted_with<S: Sampler>(
     workload: &str,
     scale: f64,
     cfg: &RunConfig,
-    test: &str,
+    dir: &Path,
 ) -> MultiChainRun {
     let wl = registry::workload(workload, scale, cfg.seed).expect("registry workload");
-    let ckpt = checkpoint_dir(test).join(format!("ref-{workload}.ckpt.json"));
+    let ckpt = dir.join(format!("ref-{workload}.ckpt.json"));
     let report = Runtime::new(full_length_detector())
         .with_config(SupervisorConfig::new().with_checkpoint_path(&ckpt))
         .run(sampler, wl.dynamics_model(), cfg)
@@ -113,9 +135,9 @@ fn assert_bitwise_eq(a: &[Vec<Vec<f64>>], b: &[Vec<Vec<f64>>], what: &str) {
 /// placement's core grant.
 #[test]
 fn preempted_job_resumes_bit_identically() {
+    let dir = StateDir::new("preempt");
     let server = JobServer::start(
-        ServerConfig::new(2, cache_resident_predictor())
-            .with_checkpoint_dir(checkpoint_dir("preempt")),
+        ServerConfig::new(2, cache_resident_predictor()).with_checkpoint_dir(dir.to_path_buf()),
     );
     // The victim saturates both cores; the urgent job cannot fit and
     // must preempt it at a checkpoint boundary.
@@ -157,7 +179,7 @@ fn preempted_job_resumes_bit_identically() {
     for threads in [1usize, 4] {
         std::env::set_var("BAYES_INNER_THREADS", threads.to_string());
         let cfg = RunConfig::new(240).with_chains(2).with_seed(11);
-        let reference = uninterrupted("12cities", 0.25, &cfg, "preempt");
+        let reference = uninterrupted("12cities", 0.25, &cfg, &dir);
         assert_bitwise_eq(
             &result.draws,
             &draws_of(&reference),
@@ -172,9 +194,9 @@ fn preempted_job_resumes_bit_identically() {
 /// never leak into the posterior.
 #[test]
 fn concurrent_jobs_match_isolated_runs() {
+    let dir = StateDir::new("concurrent");
     let server = JobServer::start(
-        ServerConfig::new(8, cache_resident_predictor())
-            .with_checkpoint_dir(checkpoint_dir("concurrent")),
+        ServerConfig::new(8, cache_resident_predictor()).with_checkpoint_dir(dir.to_path_buf()),
     );
     let specs = [("12cities", 7u64), ("votes", 8), ("butterfly", 9)];
     let handles: Vec<_> = specs
@@ -201,7 +223,7 @@ fn concurrent_jobs_match_isolated_runs() {
             .with_chains(2)
             .with_seed(seed)
             .with_inner_threads(1);
-        let isolated = uninterrupted(workload, 0.25, &cfg, "concurrent");
+        let isolated = uninterrupted(workload, 0.25, &cfg, &dir);
         assert_bitwise_eq(
             &result.draws,
             &draws_of(&isolated),
@@ -215,10 +237,11 @@ fn concurrent_jobs_match_isolated_runs() {
 /// the refusal names the budget.
 #[test]
 fn admission_rejects_over_footprint_jobs() {
+    let dir = StateDir::new("admission");
     let server = JobServer::start(
         ServerConfig::new(4, cache_resident_predictor())
             .with_llc_budget(256)
-            .with_checkpoint_dir(checkpoint_dir("admission")),
+            .with_checkpoint_dir(dir.to_path_buf()),
     );
     let job = server
         .submit(JobSpec::new("whale", "tickets").with_detector(full_length_detector()))
@@ -244,9 +267,9 @@ fn admission_rejects_over_footprint_jobs() {
 /// survivors, while a clean co-resident job is untouched.
 #[test]
 fn quorum_degradation_stays_per_job() {
+    let dir = StateDir::new("quorum");
     let server = JobServer::start(
-        ServerConfig::new(8, cache_resident_predictor())
-            .with_checkpoint_dir(checkpoint_dir("quorum")),
+        ServerConfig::new(8, cache_resident_predictor()).with_checkpoint_dir(dir.to_path_buf()),
     );
     // Chain 1 panics on every attempt: the default retry budget (2)
     // exhausts and the chain is permanently lost.
@@ -299,8 +322,9 @@ fn quorum_degradation_stays_per_job() {
 /// bit-equal to the same job run alone.
 #[test]
 fn mh_job_is_preempted_and_resumes_bit_identically() {
+    let dir = StateDir::new("mh");
     let server = JobServer::start(
-        ServerConfig::new(2, cache_resident_predictor()).with_checkpoint_dir(checkpoint_dir("mh")),
+        ServerConfig::new(2, cache_resident_predictor()).with_checkpoint_dir(dir.to_path_buf()),
     );
     let mh = server.submit(
         JobSpec::new("mh", "butterfly")
@@ -334,7 +358,7 @@ fn mh_job_is_preempted_and_resumes_bit_identically() {
     assert!(matches!(urgent.outcome, JobOutcome::Completed(_)));
     assert_eq!(result.iters_done, 3000);
     let cfg = RunConfig::new(3000).with_chains(2).with_seed(31);
-    let isolated = uninterrupted_with(&MetropolisHastings::new(), "butterfly", 0.25, &cfg, "mh");
+    let isolated = uninterrupted_with(&MetropolisHastings::new(), "butterfly", 0.25, &cfg, &dir);
     assert_bitwise_eq(
         &result.draws,
         &draws_of(&isolated),
@@ -364,11 +388,11 @@ fn wait_for_file(path: &std::path::Path, what: &str) {
 /// `BAYES_INNER_THREADS` 1 and 4, like the preemption guarantee.
 #[test]
 fn killed_server_recovers_bit_identically() {
-    let dir = checkpoint_dir("kill-recover");
+    let dir = StateDir::new("kill-recover");
     let journal = dir.join("journal.wal");
     let durable = || {
         ServerConfig::new(2, cache_resident_predictor())
-            .with_checkpoint_dir(&dir)
+            .with_checkpoint_dir(dir.to_path_buf())
             .with_journal(&journal)
     };
 
@@ -426,7 +450,7 @@ fn killed_server_recovers_bit_identically() {
     for threads in [1usize, 4] {
         std::env::set_var("BAYES_INNER_THREADS", threads.to_string());
         let cfg = RunConfig::new(240).with_chains(2).with_seed(41);
-        let reference = uninterrupted("12cities", 0.25, &cfg, "kill-recover-ref");
+        let reference = uninterrupted("12cities", 0.25, &cfg, &StateDir::new("kill-recover-ref"));
         assert_bitwise_eq(
             &result.draws,
             &draws_of(&reference),
@@ -469,11 +493,11 @@ fn frame_ends(log: &[u8]) -> Vec<usize> {
 /// iterations of `votes` leave tens of milliseconds.
 #[test]
 fn corrupt_checkpoint_falls_back_to_previous_generation() {
-    let dir = checkpoint_dir("corrupt-ckpt");
+    let dir = StateDir::new("corrupt-ckpt");
     let journal = dir.join("journal.wal");
     let durable = || {
         ServerConfig::new(2, cache_resident_predictor())
-            .with_checkpoint_dir(&dir)
+            .with_checkpoint_dir(dir.to_path_buf())
             .with_journal(&journal)
     };
 
@@ -538,7 +562,7 @@ fn corrupt_checkpoint_falls_back_to_previous_generation() {
     );
 
     let cfg = RunConfig::new(1200).with_chains(2).with_seed(42);
-    let reference = uninterrupted("votes", 0.25, &cfg, "corrupt-ckpt-ref");
+    let reference = uninterrupted("votes", 0.25, &cfg, &StateDir::new("corrupt-ckpt-ref"));
     assert_bitwise_eq(
         &result.draws,
         &draws_of(&reference),
@@ -551,10 +575,11 @@ fn corrupt_checkpoint_falls_back_to_previous_generation() {
 /// event — instead of hanging or pretending to complete.
 #[test]
 fn deadline_expiry_is_a_typed_outcome() {
+    let dir = StateDir::new("deadline");
     let memory = Arc::new(MemoryRecorder::new());
     let server = JobServer::start(
         ServerConfig::new(2, cache_resident_predictor())
-            .with_checkpoint_dir(checkpoint_dir("deadline"))
+            .with_checkpoint_dir(dir.to_path_buf())
             .with_trace(RecorderHandle::new(memory.clone())),
     );
     let job = server
@@ -588,10 +613,11 @@ fn deadline_expiry_is_a_typed_outcome() {
 /// not after running out its whole budget.
 #[test]
 fn mh_job_expires_at_its_deadline() {
+    let dir = StateDir::new("mh-deadline");
     let memory = Arc::new(MemoryRecorder::new());
     let server = JobServer::start(
         ServerConfig::new(2, cache_resident_predictor())
-            .with_checkpoint_dir(checkpoint_dir("mh-deadline"))
+            .with_checkpoint_dir(dir.to_path_buf())
             .with_trace(RecorderHandle::new(memory.clone())),
     );
     let iters = 1_000_000;
@@ -628,10 +654,11 @@ fn mh_job_expires_at_its_deadline() {
 /// while the running and urgent jobs are untouched.
 #[test]
 fn overload_sheds_lower_priority_pending_work() {
+    let dir = StateDir::new("shed");
     let memory = Arc::new(MemoryRecorder::new());
     let server = JobServer::start(
         ServerConfig::new(1, cache_resident_predictor())
-            .with_checkpoint_dir(checkpoint_dir("shed"))
+            .with_checkpoint_dir(dir.to_path_buf())
             .with_trace(RecorderHandle::new(memory.clone()))
             .with_queue_limit(1),
     );
@@ -688,9 +715,9 @@ fn overload_sheds_lower_priority_pending_work() {
 /// blocks forever on a dead server.
 #[test]
 fn killed_server_notifies_every_live_handle() {
+    let dir = StateDir::new("server-lost");
     let server = JobServer::start(
-        ServerConfig::new(2, cache_resident_predictor())
-            .with_checkpoint_dir(checkpoint_dir("server-lost")),
+        ServerConfig::new(2, cache_resident_predictor()).with_checkpoint_dir(dir.to_path_buf()),
     );
     let handles: Vec<_> = (0..3)
         .map(|i| {
@@ -718,9 +745,9 @@ fn killed_server_notifies_every_live_handle() {
 /// is gone and `status()` degrades to `None` instead of hanging.
 #[test]
 fn status_snapshots_a_live_multi_job_run() {
+    let dir = StateDir::new("status");
     let server = JobServer::start(
-        ServerConfig::new(8, cache_resident_predictor())
-            .with_checkpoint_dir(checkpoint_dir("status")),
+        ServerConfig::new(8, cache_resident_predictor()).with_checkpoint_dir(dir.to_path_buf()),
     );
     let a = server.submit(
         JobSpec::new("status-a", "12cities")
@@ -787,9 +814,9 @@ fn status_snapshots_a_live_multi_job_run() {
 /// trace whose window contains the fault itself.
 #[test]
 fn chain_fault_dumps_the_flight_recorder() {
-    let dir = checkpoint_dir("flight");
+    let dir = StateDir::new("flight");
     let server = JobServer::start(
-        ServerConfig::new(4, cache_resident_predictor()).with_checkpoint_dir(&dir),
+        ServerConfig::new(4, cache_resident_predictor()).with_checkpoint_dir(dir.to_path_buf()),
     );
     let handle = server.submit(
         JobSpec::new("flighty", "12cities")
@@ -835,9 +862,9 @@ fn chain_fault_dumps_the_flight_recorder() {
 /// them together, never reorder, drop or alter one.
 #[test]
 fn served_stream_is_the_isolated_run_event_for_event() {
-    let dir = checkpoint_dir("stream");
+    let dir = StateDir::new("stream");
     let server = JobServer::start(
-        ServerConfig::new(2, cache_resident_predictor()).with_checkpoint_dir(&dir),
+        ServerConfig::new(2, cache_resident_predictor()).with_checkpoint_dir(dir.to_path_buf()),
     );
     let served = server
         .submit(
