@@ -17,7 +17,7 @@ use bayes_autodiff::Real;
 use bayes_mcmc::lp;
 use bayes_mcmc::{AdModel, LogDensity, ShardedDensity, ShardedModel, StatsModel, SufficientStats};
 use bayes_prob::dist::{ContinuousDist, LogNormal, Normal};
-use bayes_prob::special::sigmoid;
+use bayes_prob::special::{log1p_exp_and_sigmoid, sigmoid};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -275,14 +275,16 @@ impl SufficientStats for MemoryStats {
     fn ln_posterior_grad_stats(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
         // Fused analytic gradient: normal/log-normal and Bernoulli-count
         // derivatives in closed form, one O(groups) pass, no tape and no
-        // dual sweeps. The returned value re-runs the generic `f64`
-        // evaluator so value-only and gradient calls agree bit-for-bit.
+        // dual sweeps. The value is accumulated in the same pass, in
+        // `ln_posterior_stats`' operation order, so value-only and
+        // gradient calls agree bit-for-bit.
         let j = self.subjects;
         let (mu_a, ln_tau_a, beta, ln_sigma, mu_d, ln_tau_d) =
             (theta[0], theta[1], theta[2], theta[3], theta[4], theta[5]);
         let inv_tau_a2 = (-2.0 * ln_tau_a).exp();
         let inv_tau_d2 = (-2.0 * ln_tau_d).exp();
         let inv_sigma2 = (-2.0 * ln_sigma).exp();
+        let half_inv_var = (ln_sigma.exp().square() * 2.0).recip();
         grad.fill(0.0);
         // Fixed-variance hyperpriors: d/dx normal_prior(x, m, sd).
         grad[0] = -mu_a;
@@ -303,18 +305,26 @@ impl SufficientStats for MemoryStats {
             grad[4] += dd * inv_tau_d2;
             grad[5] += dd * dd * inv_tau_d2 - 1.0;
         }
+        let mut acc = ln_prior_terms(theta, j) + self.ln_const;
+        let mut n_total = 0.0;
         for g in &self.groups {
             let mu = theta[6 + g.subject] + beta * g.load;
+            let mu_s1 = mu * (2.0 * g.s1);
+            acc -= (mu.square() * g.n - mu_s1 + g.s2) * half_inv_var;
+            n_total += g.n;
             // d/dμ of -(S2 - 2μS1 + nμ²)/(2σ²) = (S1 - nμ)/σ².
             let dmu = (g.s1 - g.n * mu) * inv_sigma2;
             grad[6 + g.subject] += dmu;
             grad[2] += dmu * g.load;
-            let ssq = g.s2 - mu * (2.0 * g.s1) + g.n * mu * mu;
+            let ssq = g.s2 - mu_s1 + g.n * mu * mu;
             grad[3] += ssq * inv_sigma2 - g.n;
             let logit = theta[6 + j + g.subject] - g.load * 0.2;
-            grad[6 + j + g.subject] += g.k - g.n * sigmoid(logit);
+            // d/dlogit of k·logit - n·log1p_exp(logit) is k - n·σ(logit).
+            let (log1p_exp, sigmoid) = log1p_exp_and_sigmoid(logit);
+            acc = acc + logit * g.k - log1p_exp * g.n;
+            grad[6 + j + g.subject] += g.k - g.n * sigmoid;
         }
-        self.ln_posterior_stats(theta)
+        acc - ln_sigma * n_total
     }
 }
 

@@ -13,7 +13,7 @@
 
 use crate::meta::{Workload, WorkloadMeta};
 use crate::workloads::scaled_count;
-use bayes_autodiff::Real;
+use bayes_autodiff::{Dual, Real};
 use bayes_mcmc::lp;
 use bayes_mcmc::{AdModel, LogDensity, ShardedDensity, ShardedModel, StatsModel, SufficientStats};
 use rand::rngs::StdRng;
@@ -246,9 +246,20 @@ impl SufficientStats for SurvivalStats {
         }
         acc
     }
-    // Gradient: the default tape-free forward-mode sweep — two
-    // 4-lane passes over this O(OCCASIONS) evaluation, versus one
-    // reverse sweep over an O(n·OCCASIONS) tape.
+
+    /// One tape-free forward-mode pass over this O(OCCASIONS)
+    /// evaluation with every coordinate seeded in a lane of its own, on
+    /// a stack array — versus one reverse sweep over an
+    /// O(n·OCCASIONS) tape. Lanes never mix, so each lane and the value
+    /// are to the bit what the default 4-lane driver computes in two
+    /// passes, and each transcendental runs once instead of twice.
+    fn ln_posterior_grad_stats(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
+        const DIM: usize = 2 * (OCCASIONS - 1);
+        let point: [Dual<DIM>; DIM] = std::array::from_fn(|i| Dual::seeded(theta[i], i));
+        let out = self.ln_posterior_stats(&point);
+        grad.copy_from_slice(&out.dot);
+        out.val
+    }
 }
 
 /// Builds the `survival` workload at the given data scale. Individual

@@ -23,6 +23,7 @@ use bayes_prob::dist::{ContinuousDist, Normal};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::ops::Range;
 
 const LN_SQRT_2PI: f64 = 0.918_938_533_204_672_7;
@@ -215,42 +216,62 @@ impl LogDensity for VotesDensity {
 /// fast-path win here is not a smaller sweep — it is evaluating the
 /// same generic Cholesky *tape-free* with 4-lane forward-mode duals
 /// (dim = 4, so value + full gradient in a single pass where the tape
-/// records and reverse-sweeps O(n³) nodes).
+/// records and reverse-sweeps O(n³) nodes), and taking one kernel `exp`
+/// per distinct lag rather than one per triangle entry (an evenly
+/// spaced series of `n` points has `n` lags and `n(n+1)/2` entries).
 #[derive(Debug, Clone)]
 pub struct VotesStats {
     n: usize,
-    /// Lower-triangle `t[i] - t[j]` (row-major, `j ≤ i`), exactly the
-    /// differences the sweep path recomputes per evaluation.
-    dt: Vec<f64>,
+    /// The distinct differences `t[i] - t[j]` (`j ≤ i`), told apart by
+    /// their bits, in order of first appearance.
+    lags: Vec<f64>,
+    /// Per entry of the lower triangle (row-major, `j ≤ i`), the index
+    /// in `lags` of its difference — exactly the difference the sweep
+    /// path recomputes per evaluation.
+    lag_of: Vec<usize>,
     /// Observed shares.
     y: Vec<f64>,
 }
 
 impl VotesStats {
-    /// Precomputes the kernel-input triangle from `data`.
+    /// Precomputes the kernel-input lags from `data`.
     pub fn new(data: &VotesData) -> Self {
         let n = data.len();
-        let mut dt = Vec::with_capacity(n * (n + 1) / 2);
+        let mut index: HashMap<u64, usize> = HashMap::new();
+        let mut lags = Vec::new();
+        let mut lag_of = Vec::with_capacity(n * (n + 1) / 2);
         for i in 0..n {
             for j in 0..=i {
-                dt.push(data.t[i] - data.t[j]);
+                let dt = data.t[i] - data.t[j];
+                let lag = *index.entry(dt.to_bits()).or_insert_with(|| {
+                    lags.push(dt);
+                    lags.len() - 1
+                });
+                lag_of.push(lag);
             }
         }
         Self {
             n,
-            dt,
+            lags,
+            lag_of,
             y: data.y.clone(),
         }
     }
 
     /// [`SufficientStats::ln_posterior_stats`] with the covariance
-    /// triangle `k` and the solve vector `w` supplied by the caller;
-    /// whatever they held is discarded.
-    fn ln_posterior_in<R: Real>(&self, theta: &[R], k: &mut Vec<R>, w: &mut Vec<R>) -> R {
-        // Mirrors `VotesDensity::eval` operation-for-operation (with
-        // `dt` read from the precomputed triangle, which holds the
-        // identical f64 differences), so the `f64` instantiation is
-        // bit-identical to the sweep path.
+    /// triangle `k`, the solve vector `w` and the kernel value per lag
+    /// `kern` supplied by the caller; whatever they held is discarded.
+    fn ln_posterior_in<R: Real>(
+        &self,
+        theta: &[R],
+        k: &mut Vec<R>,
+        w: &mut Vec<R>,
+        kern: &mut Vec<R>,
+    ) -> R {
+        // Mirrors `VotesDensity::eval` operation-for-operation: an entry
+        // whose difference equals a lag's to the bit gets the value the
+        // sweep path computes from it, computed once per lag, so the
+        // `f64` instantiation is bit-identical to the sweep path.
         let n = self.n;
         let rho = theta[0].exp();
         let alpha2 = (theta[1] * 2.0).exp();
@@ -258,24 +279,21 @@ impl VotesStats {
         let mu = theta[3];
         let prior = ln_prior_terms(theta);
 
+        let inv_rho = rho.recip();
+        kern.clear();
+        kern.extend(self.lags.iter().map(|&dt| {
+            let z = (inv_rho * dt).square() * (-0.5);
+            alpha2 * z.exp()
+        }));
+        let idx = |i: usize, j: usize| i * (i + 1) / 2 + j;
         k.clear();
-        k.reserve(n * (n + 1) / 2);
-        let mut flat = 0;
+        k.extend(self.lag_of.iter().map(|&lag| kern[lag]));
         for i in 0..n {
-            for j in 0..=i {
-                let z = (rho.recip() * self.dt[flat]).square() * (-0.5);
-                let mut kij = alpha2 * z.exp();
-                if i == j {
-                    kij = kij + sigma_n2 + 1e-8;
-                }
-                k.push(kij);
-                flat += 1;
-            }
+            k[idx(i, i)] = k[idx(i, i)] + sigma_n2 + 1e-8;
         }
         if cholesky_generic(n, k).is_none() {
             return prior + (theta[0] * 0.0 + f64::NEG_INFINITY);
         }
-        let idx = |i: usize, j: usize| i * (i + 1) / 2 + j;
         w.clear();
         w.reserve(n);
         for i in 0..n {
@@ -296,13 +314,16 @@ impl VotesStats {
 }
 
 thread_local! {
-    /// The packed covariance triangle and forward-substitution vector of
-    /// a [`VotesStats`] gradient, kept so that a steady-state gradient
-    /// allocates nothing. Taken out of the cell for the duration of a
-    /// pass, like the forward-mode point buffer it runs beside.
-    static GRAD_SCRATCH: Cell<(Vec<Dual<LANES>>, Vec<Dual<LANES>>)> =
-        const { Cell::new((Vec::new(), Vec::new())) };
+    /// The packed covariance triangle, forward-substitution vector and
+    /// kernel values per lag of a [`VotesStats`] gradient, kept so that
+    /// a steady-state gradient allocates nothing. Taken out of the cell
+    /// for the duration of a pass, like the forward-mode point buffer it
+    /// runs beside.
+    static GRAD_SCRATCH: Cell<Scratch> = const { Cell::new((Vec::new(), Vec::new(), Vec::new())) };
 }
+
+/// `(k, w, kern)` of [`VotesStats::ln_posterior_in`] for one gradient.
+type Scratch = (Vec<Dual<LANES>>, Vec<Dual<LANES>>, Vec<Dual<LANES>>);
 
 impl SufficientStats for VotesStats {
     fn dim(&self) -> usize {
@@ -310,17 +331,18 @@ impl SufficientStats for VotesStats {
     }
 
     fn ln_posterior_stats<R: Real>(&self, theta: &[R]) -> R {
-        self.ln_posterior_in(theta, &mut Vec::new(), &mut Vec::new())
+        self.ln_posterior_in(theta, &mut Vec::new(), &mut Vec::new(), &mut Vec::new())
     }
 
     /// The default tape-free forward-mode sweep — dim = 4 fits one
     /// 4-lane pass, sharing each kernel `exp` across all four
-    /// directional derivatives — on this thread's scratch vectors.
+    /// directional derivatives and every entry of its lag — on this
+    /// thread's scratch vectors.
     fn ln_posterior_grad_stats(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
         grad_forward_into(theta, grad, |t| {
-            let (mut k, mut w) = GRAD_SCRATCH.take();
-            let lp = self.ln_posterior_in(t, &mut k, &mut w);
-            GRAD_SCRATCH.set((k, w));
+            let (mut k, mut w, mut kern) = GRAD_SCRATCH.take();
+            let lp = self.ln_posterior_in(t, &mut k, &mut w, &mut kern);
+            GRAD_SCRATCH.set((k, w, kern));
             lp
         })
     }

@@ -142,8 +142,9 @@ fn a_steady_state_hmc_transition_allocates_only_its_draw_row() {
 }
 
 /// `votes` evaluates a marginalised GP, and each gradient — one 4-lane
-/// forward pass, `dim` is 4 — builds a packed covariance triangle and a
-/// forward-substitution vector sized from the series length. They live
+/// forward pass, `dim` is 4 — builds a kernel value per lag, a packed
+/// covariance triangle and a forward-substitution vector sized from the
+/// series length. They live
 /// in a per-thread scratch that `VotesStats` reuses, so the budget per
 /// gradient is zero and a transition allocates its draw row alone.
 #[test]
