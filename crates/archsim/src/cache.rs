@@ -327,6 +327,13 @@ impl Hierarchy {
     /// Panics on a used hierarchy, or on several cores with a private
     /// level whose set span does not divide the spacing or a stream line
     /// at or past the spacing (it would alias the next core's lines).
+    ///
+    /// Kept out of line. The release build's fat LTO inlines it into
+    /// `perf::characterize`, and there the same instructions cost
+    /// `charact_sweep` 5–8% at one code placement and nothing at another;
+    /// out of line it stayed within 3% of the default build's at two
+    /// placements (DESIGN.md §5e).
+    #[inline(never)]
     pub fn replay(mut self, stream: &[u64], warmup: usize, measured: usize) -> Vec<LevelStats> {
         let fresh = self.stats.iter().all(|s| s.accesses == 0);
         assert!(fresh, "replay needs a fresh hierarchy");

@@ -1,13 +1,15 @@
 //! Generic log-density building blocks.
 //!
 //! Written once against [`Real`], these are the Stan `*_lpdf` /
-//! `*_lpmf` functions the BayesSuite models are built from. Each family
-//! comes in up to three flavors:
+//! `*_lpmf` functions the BayesSuite models are built from: the normal
+//! family, the log-normal likelihood, and the Bernoulli, binomial,
+//! Poisson and negative-binomial kernels on the logit or log scale. The
+//! normal family comes in three flavors:
 //!
-//! * `*_lpdf(x, …)` — everything generic (hierarchical levels);
-//! * `*_lpdf_data(x: f64, …)` — observed data against parameterized
+//! * `normal_lpdf(x, …)` — everything generic (hierarchical levels);
+//! * `normal_lpdf_data(x: f64, …)` — observed data against parameterized
 //!   distribution (likelihood terms, the hot loop of Algorithm 1 line 5);
-//! * `*_prior(x: R, …: f64)` — parameter against fixed hyperparameters.
+//! * `normal_prior(x: R, …: f64)` — parameter against fixed hyperparameters.
 //!
 //! All functions drop additive constants only when Stan does not (we
 //! keep full normalizers so cross-model KL comparisons stay meaningful).
@@ -18,8 +20,6 @@ use bayes_prob::special::{self, ln_choose, ln_factorial};
 /// `ln √2π`, the normal-family normalizing constant (public so
 /// sufficient-statistics evaluators can fold it into their reductions).
 pub const LN_SQRT_2PI: f64 = 0.918_938_533_204_672_7;
-const LN_PI: f64 = 1.144_729_885_849_400_2;
-const LN_2: f64 = std::f64::consts::LN_2;
 
 /// `ln N(x | mu, sigma²)`, fully generic.
 pub fn normal_lpdf<R: Real>(x: R, mu: R, sigma: R) -> R {
@@ -67,64 +67,11 @@ pub fn normal_prior<R: Real>(x: R, mu: f64, sigma: f64) -> R {
     -(z * z) * 0.5 - (sigma.ln() + LN_SQRT_2PI)
 }
 
-/// Half-normal prior (`x` is a positive quantity expressed as `exp` of
-/// an unconstrained parameter elsewhere; here `x > 0` is assumed).
-pub fn half_normal_prior<R: Real>(x: R, sigma: f64) -> R {
-    let z = x / sigma;
-    -(z * z) * 0.5 - (sigma.ln() + LN_SQRT_2PI - LN_2)
-}
-
-/// Cauchy log-density, fully generic.
-pub fn cauchy_lpdf<R: Real>(x: R, loc: R, scale: R) -> R {
-    let z = (x - loc) / scale;
-    -((z * z + 1.0).ln()) - scale.ln() - LN_PI
-}
-
-/// Cauchy prior with fixed location/scale.
-pub fn cauchy_prior<R: Real>(x: R, loc: f64, scale: f64) -> R {
-    let z = (x - loc) / scale;
-    -((z * z + 1.0).ln()) - (scale.ln() + LN_PI)
-}
-
-/// Half-Cauchy prior for scales (`x > 0` assumed).
-pub fn half_cauchy_prior<R: Real>(x: R, scale: f64) -> R {
-    let z = x / scale;
-    -((z * z + 1.0).ln()) + (2.0 / (std::f64::consts::PI * scale)).ln()
-}
-
-/// Exponential log-density with parameterized rate.
-pub fn exponential_lpdf<R: Real>(x: R, rate: R) -> R {
-    rate.ln() - rate * x
-}
-
 /// Log-normal log-density for observed `x > 0`.
 pub fn lognormal_lpdf_data<R: Real>(x: f64, mu: R, sigma: R) -> R {
     let lx = x.ln();
     let z = (mu - lx) / sigma;
     -(z * z) * 0.5 - sigma.ln() - (LN_SQRT_2PI + lx)
-}
-
-/// Gamma log-density (shape/rate) with parameterized parameters; `x`
-/// generic.
-pub fn gamma_lpdf<R: Real>(x: R, shape: R, rate: R) -> R {
-    shape * rate.ln() - shape.ln_gamma() + (shape - 1.0) * x.ln() - rate * x
-}
-
-/// Beta log-density for `x ∈ (0,1)` generic, with generic shapes.
-pub fn beta_lpdf<R: Real>(x: R, a: R, b: R) -> R {
-    (a - 1.0) * x.ln() + (b - 1.0) * (-x + 1.0).ln() + (a + b).ln_gamma()
-        - a.ln_gamma()
-        - b.ln_gamma()
-}
-
-/// Student-t log-density with fixed degrees of freedom, generic
-/// location/scale (the robust likelihood variant).
-pub fn student_t_lpdf_data<R: Real>(x: f64, nu: f64, mu: R, sigma: R) -> R {
-    let z = (mu - x) / sigma;
-    let norm = bayes_prob::special::ln_gamma((nu + 1.0) / 2.0)
-        - bayes_prob::special::ln_gamma(nu / 2.0)
-        - 0.5 * (nu * std::f64::consts::PI).ln();
-    (z * z / nu + 1.0).ln() * (-(nu + 1.0) / 2.0) - sigma.ln() + norm
 }
 
 /// Bernoulli with logit parameter: `ln p(y | logit)` for observed `y`.
@@ -217,9 +164,7 @@ pub fn log_sum_exp2<R: Real>(a: R, b: R) -> R {
 mod tests {
     use super::*;
     use bayes_prob::dist::{
-        Bernoulli, Beta as BetaDist, Binomial, Cauchy, ContinuousDist, DiscreteDist, Exponential,
-        Gamma as GammaDist, HalfCauchy, HalfNormal, LogNormal, NegBinomial, Normal, Poisson,
-        StudentT,
+        Bernoulli, Binomial, ContinuousDist, DiscreteDist, LogNormal, NegBinomial, Normal, Poisson,
     };
     use bayes_prob::special::sigmoid;
 
@@ -236,52 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn half_families_match_dist() {
-        close(
-            half_normal_prior(0.7, 2.0),
-            HalfNormal::new(2.0).unwrap().ln_pdf(0.7),
-        );
-        close(
-            half_cauchy_prior(1.3, 2.5),
-            HalfCauchy::new(2.5).unwrap().ln_pdf(1.3),
-        );
-    }
-
-    #[test]
-    fn cauchy_matches_dist() {
-        let d = Cauchy::new(-1.0, 0.6).unwrap();
-        close(cauchy_lpdf(0.3, -1.0, 0.6), d.ln_pdf(0.3));
-        close(cauchy_prior(0.3, -1.0, 0.6), d.ln_pdf(0.3));
-    }
-
-    #[test]
-    fn exponential_matches_dist() {
-        let d = Exponential::new(1.7).unwrap();
-        close(exponential_lpdf(0.9, 1.7), d.ln_pdf(0.9));
-    }
-
-    #[test]
     fn lognormal_matches_dist() {
         let d = LogNormal::new(0.3, 0.9).unwrap();
         close(lognormal_lpdf_data(2.1, 0.3, 0.9), d.ln_pdf(2.1));
-    }
-
-    #[test]
-    fn gamma_beta_match_dist() {
-        close(
-            gamma_lpdf(1.4, 2.2, 0.7),
-            GammaDist::new(2.2, 0.7).unwrap().ln_pdf(1.4),
-        );
-        close(
-            beta_lpdf(0.35, 2.0, 5.0),
-            BetaDist::new(2.0, 5.0).unwrap().ln_pdf(0.35),
-        );
-    }
-
-    #[test]
-    fn student_t_matches_dist() {
-        let d = StudentT::new(4.0, 0.5, 1.1).unwrap();
-        close(student_t_lpdf_data(1.7, 4.0, 0.5, 1.1), d.ln_pdf(1.7));
     }
 
     #[test]
