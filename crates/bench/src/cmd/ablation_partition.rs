@@ -4,10 +4,11 @@
 //! implies. Chains are symmetric here, so partitioning mostly loses:
 //! a chain that fits 8 MB alone no longer fits its 2 MB slice.
 
+use super::{Args, ExitCode};
 use bayes_archsim::{characterize, Platform, SimConfig};
 
-fn main() {
-    bayes_bench::banner(
+pub fn run(_: &Args) -> ExitCode {
+    crate::banner(
         "LLC partitioning ablation",
         "Shared vs per-core way-partitioned LLC on Skylake, 4 cores x 4 chains.",
     );
@@ -17,7 +18,7 @@ fn main() {
         "{:<10} | {:>11} {:>11} | {:>10} {:>10}",
         "name", "mpki shared", "mpki parted", "t shared", "t parted"
     );
-    for m in bayes_bench::measure_all(1.0, 20, 42) {
+    for m in crate::measure_all(1.0, 20, 42) {
         let cfg = SimConfig {
             cores: 4,
             chains: 4,
@@ -30,12 +31,13 @@ fn main() {
             m.sig.name,
             rs.llc_mpki,
             rp.llc_mpki,
-            bayes_bench::fmt_time(rs.time_s),
-            bayes_bench::fmt_time(rp.time_s)
+            crate::fmt_time(rs.time_s),
+            crate::fmt_time(rp.time_s)
         );
     }
     println!(
         "\nWith symmetric chains the shared LLC dominates or ties: partitioning an 8 MB \
          cache four ways turns every >2 MB working set into a guaranteed overflow."
     );
+    ExitCode::SUCCESS
 }

@@ -7,12 +7,13 @@
 //! With `--trace <path>`, each workload's advice is also recorded as one
 //! `subsample` event.
 
+use super::{Args, ExitCode};
 use bayes_archsim::{Platform, SimConfig};
 use bayes_sched::SubsampleAdvisor;
 
-fn main() {
-    let trace = bayes_bench::trace_recorder_from_args();
-    bayes_bench::banner(
+pub fn run(args: &Args) -> ExitCode {
+    let trace = &args.trace;
+    crate::banner(
         "Subsampling ablation (Section VII-B)",
         "LLC-fitting data fractions for the bound workloads on Skylake, 4 cores x 4 chains.",
     );
@@ -22,7 +23,7 @@ fn main() {
         "{:<10} {:>9} {:>10} {:>10} {:>10} {:>10} {:>9}",
         "name", "fraction", "ws before", "ws after", "mpki full", "mpki sub", "speedup"
     );
-    for m in bayes_bench::measure_all(1.0, 20, 42) {
+    for m in crate::measure_all(1.0, 20, 42) {
         let advice = advisor.advise_recorded(
             &m.sig,
             &sky,
@@ -31,7 +32,7 @@ fn main() {
                 chains: 4,
                 iters: 200,
             },
-            &trace,
+            trace,
         );
         println!(
             "{:<10} {:>9.2} {:>8.2}MB {:>8.2}MB {:>10.2} {:>10.2} {:>8.2}x",
@@ -50,4 +51,5 @@ fn main() {
          removal of the LLC cliff."
     );
     trace.flush();
+    ExitCode::SUCCESS
 }

@@ -6,11 +6,12 @@
 //! quantile error, and the distribution-popularity census that
 //! motivates picking these two.
 
+use super::{Args, ExitCode};
 use bayes_archsim::accel::SimdAccelerator;
 use bayes_prob::lut::{CauchyLut, NormalLut};
 
-fn main() {
-    bayes_bench::banner(
+pub fn run(_: &Args) -> ExitCode {
+    crate::banner(
         "Accelerator study (Section VII)",
         "Lookup-table sampling units: precision vs table size, plus the distribution census.",
     );
@@ -21,7 +22,7 @@ fn main() {
         "{:<10} {:>12} {:>16} {:>8}",
         "name", "tape nodes", "transcendental", "share"
     );
-    for m in bayes_bench::measure_all(1.0, 10, 42) {
+    for m in crate::measure_all(1.0, 10, 42) {
         println!(
             "{:<10} {:>12} {:>16} {:>7.1}%",
             m.sig.name,
@@ -37,7 +38,7 @@ fn main() {
         "\n{:<10} {:>10} {:>12} {:>12}",
         "name", "par frac", "accel x", "fits spm"
     );
-    for m in bayes_bench::measure_all(1.0, 10, 42) {
+    for m in crate::measure_all(1.0, 10, 42) {
         let est = acc.estimate(&m.sig, 4.2, 2.8);
         println!(
             "{:<10} {:>9.1}% {:>11.2}x {:>12}",
@@ -72,4 +73,5 @@ fn main() {
 
     println!("\nA few KB of scratchpad buys 1e-3-grade quantiles; doubling the table");
     println!("quarters the error (linear interpolation), the paper's precision/area knob.");
+    ExitCode::SUCCESS
 }

@@ -5,12 +5,13 @@
 //! With `--trace <path>`, each workload's simulated counters are also
 //! recorded as one `counters` event.
 
+use super::{Args, ExitCode};
 use bayes_archsim::{characterize, Platform, SimConfig};
 use bayes_obs::Event;
 
-fn main() {
-    let trace = bayes_bench::trace_recorder_from_args();
-    bayes_bench::banner(
+pub fn run(args: &Args) -> ExitCode {
+    let trace = &args.trace;
+    crate::banner(
         "Figure 1",
         "Runtime statistics of BayesSuite (1 Skylake core, 4 chains, user iterations).",
     );
@@ -19,7 +20,7 @@ fn main() {
         "{:<10} {:>6} {:>13} {:>12} {:>9} {:>10} {:>9}",
         "name", "(a)IPC", "(b)icacheMPKI", "(c)brMPKI", "(d)LLCMPKI", "(e)BW MB/s", "(f)time"
     );
-    for m in bayes_bench::measure_all(1.0, 30, 42) {
+    for m in crate::measure_all(1.0, 30, 42) {
         let r = characterize(
             &m.sig,
             &sky,
@@ -49,8 +50,9 @@ fn main() {
             r.branch_mpki,
             r.llc_mpki,
             r.bandwidth_mbs(),
-            bayes_bench::fmt_time(r.time_s)
+            crate::fmt_time(r.time_s)
         );
     }
     trace.flush();
+    ExitCode::SUCCESS
 }

@@ -1,16 +1,17 @@
 //! Figure 2: IPC, LLC miss rates, and speedups from 1 to 4 Skylake
 //! cores (4 chains). The LLC-bound workloads saturate below 2×.
 
+use super::{Args, ExitCode};
 use bayes_archsim::{characterize, Platform, SimConfig};
 
-fn main() {
-    bayes_bench::banner(
+pub fn run(_: &Args) -> ExitCode {
+    crate::banner(
         "Figure 2",
         "Scaling 1→4 Skylake cores with 4 chains; workloads sorted by 4-core LLC MPKI.",
     );
     let sky = Platform::skylake();
     let mut rows = Vec::new();
-    for m in bayes_bench::measure_all(1.0, 30, 42) {
+    for m in crate::measure_all(1.0, 30, 42) {
         let run = |cores| {
             characterize(
                 &m.sig,
@@ -43,4 +44,5 @@ fn main() {
             name, ipc[0], ipc[1], ipc[2], mpki[0], mpki[1], mpki[2], spd[0], spd[1], spd[2]
         );
     }
+    ExitCode::SUCCESS
 }

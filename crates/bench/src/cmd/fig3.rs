@@ -2,13 +2,14 @@
 //! modeled data size, including the half (-h) and quarter (-q) data
 //! runs, plus the fitted static predictor.
 
+use super::{Args, ExitCode};
 use bayes_archsim::{characterize, Platform, SimConfig};
 use bayes_sched::predictor::MissSample;
 use bayes_sched::LlcMissPredictor;
 use bayes_suite::registry;
 
-fn main() {
-    bayes_bench::banner(
+pub fn run(_: &Args) -> ExitCode {
+    crate::banner(
         "Figure 3",
         "4-core Skylake LLC MPKI vs modeled data size; -h/-q are half/quarter data runs.",
     );
@@ -16,7 +17,7 @@ fn main() {
     let mut samples = Vec::new();
     println!("{:<13} {:>10} {:>9}", "point", "data KB", "LLC MPKI");
     for (scale, suffix) in [(1.0, ""), (0.5, "-h"), (0.25, "-q")] {
-        for m in bayes_bench::measure_all(scale, 20, 42) {
+        for m in crate::measure_all(scale, 20, 42) {
             let r = characterize(
                 &m.sig,
                 &sky,
@@ -66,4 +67,5 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
+    ExitCode::SUCCESS
 }

@@ -2,10 +2,11 @@
 //! speedup over Broadwell, IPC, and LLC MPKI — plus the Section V-B
 //! scheduled-placement speedup (paper: 1.16×).
 
+use super::{Args, ExitCode};
 use bayes_archsim::{characterize, Platform, SimConfig};
 
-fn main() {
-    bayes_bench::banner(
+pub fn run(_: &Args) -> ExitCode {
+    crate::banner(
         "Figure 4",
         "Skylake vs Broadwell, 4 cores, 4 chains, user iterations; baseline = Broadwell.",
     );
@@ -16,7 +17,7 @@ fn main() {
     let sky = Platform::skylake();
     let bdw = Platform::broadwell();
     let mut speedups = Vec::new();
-    for m in bayes_bench::measure_all(1.0, 30, 42) {
+    for m in crate::measure_all(1.0, 30, 42) {
         let cfg = SimConfig {
             cores: 4,
             chains: m.sig.default_chains,
@@ -44,4 +45,5 @@ fn main() {
          (paper: 1.16x)",
         speedups.iter().sum::<f64>() / speedups.len() as f64
     );
+    ExitCode::SUCCESS
 }

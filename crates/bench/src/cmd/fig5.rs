@@ -2,14 +2,22 @@
 //! divergence to ground truth per iteration checkpoint, with the
 //! detected convergence point.
 
+use super::{Args, ExitCode};
+use bayes_obs::ProfilerHandle;
 use bayes_sched::ElisionStudy;
 use bayes_sched::StudyConfig;
 use bayes_suite::registry;
 
-fn main() {
-    let trace = bayes_bench::trace_recorder_from_args();
-    let profiler = bayes_bench::trace_profiler(&trace);
-    bayes_bench::banner(
+pub fn run(args: &Args) -> ExitCode {
+    let trace = &args.trace;
+    // Spans and the merged metrics land in the same trace, so
+    // `trace_report` prints the phase breakdown; off (and free) untraced.
+    let profiler = if trace.enabled() {
+        ProfilerHandle::new(trace.clone())
+    } else {
+        ProfilerHandle::null()
+    };
+    crate::banner(
         "Figure 5",
         "12cities convergence: R-hat (blue line) and KL to ground truth (green line).",
     );
@@ -17,7 +25,7 @@ fn main() {
     let study = ElisionStudy::run_profiled(
         w.dynamics_model(),
         &StudyConfig::new(4, w.meta().default_iters).with_seed(42),
-        &trace,
+        trace,
         &profiler,
     );
     println!("{:>6} {:>8} {:>12}", "iter", "R-hat", "KL");
@@ -40,4 +48,5 @@ fn main() {
         None => println!("\ndid not converge within the configured iterations"),
     }
     trace.flush();
+    ExitCode::SUCCESS
 }

@@ -4,12 +4,13 @@
 //! point, with the user setting, the detection-achievable points, and
 //! the energy oracle marked.
 
+use super::{Args, ExitCode};
 use bayes_archsim::{Platform, WorkloadSignature};
 use bayes_sched::DesignSpace;
 use bayes_suite::registry;
 
-fn main() {
-    bayes_bench::banner(
+pub fn run(_: &Args) -> ExitCode {
+    crate::banner(
         "Figure 6",
         "DSE on Skylake. Stars: user setting (blue) / energy oracle (red); triangles: \
          detection-achievable points.",
@@ -39,7 +40,7 @@ fn main() {
                 p.cores,
                 p.chains,
                 p.iters,
-                bayes_bench::fmt_time(p.latency_s),
+                crate::fmt_time(p.latency_s),
                 p.power_w,
                 p.energy_j,
                 p.kl,
@@ -52,4 +53,5 @@ fn main() {
             space.oracle_energy_saving() * 100.0
         );
     }
+    ExitCode::SUCCESS
 }

@@ -2,11 +2,12 @@
 //! and the energy oracle, relative to the original user settings, on
 //! both platforms (paper: 70% average saving).
 
+use super::{Args, ExitCode};
 use bayes_archsim::Platform;
 use bayes_sched::DesignSpace;
 
-fn main() {
-    bayes_bench::banner(
+pub fn run(_: &Args) -> ExitCode {
+    crate::banner(
         "Figure 7",
         "Energy savings vs user settings (10 workloads x 2 platforms).",
     );
@@ -18,7 +19,7 @@ fn main() {
     let mut detect_sum = 0.0;
     let mut oracle_sum = 0.0;
     let mut count = 0.0;
-    for m in bayes_bench::measure_all(1.0, 30, 42) {
+    for m in crate::measure_all(1.0, 30, 42) {
         let probe =
             bayes_sched::dse::QualityProbe::collect(m.workload.dynamics_model(), &m.sig, 42);
         let mut cells = Vec::new();
@@ -45,4 +46,5 @@ fn main() {
         detect_sum / count * 100.0,
         oracle_sum / count * 100.0
     );
+    ExitCode::SUCCESS
 }

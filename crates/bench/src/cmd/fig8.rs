@@ -2,11 +2,12 @@
 //! detection + platform selection) over the naive baseline — the
 //! paper's 5.8× average (oracle 6.2×).
 
+use super::{Args, ExitCode};
 use bayes_sched::Pipeline;
 use bayes_suite::registry;
 
-fn main() {
-    bayes_bench::banner(
+pub fn run(_: &Args) -> ExitCode {
+    crate::banner(
         "Figure 8",
         "Overall speedup over the Broadwell/no-elision baseline (oracle points are \
          energy-optimal, not latency-optimal).",
@@ -36,7 +37,7 @@ fn main() {
             r.platform,
             r.iters_used,
             r.iters_configured,
-            bayes_bench::fmt_time(r.baseline_time_s),
+            crate::fmt_time(r.baseline_time_s),
             r.speedup(),
             r.oracle_speedup(),
             r.energy_saving() * 100.0
@@ -48,4 +49,5 @@ fn main() {
     println!(
         "\naverage speedup {avg:.2}x (paper: 5.8x); oracle average {avg_oracle:.2}x (paper: 6.2x)"
     );
+    ExitCode::SUCCESS
 }

@@ -3,12 +3,13 @@
 //! concluding the two samplers are architecturally interchangeable for
 //! the characterization.
 
+use super::{Args, ExitCode};
 use bayes_archsim::{characterize, Platform, SimConfig};
 use bayes_mcmc::hmc::StaticHmc;
 use bayes_mcmc::{chain, RunConfig};
 
-fn main() {
-    bayes_bench::banner(
+pub fn run(_: &Args) -> ExitCode {
+    crate::banner(
         "HMC vs NUTS (Section IV-A)",
         "Single-core Skylake profile under both samplers; per-iteration work differs, the \
          architectural picture does not.",
@@ -18,7 +19,7 @@ fn main() {
         "{:<10} | {:>8} {:>9} | {:>8} {:>9} | {:>12}",
         "name", "nuts ipc", "nuts mpki", "hmc ipc", "hmc mpki", "lf/it n vs h"
     );
-    for m in bayes_bench::measure_all(1.0, 30, 42) {
+    for m in crate::measure_all(1.0, 30, 42) {
         // HMC runs a fixed 16 leapfrogs per iteration; rebuild the
         // signature with that cost while keeping the same footprint.
         let hmc_run = chain::run(
@@ -45,4 +46,5 @@ fn main() {
     }
     println!("\nSingle-core IPC and MPKI are driven by footprint and op mix, which the");
     println!("samplers share — matching the paper's finding that HMC ≈ NUTS here.");
+    ExitCode::SUCCESS
 }

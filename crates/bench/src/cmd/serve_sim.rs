@@ -6,13 +6,7 @@
 //! predictor-driven admission and placement, priority preemption with
 //! a bit-exact pause/resume, and per-job event streaming.
 //!
-//! ```text
-//! serve_sim [--cores N] [--trace <path>] [--state-dir <dir>]
-//!           [--kill-after-ms <T>] [--recover] [--policy-demo]
-//!           [--telemetry] [--inject-fault]
-//! ```
-//!
-//! Modes:
+//! Modes (`bayes serve_sim --help` lists the flags):
 //!
 //! * default — run the four-job mix to completion and self-validate
 //!   the lifecycle (admission, preemption, resume, completion);
@@ -37,15 +31,16 @@
 //! Every mode validates its own run and exits 1 otherwise, so CI can
 //! run each as a check.
 
-use bayes_bench::{banner, trace_recorder_from_args};
-use bayes_mcmc::{ConvergenceDetector, FaultInjector, InjectedFault};
+use super::{Args, ExitCode, PanicOnce};
+use crate::banner;
+use bayes_mcmc::ConvergenceDetector;
 use bayes_obs::{
     Event, MemoryRecorder, Recorder, RecorderHandle, TelemetryHandle, TelemetrySampler,
 };
 use bayes_sched::predictor::MissSample;
 use bayes_sched::LlcMissPredictor;
 use bayes_serve::{JobHandle, JobOutcome, JobServer, JobSpec, SamplerKind, ServerConfig};
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -63,17 +58,6 @@ impl Recorder for Tee {
     }
     fn flush(&self) {
         self.file.flush();
-    }
-}
-
-/// Panics chain 0 of its job the first time iteration 60 completes —
-/// absorbed by one deterministic same-stream retry, but the fault
-/// event triggers the job's flight-recorder dump on the way through.
-struct PanicOnce;
-
-impl FaultInjector for PanicOnce {
-    fn inject(&self, chain: usize, attempt: u32, iter: usize) -> Option<InjectedFault> {
-        (chain == 0 && attempt == 0 && iter == 60).then_some(InjectedFault::Panic)
     }
 }
 
@@ -152,79 +136,14 @@ fn draws_bits_equal(a: &[Vec<Vec<f64>>], b: &[Vec<Vec<f64>>]) -> bool {
         })
 }
 
-struct Args {
-    cores: usize,
-    state_dir: Option<PathBuf>,
-    kill_after_ms: Option<u64>,
-    recover: bool,
-    policy_demo: bool,
-    telemetry: bool,
-    inject_fault: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        cores: 4,
-        state_dir: None,
-        kill_after_ms: None,
-        recover: false,
-        policy_demo: false,
-        telemetry: false,
-        inject_fault: false,
-    };
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--cores" => {
-                args.cores = argv.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--cores requires a positive integer");
-                    std::process::exit(2);
-                })
-            }
-            "--state-dir" => {
-                args.state_dir = Some(PathBuf::from(argv.next().unwrap_or_else(|| {
-                    eprintln!("--state-dir requires a path");
-                    std::process::exit(2);
-                })))
-            }
-            "--kill-after-ms" => {
-                args.kill_after_ms =
-                    Some(argv.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--kill-after-ms requires a duration in milliseconds");
-                        std::process::exit(2);
-                    }))
-            }
-            "--recover" => args.recover = true,
-            "--policy-demo" => args.policy_demo = true,
-            "--telemetry" => args.telemetry = true,
-            "--inject-fault" => args.inject_fault = true,
-            "--trace" => {
-                let _ = argv.next(); // consumed by trace_recorder_from_args
-            }
-            other => {
-                eprintln!(
-                    "unknown argument '{other}'; expected --cores <n>, --trace <path>, \
-                     --state-dir <dir>, --kill-after-ms <T>, --recover, --policy-demo, \
-                     --telemetry, --inject-fault"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if (args.kill_after_ms.is_some() || args.recover) && args.state_dir.is_none() {
-        eprintln!("--kill-after-ms and --recover require --state-dir <dir>");
-        std::process::exit(2);
-    }
-    if args.kill_after_ms.is_some() && args.recover {
-        eprintln!("--kill-after-ms and --recover are mutually exclusive");
-        std::process::exit(2);
-    }
-    args
+/// How many of `events` match `pred`.
+fn count(events: &[Event], pred: impl Fn(&Event) -> bool) -> usize {
+    events.iter().filter(|e| pred(e)).count()
 }
 
 /// Builds the durable server config over `dir`: checkpoints in the
 /// directory, journal at `<dir>/journal.wal`.
-fn durable_config(cores: usize, dir: &PathBuf, trace: RecorderHandle) -> ServerConfig {
+fn durable_config(cores: usize, dir: &Path, trace: RecorderHandle) -> ServerConfig {
     ServerConfig::new(cores, predictor())
         .with_llc_budget(8 * 1024 * 1024)
         .with_trace(trace)
@@ -232,8 +151,19 @@ fn durable_config(cores: usize, dir: &PathBuf, trace: RecorderHandle) -> ServerC
         .with_journal(dir.join("journal.wal"))
 }
 
-fn main() {
-    let args = parse_args();
+pub fn run(args: &Args) -> ExitCode {
+    let cores = args.number("--cores").map_or(4, |n| n as usize);
+    let state_dir = args.value("--state-dir").map(Path::new);
+    let kill_after_ms = args.number("--kill-after-ms");
+    let recover = args.has("--recover");
+    if (kill_after_ms.is_some() || recover) && state_dir.is_none() {
+        eprintln!("--kill-after-ms and --recover require --state-dir <dir>");
+        return ExitCode::from(2);
+    }
+    if kill_after_ms.is_some() && recover {
+        eprintln!("--kill-after-ms and --recover are mutually exclusive");
+        return ExitCode::from(2);
+    }
     banner(
         "Job server simulation",
         "Concurrent heterogeneous jobs with predictor-driven placement and preemption.",
@@ -242,25 +172,23 @@ fn main() {
     let memory = Arc::new(MemoryRecorder::new());
     let trace = RecorderHandle::new(Arc::new(Tee {
         memory: memory.clone(),
-        file: trace_recorder_from_args(),
+        file: args.trace.clone(),
     }));
 
-    if args.policy_demo {
-        let ok = run_policy_demo(&memory, trace);
-        finish(ok);
+    let ok = match (state_dir, kill_after_ms) {
+        _ if args.has("--policy-demo") => run_policy_demo(&memory, trace),
+        (Some(dir), Some(kill_ms)) => {
+            run_kill(cores, dir, kill_ms, trace);
+            return ExitCode::SUCCESS; // run_kill prints its own marker
+        }
+        (Some(dir), None) if recover => run_recover(cores, dir, &memory, trace),
+        _ => run_mix(args, cores, &memory, trace),
+    };
+    if !ok {
+        return ExitCode::FAILURE;
     }
-    if let Some(kill_ms) = args.kill_after_ms {
-        let dir = args.state_dir.expect("validated in parse_args");
-        run_kill(args.cores, &dir, kill_ms, trace);
-        return; // run_kill prints its own marker and always exits 0
-    }
-    if args.recover {
-        let dir = args.state_dir.expect("validated in parse_args");
-        let ok = run_recover(args.cores, &dir, &memory, trace);
-        finish(ok);
-    }
-    let ok = run_mix(&args, &memory, trace);
-    finish(ok);
+    println!("PASS");
+    ExitCode::SUCCESS
 }
 
 /// A server-side telemetry sampler on a cadence fast enough for the
@@ -270,24 +198,15 @@ fn telemetry_sampler(trace: RecorderHandle) -> TelemetryHandle {
     TelemetryHandle::new(TelemetrySampler::new(trace).with_wall_interval(Duration::from_millis(25)))
 }
 
-fn finish(ok: bool) -> ! {
-    if ok {
-        println!("PASS");
-        std::process::exit(0);
-    }
-    std::process::exit(1);
-}
-
 /// Default mode: the full mix to completion, self-validated.
-fn run_mix(args: &Args, memory: &MemoryRecorder, trace: RecorderHandle) -> bool {
-    let cores = args.cores;
-    let mut cfg = match args.state_dir.as_ref() {
-        Some(dir) => durable_config(cores, dir, trace.clone()),
+fn run_mix(args: &Args, cores: usize, memory: &MemoryRecorder, trace: RecorderHandle) -> bool {
+    let mut cfg = match args.value("--state-dir") {
+        Some(dir) => durable_config(cores, Path::new(dir), trace.clone()),
         None => ServerConfig::new(cores, predictor())
             .with_llc_budget(8 * 1024 * 1024)
             .with_trace(trace.clone()),
     };
-    if args.telemetry {
+    if args.has("--telemetry") {
         cfg = cfg.with_telemetry(telemetry_sampler(trace.clone()));
     }
     let checkpoint_dir = cfg.checkpoint_dir.clone();
@@ -297,7 +216,7 @@ fn run_mix(args: &Args, memory: &MemoryRecorder, trace: RecorderHandle) -> bool 
     // jobs queued behind it, then a high-priority job that must preempt
     // the MH job to get on.
     let mut specs = mix(false);
-    if args.inject_fault {
+    if args.has("--inject-fault") {
         // The votes batch job (server id 2) takes the chain panic; one
         // retry absorbs it, and the fault dumps the flight recorder.
         specs[1] = specs[1].clone().with_injector(Arc::new(PanicOnce));
@@ -333,7 +252,7 @@ fn run_mix(args: &Args, memory: &MemoryRecorder, trace: RecorderHandle) -> bool 
 
     // The fault dump is written while the job runs and the default
     // checkpoint dir is removed on join, so validate it first.
-    if args.inject_fault {
+    if args.has("--inject-fault") {
         let dump = checkpoint_dir.join("job-2-flight-chain_fault.jsonl");
         match std::fs::read_to_string(&dump) {
             Ok(text) if text.lines().any(|l| l.contains("\"chain_fault\"")) => {
@@ -361,12 +280,11 @@ fn run_mix(args: &Args, memory: &MemoryRecorder, trace: RecorderHandle) -> bool 
 
     // Self-validate the lifecycle against the server trace.
     let events = memory.events();
-    let count = |pred: &dyn Fn(&Event) -> bool| events.iter().filter(|e| pred(e)).count();
-    let submitted = count(&|e| matches!(e, Event::JobSubmitted { .. }));
-    let placed = count(&|e| matches!(e, Event::JobPlaced { .. }));
-    let preempted = count(&|e| matches!(e, Event::JobPreempted { .. }));
-    let completed = count(&|e| matches!(e, Event::JobCompleted { .. }));
-    let resumed = count(&|e| {
+    let submitted = count(&events, |e| matches!(e, Event::JobSubmitted { .. }));
+    let placed = count(&events, |e| matches!(e, Event::JobPlaced { .. }));
+    let preempted = count(&events, |e| matches!(e, Event::JobPreempted { .. }));
+    let completed = count(&events, |e| matches!(e, Event::JobCompleted { .. }));
+    let resumed = count(&events, |e| {
         matches!(
             e,
             Event::JobPlaced {
@@ -391,15 +309,15 @@ fn run_mix(args: &Args, memory: &MemoryRecorder, trace: RecorderHandle) -> bool 
         eprintln!("FAIL: every preemption must be followed by a resume placement");
         ok = false;
     }
-    if args.telemetry {
-        let samples = count(&|e| matches!(e, Event::MetricsSample { .. }));
+    if args.has("--telemetry") {
+        let samples = count(&events, |e| matches!(e, Event::MetricsSample { .. }));
         println!("telemetry: {samples} metrics_sample events");
         if samples == 0 {
             eprintln!("FAIL: --telemetry produced no metrics_sample events");
             ok = false;
         }
     }
-    if args.inject_fault {
+    if args.has("--inject-fault") {
         // Chain faults stream on the job's own update channel, not
         // the server trace; the result counter is the witness.
         println!("faults: {total_faults} absorbed across the mix");
@@ -413,7 +331,7 @@ fn run_mix(args: &Args, memory: &MemoryRecorder, trace: RecorderHandle) -> bool 
 
 /// Kill mode: run the durable mix, strike after `kill_ms`, leave the
 /// journal and checkpoints on disk for `--recover`.
-fn run_kill(cores: usize, dir: &PathBuf, kill_ms: u64, trace: RecorderHandle) {
+fn run_kill(cores: usize, dir: &Path, kill_ms: u64, trace: RecorderHandle) {
     std::fs::create_dir_all(dir).expect("create state dir");
     let server = JobServer::start(durable_config(cores, dir, trace.clone()));
     // Hold the handles so their channels stay open until the strike.
@@ -431,12 +349,7 @@ fn run_kill(cores: usize, dir: &PathBuf, kill_ms: u64, trace: RecorderHandle) {
 /// Recover mode: rebuild the killed server from `dir`, wait for the
 /// recovered jobs, and prove each one's draws are bit-identical to a
 /// fresh isolated run of the same spec.
-fn run_recover(
-    cores: usize,
-    dir: &PathBuf,
-    memory: &MemoryRecorder,
-    trace: RecorderHandle,
-) -> bool {
+fn run_recover(cores: usize, dir: &Path, memory: &MemoryRecorder, trace: RecorderHandle) -> bool {
     let (server, handles) = match JobServer::recover(durable_config(cores, dir, trace.clone())) {
         Ok(pair) => pair,
         Err(e) => {
@@ -507,14 +420,9 @@ fn run_recover(
     trace.flush();
 
     let events = memory.events();
-    let replayed = events
-        .iter()
-        .any(|e| matches!(e, Event::JournalReplayed { .. }));
-    let recovered = events
-        .iter()
-        .filter(|e| matches!(e, Event::JobRecovered { .. }))
-        .count();
-    if !replayed {
+    let replayed = count(&events, |e| matches!(e, Event::JournalReplayed { .. }));
+    let recovered = count(&events, |e| matches!(e, Event::JobRecovered { .. }));
+    if replayed == 0 {
         eprintln!("FAIL: recovery must emit journal_replayed");
         ok = false;
     }
@@ -602,14 +510,8 @@ fn run_policy_demo(memory: &MemoryRecorder, trace: RecorderHandle) -> bool {
     trace.flush();
 
     let events = memory.events();
-    let shed_events = events
-        .iter()
-        .filter(|e| matches!(e, Event::JobShed { .. }))
-        .count();
-    let expired_events = events
-        .iter()
-        .filter(|e| matches!(e, Event::JobExpired { .. }))
-        .count();
+    let shed_events = count(&events, |e| matches!(e, Event::JobShed { .. }));
+    let expired_events = count(&events, |e| matches!(e, Event::JobExpired { .. }));
     println!("policy: {shed_events} job_shed, {expired_events} job_expired");
     if shed_events == 0 {
         eprintln!("FAIL: shedding must emit job_shed");

@@ -1,7 +1,5 @@
 //! serve_top: live text dashboard over a job server trace.
 //!
-//! Usage: `serve_top <trace.jsonl> [--interval-ms N] [--once]`
-//!
 //! Re-reads the JSONL trace a running server writes through
 //! `--trace` and redraws a compact status screen each tick: the
 //! telemetry rates from `metrics_sample` events (with an ASCII trend
@@ -16,7 +14,9 @@
 //! missing file is waited on, not fatal: the dashboard may start
 //! before the server.
 
-use bayes_bench::report::{Cell, TraceReport};
+use super::{Args, ExitCode};
+use crate::load_report;
+use crate::report::{Cell, TraceReport};
 use std::time::Duration;
 
 /// Trend strip glyphs, lowest to highest.
@@ -110,68 +110,27 @@ fn render(report: &TraceReport) -> String {
     out
 }
 
-fn main() {
-    let mut path: Option<String> = None;
-    let mut interval_ms: u64 = 500;
-    let mut once = false;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--once" => once = true,
-            "--interval-ms" => {
-                interval_ms = argv.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--interval-ms requires a positive integer");
-                    std::process::exit(2);
-                })
+pub fn run(args: &Args) -> ExitCode {
+    let path = args.operand();
+    if args.has("--once") {
+        return match load_report(path) {
+            Ok(report) => {
+                print!("{}", render(&report));
+                ExitCode::SUCCESS
             }
-            "--help" | "-h" => {
-                println!("usage: serve_top <trace.jsonl> [--interval-ms N] [--once]");
-                return;
-            }
-            other if path.is_none() => path = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let Some(path) = path else {
-        eprintln!("usage: serve_top <trace.jsonl> [--interval-ms N] [--once]");
-        std::process::exit(2);
-    };
-
-    if once {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(err) => {
-                eprintln!("cannot read {path}: {err}");
-                std::process::exit(2);
-            }
+            Err(code) => code,
         };
-        match TraceReport::parse(&text) {
-            Ok(r) => print!("{}", render(&r)),
-            Err(err) => {
-                eprintln!("cannot decode {path}: {err}");
-                std::process::exit(1);
-            }
-        }
-        return;
     }
-
-    let interval = Duration::from_millis(interval_ms.max(1));
+    let interval = Duration::from_millis(args.number("--interval-ms").unwrap_or(500).max(1));
     loop {
-        match std::fs::read_to_string(&path) {
-            Ok(text) => match TraceReport::parse(&text) {
-                Ok(r) => {
-                    // Clear and home, then the fresh frame.
-                    print!("\x1b[2J\x1b[H{}", render(&r));
-                }
-                Err(err) => {
-                    eprintln!("cannot decode {path}: {err}");
-                    std::process::exit(1);
-                }
-            },
-            Err(_) => println!("waiting for {path} ..."),
+        if std::fs::metadata(path).is_err() {
+            println!("waiting for {path} ...");
+        } else {
+            match load_report(path) {
+                // Clear and home, then the fresh frame.
+                Ok(report) => print!("\x1b[2J\x1b[H{}", render(&report)),
+                Err(code) => return code,
+            }
         }
         std::thread::sleep(interval);
     }

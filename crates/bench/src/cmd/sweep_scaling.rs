@@ -15,6 +15,7 @@
 //! path (no data sweep left to shard), so their rows are flat by
 //! design.
 
+use super::{Args, ExitCode};
 use bayes_mcmc::{Model, POOL_CROSSOVER_NODES};
 use bayes_obs::{Event, MemoryRecorder, RecorderHandle};
 use bayes_suite::registry;
@@ -77,10 +78,9 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-fn main() {
-    let args = bayes_bench::CommonArgs::parse();
-    let trace = args.recorder();
-    bayes_bench::banner(
+pub fn run(args: &Args) -> ExitCode {
+    let trace = &args.trace;
+    crate::banner(
         "Inner-thread scaling of the sharded likelihood",
         "Wall-clock per gradient on the calling thread and with the shard sweep forced onto 2 \
          and 4 inner threads; identical gradients required on every path. Times are \
@@ -89,11 +89,11 @@ fn main() {
     // The allotment, not bare available_parallelism: under a scheduler
     // this process owns only its `--cores` grant, and timing thread
     // counts beyond it reports contention, not scaling.
-    let cores = args.core_allotment();
-    match args.cores {
-        Some(_) => println!("core allotment: {cores} (from --cores)"),
+    match args.number("--cores") {
+        Some(cores) => println!("core allotment: {cores} (from --cores)"),
         None => println!(
-            "host parallelism: {cores} (sole-tenancy fallback; pass --cores under a scheduler)"
+            "host parallelism: {} (sole-tenancy fallback; pass --cores under a scheduler)",
+            std::thread::available_parallelism().map_or(1, |n| n.get())
         ),
     }
     println!(
@@ -116,7 +116,7 @@ fn main() {
     for name in registry::workload_names() {
         for scale in SCALES {
             let w = registry::workload(name, scale, 42).expect("registry name");
-            w.attach_recorder(&trace);
+            w.attach_recorder(trace);
             for (which, model) in [("dynamics", w.dynamics_model()), ("full", w.model())] {
                 let dim = model.dim();
                 let theta: Vec<f64> = (0..dim).map(|i| 0.05 * ((i % 7) as f64 - 3.0)).collect();
@@ -138,7 +138,7 @@ fn main() {
                     bitwise &= same_bits(&grad, &reference);
                 }
                 let mut grad = vec![0.0; dim];
-                let rule = dispatch(model, &theta, &mut grad, &trace);
+                let rule = dispatch(model, &theta, &mut grad, trace);
                 bitwise &= same_bits(&grad, &reference);
 
                 let mut row =
@@ -168,4 +168,5 @@ fn main() {
     println!("keeps those models on the calling thread whatever they are granted; votes and");
     println!("ode have no shardable sweep, and memory/survival/votes take the");
     println!("sufficient-statistics fast path (nothing left to shard).");
+    ExitCode::SUCCESS
 }

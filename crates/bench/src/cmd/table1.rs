@@ -1,9 +1,10 @@
 //! Table I: a summary of BayesSuite workloads.
 
+use super::{Args, ExitCode};
 use bayes_suite::registry;
 
-fn main() {
-    bayes_bench::banner(
+pub fn run(_: &Args) -> ExitCode {
+    crate::banner(
         "Table I",
         "A summary of BayesSuite workloads (data column notes the synthetic substitute).",
     );
@@ -19,4 +20,5 @@ fn main() {
             m.name, m.family, m.application, m.data, m.modeled_data_bytes, m.default_iters
         );
     }
+    ExitCode::SUCCESS
 }

@@ -1,11 +1,12 @@
 //! Table II: a summary of experiment platforms.
 
+use super::{Args, ExitCode};
 use bayes_archsim::Platform;
 use bayes_obs::Event;
 
-fn main() {
-    let trace = bayes_bench::trace_recorder_from_args();
-    bayes_bench::banner("Table II", "A summary of experiment platforms.");
+pub fn run(args: &Args) -> ExitCode {
+    let trace = &args.trace;
+    crate::banner("Table II", "A summary of experiment platforms.");
     println!(
         "{:<10} {:<12} {:<10} {:>9} {:>11} {:>6} {:>9} {:>16} {:>8}",
         "Codename",
@@ -43,4 +44,5 @@ fn main() {
         );
     }
     trace.flush();
+    ExitCode::SUCCESS
 }

@@ -1,110 +1,31 @@
-//! Shared harness for the figure/table regeneration binaries.
+//! The figure/table harness behind the `bayes` binary.
 //!
-//! Every binary prints the rows/series of one table or figure from the
-//! paper; `EXPERIMENTS.md` records how the output maps onto the
-//! original. The harness keeps the expensive steps (signature
-//! measurement) in one place so figures stay consistent.
+//! Every command (module `cmd`) prints the rows/series of one table or
+//! figure from the paper, or drives one tool; `EXPERIMENTS.md` records
+//! how the output maps onto the original. The harness keeps the
+//! expensive steps (signature measurement) in one place so figures stay
+//! consistent.
 
 use bayes_archsim::WorkloadSignature;
-use bayes_obs::{JsonlRecorder, ProfilerHandle, RecorderHandle};
 use bayes_suite::{registry, Workload};
-use std::sync::Arc;
+use report::TraceReport;
+use std::process::ExitCode;
 
+pub mod cli;
+mod cmd;
 pub mod report;
 
-/// Flags every bench binary understands, parsed in one place so
-/// `--trace` and `--cores` behave identically across binaries.
-#[derive(Debug, Clone, Default)]
-pub struct CommonArgs {
-    /// `--trace <path>`: stream every event as one JSON line to path.
-    pub trace: Option<String>,
-    /// `--cores <n>`: the core allotment granted to this process by an
-    /// outer scheduler. Binaries that size work from host parallelism
-    /// must prefer this over `available_parallelism`, which assumes
-    /// sole tenancy of the machine.
-    pub cores: Option<usize>,
-}
-
-impl CommonArgs {
-    /// Parses the common flags out of an argument list, skipping
-    /// everything else (a binary parses its own flags itself).
-    pub fn from_args(args: &[String]) -> Result<Self, String> {
-        let mut out = Self::default();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--trace" => {
-                    let path = it.next().ok_or("--trace requires a file path")?;
-                    out.trace = Some(path.clone());
-                }
-                "--cores" => {
-                    let n = it.next().ok_or("--cores requires a count")?;
-                    let n: usize = n.parse().map_err(|_| format!("--cores: bad count {n:?}"))?;
-                    if n == 0 {
-                        return Err("--cores: allotment must be at least 1".into());
-                    }
-                    out.cores = Some(n);
-                }
-                _ => {}
-            }
-        }
-        Ok(out)
-    }
-
-    /// Parses the process arguments, exiting with status 2 on a
-    /// malformed common flag — the behaviour every bench binary shares.
-    pub fn parse() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_args(&args).unwrap_or_else(|err| {
-            eprintln!("{err}");
-            std::process::exit(2);
-        })
-    }
-
-    /// Builds the recorder the flags ask for: a [`JsonlRecorder`] on
-    /// `--trace <path>`, the null recorder otherwise. Exits with
-    /// status 2 if the trace file cannot be created.
-    pub fn recorder(&self) -> RecorderHandle {
-        let Some(path) = &self.trace else {
-            return RecorderHandle::null();
-        };
-        match JsonlRecorder::create(path) {
-            Ok(rec) => RecorderHandle::new(Arc::new(rec)),
-            Err(err) => {
-                eprintln!("cannot create trace file {path}: {err}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// The core allotment for this process: the explicit `--cores`
-    /// grant when present, else the host's full parallelism — the
-    /// sole-tenancy fallback for binaries run outside a scheduler.
-    pub fn core_allotment(&self) -> usize {
-        self.cores
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .max(1)
-    }
-}
-
-/// Builds a recorder from the process arguments: `--trace <path>`
-/// streams every event as one JSON line to `path`; without the flag
-/// the returned handle is the null recorder and recording costs
-/// nothing. Exits with status 2 if the trace file cannot be created.
-pub fn trace_recorder_from_args() -> RecorderHandle {
-    CommonArgs::parse().recorder()
-}
-
-/// Builds a span profiler feeding the same trace: span events and the
-/// run's merged metrics snapshot land next to the sampler events, so
-/// `trace_report` can print the phase breakdown. Null (and free) when
-/// the recorder is the null recorder, i.e. without `--trace`.
-pub fn trace_profiler(trace: &RecorderHandle) -> ProfilerHandle {
-    if trace.enabled() {
-        ProfilerHandle::new(trace.clone())
-    } else {
-        ProfilerHandle::null()
-    }
+/// Reads and decodes the trace at `path`, or says why not and returns
+/// the exit status: 2 if it cannot be read, 1 if it cannot be decoded.
+pub(crate) fn load_report(path: &str) -> Result<TraceReport, ExitCode> {
+    let text = std::fs::read_to_string(path).map_err(|err| {
+        eprintln!("cannot read {path}: {err}");
+        ExitCode::from(2)
+    })?;
+    TraceReport::parse(&text).map_err(|err| {
+        eprintln!("cannot decode {path}: {err}");
+        ExitCode::FAILURE
+    })
 }
 
 /// A workload together with its measured signature.

@@ -1,7 +1,7 @@
-//! `trace_report` and `serve_top` over committed traces: each fixture
-//! under `tests/fixtures/` is a trace a bench binary wrote, next to the
-//! text report, the CSV and (for job-server traces) the `serve_top
-//! --once` frame the binaries rendered from it. Every expected file must
+//! `bayes trace_report` and `bayes serve_top` over committed traces:
+//! each fixture under `tests/fixtures/` is a trace a command wrote, next
+//! to the text report, the CSV and (for job-server traces) the
+//! `serve_top --once` frame rendered from it. Every expected file must
 //! come back byte for byte; TESTING.md says how each trace was made.
 
 use std::path::{Path, PathBuf};
@@ -28,16 +28,18 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Runs `bin` over the trace `trace` (with `flag`, if any) and compares
-/// its stdout with the expected file, failing on a non-zero exit.
-fn assert_renders(bin: &str, trace: &str, flag: Option<&str>, expected: &str) {
+/// Runs `bayes <command>` over the trace `trace` (with `flag`, if any)
+/// and compares its stdout with the expected file, failing on a
+/// non-zero exit.
+fn assert_renders(command: &str, trace: &str, flag: Option<&str>, expected: &str) {
     let trace = fixture(&format!("{trace}.jsonl"));
-    let out = Command::new(bin).arg(&trace).args(flag).output();
+    let mut bayes = Command::new(env!("CARGO_BIN_EXE_bayes"));
+    let out = bayes.arg(command).arg(&trace).args(flag).output();
     let out = out.expect("the binary starts");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         out.status.success(),
-        "{bin} {trace:?} {flag:?} failed: {stderr}"
+        "{command} {trace:?} {flag:?} failed: {stderr}"
     );
     let got = String::from_utf8(out.stdout).expect("UTF-8 output");
     let want = std::fs::read_to_string(fixture(expected)).expect("the expected file reads");
@@ -47,16 +49,16 @@ fn assert_renders(bin: &str, trace: &str, flag: Option<&str>, expected: &str) {
 #[test]
 fn trace_report_renders_every_fixture_as_committed() {
     for trace in TRACES {
-        let bin = env!("CARGO_BIN_EXE_trace_report");
-        assert_renders(bin, trace, None, &format!("{trace}.txt"));
-        assert_renders(bin, trace, Some("--csv"), &format!("{trace}.csv"));
+        assert_renders("trace_report", trace, None, &format!("{trace}.txt"));
+        let csv = format!("{trace}.csv");
+        assert_renders("trace_report", trace, Some("--csv"), &csv);
     }
 }
 
 #[test]
 fn serve_top_renders_every_server_fixture_as_committed() {
     for trace in SERVER_TRACES {
-        let bin = env!("CARGO_BIN_EXE_serve_top");
-        assert_renders(bin, trace, Some("--once"), &format!("{trace}.top.txt"));
+        let top = format!("{trace}.top.txt");
+        assert_renders("serve_top", trace, Some("--once"), &top);
     }
 }

@@ -749,23 +749,26 @@ fn status_snapshots_a_live_multi_job_run() {
     let server = JobServer::start(
         ServerConfig::new(8, cache_resident_predictor()).with_checkpoint_dir(dir.to_path_buf()),
     );
+    // Both jobs run about a second side by side on a two-core host, two
+    // hundred polls' worth: at 400 iterations `votes` could start and
+    // finish between two polls, and `running == 2` then never held.
     let a = server.submit(
         JobSpec::new("status-a", "12cities")
             .with_chains(2)
-            .with_iters(400)
+            .with_iters(3_000)
             .with_seed(61)
             .with_detector(full_length_detector()),
     );
     let b = server.submit(
         JobSpec::new("status-b", "votes")
             .with_chains(2)
-            .with_iters(400)
+            .with_iters(15_000)
             .with_seed(62)
             .with_detector(full_length_detector()),
     );
 
-    // Poll until both jobs are visibly running and at least one has
-    // made iteration progress (bounded: the jobs run a while).
+    // Poll until a snapshot shows both jobs running and either one past
+    // its first iteration (bounded: the jobs run a while).
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut saw_progress = false;
     while Instant::now() < deadline {
