@@ -4,8 +4,8 @@
 //! `bayes <command> [flags]` runs one command. A command accepts
 //! exactly the flags its table entry declares, and `--help` lists them.
 //! An unknown command, an unknown flag, a flag without its value, a
-//! value that does not parse, or a missing or surplus operand prints
-//! the usage and exits with status 2.
+//! value that does not parse, a missing or surplus operand, or flags a
+//! command refuses together print the usage and exit with status 2.
 
 use crate::cmd::COMMANDS;
 use bayes_obs::{JsonlRecorder, RecorderHandle};
@@ -26,6 +26,9 @@ pub(crate) struct Command {
     flags: &'static [Flag],
     /// The one positional operand the command requires, if any.
     operand: Option<&'static str>,
+    /// The command's check of its flag combinations, run before anything
+    /// else (the `--trace` file included) is created.
+    check: fn(&Args) -> Result<(), String>,
 }
 
 impl Command {
@@ -35,18 +38,24 @@ impl Command {
         about: &'static str,
         flags: &'static [Flag],
     ) -> Self {
-        let operand = None;
+        let (operand, check) = (None, |_: &Args| Ok(()));
         Self {
             name,
             run,
             about,
             flags,
             operand,
+            check,
         }
     }
 
     pub(crate) const fn with_operand(mut self, operand: &'static str) -> Self {
         self.operand = Some(operand);
+        self
+    }
+
+    pub(crate) const fn with_check(mut self, check: fn(&Args) -> Result<(), String>) -> Self {
+        self.check = check;
         self
     }
 
@@ -179,6 +188,9 @@ pub fn main(argv: &[String]) -> ExitCode {
         }
         Err(err) => return usage_error(format!("{name}: {err}"), cmd.usage()),
     };
+    if let Err(err) = (cmd.check)(&args) {
+        return usage_error(format!("{name}: {err}"), cmd.usage());
+    }
     if let Some(path) = args.value("--trace") {
         match JsonlRecorder::create(path) {
             Ok(rec) => args.trace = RecorderHandle::new(Arc::new(rec)),

@@ -17,7 +17,7 @@
 //! as JSONL; CI validates those traces. Exits 0 on success, 1 when the
 //! resumed draws are not bit-identical to the uninterrupted run's.
 
-use super::{Args, ExitCode, PanicOnce};
+use super::{draws_bits_equal, Args, ExitCode, PanicOnce};
 use crate::banner;
 use bayes_autodiff::Real;
 use bayes_mcmc::checkpoint::RunCheckpoint;
@@ -85,8 +85,12 @@ fn print_report(label: &str, report: &RunReport) {
 }
 
 fn assert_bitwise(a: &RunReport, b: &RunReport, what: &str) -> Result<(), String> {
+    let (na, nb) = (a.run.chains.len(), b.run.chains.len());
+    if na != nb {
+        return Err(format!("{what}: {na} chains against {nb}"));
+    }
     for (c, (ca, cb)) in a.run.chains.iter().zip(&b.run.chains).enumerate() {
-        if ca.draws != cb.draws {
+        if !draws_bits_equal(&ca.draws, &cb.draws) {
             return Err(format!("{what}: chain {c} draws are not bit-identical"));
         }
     }

@@ -3,8 +3,7 @@
 //! runs, plus the fitted static predictor.
 
 use super::{Args, ExitCode};
-use bayes_archsim::{characterize, Platform, SimConfig};
-use bayes_sched::predictor::MissSample;
+use bayes_sched::predictor::{fig3_points, MissSample};
 use bayes_sched::LlcMissPredictor;
 use bayes_suite::registry;
 
@@ -13,32 +12,17 @@ pub fn run(_: &Args) -> ExitCode {
         "Figure 3",
         "4-core Skylake LLC MPKI vs modeled data size; -h/-q are half/quarter data runs.",
     );
-    let sky = Platform::skylake();
-    let mut samples = Vec::new();
     println!("{:<13} {:>10} {:>9}", "point", "data KB", "LLC MPKI");
-    for (scale, suffix) in [(1.0, ""), (0.5, "-h"), (0.25, "-q")] {
-        for m in crate::measure_all(scale, 20, 42) {
-            let r = characterize(
-                &m.sig,
-                &sky,
-                &SimConfig {
-                    cores: 4,
-                    chains: 4,
-                    iters: 100,
-                },
-            );
-            println!(
-                "{:<13} {:>10.1} {:>9.2}",
-                format!("{}{}", m.sig.name, suffix),
-                m.sig.data_bytes as f64 / 1024.0,
-                r.llc_mpki
-            );
-            samples.push(MissSample {
-                data_bytes: m.sig.data_bytes,
-                mpki: r.llc_mpki,
-            });
-        }
+    let points = fig3_points();
+    for (label, s) in &points {
+        println!(
+            "{:<13} {:>10.1} {:>9.2}",
+            label,
+            s.data_bytes as f64 / 1024.0,
+            s.mpki
+        );
     }
+    let samples: Vec<MissSample> = points.into_iter().map(|(_, s)| s).collect();
     let predictor = LlcMissPredictor::fit(&samples);
     // Full-scale informative points: the paper's "accurately predicts"
     // regime. (Reduced-scale tickets saturates above the line; the

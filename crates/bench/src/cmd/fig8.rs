@@ -12,16 +12,7 @@ pub fn run(_: &Args) -> ExitCode {
         "Overall speedup over the Broadwell/no-elision baseline (oracle points are \
          energy-optimal, not latency-optimal).",
     );
-    // Train the static predictor on all workloads at three data scales
-    // (the Figure 3 points).
-    let mut training = Vec::new();
-    for scale in [1.0, 0.5, 0.25] {
-        for name in registry::workload_names() {
-            training.push(registry::workload(name, scale, 42).expect("registry name"));
-        }
-    }
-    let predictor = Pipeline::train_predictor(&training, 20, 42);
-    let pipeline = Pipeline::new(predictor).with_probe_iters(30);
+    let pipeline = Pipeline::new();
 
     println!(
         "{:<10} {:>10} {:>12} {:>10} {:>8} {:>8} {:>9}",

@@ -37,6 +37,16 @@ impl FaultInjector for PanicOnce {
     }
 }
 
+/// Whether two chains' draws, `[iter][dim]`, are equal bit for bit.
+/// Unlike `==`, this tells −0.0 from 0.0 and finds a NaN equal to a NaN
+/// of the same bits.
+fn draws_bits_equal(a: &[Vec<f64>], b: &[Vec<f64>]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.len() == y.len() && x.iter().zip(y).all(|(x, y)| x.to_bits() == y.to_bits())
+        })
+}
+
 const TRACE: Flag = Flag("--trace", "<path>", "stream every event to <path> as JSONL");
 const INTERVAL: Flag = Flag("--interval-ms", "<ms>", "refresh period (default 500)");
 
@@ -71,7 +81,7 @@ pub(crate) const COMMANDS: &[Command] = &[
         Flag("--policy-demo",   "",       "overload shedding and deadline expiry"),
         Flag("--telemetry",     "",       "attach a server-side telemetry sampler"),
         Flag("--inject-fault",  "",       "panic one chain of the votes job"),
-    ]),
+    ]).with_check(serve_sim::check),
     Command::new("serve_top", serve_top::run, "Live dashboard over a job server trace", &[
         INTERVAL,
         Flag("--once",          "",       "render one frame and exit"),
@@ -88,3 +98,17 @@ pub(crate) const COMMANDS: &[Command] = &[
         TRACE,
     ]),
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::draws_bits_equal;
+
+    #[test]
+    fn draws_compare_by_bits() {
+        let nan = f64::from_bits(0x7ff8_0000_0000_0001);
+        assert!(!draws_bits_equal(&[vec![-0.0]], &[vec![0.0]]));
+        assert!(draws_bits_equal(&[vec![1.5, nan]], &[vec![1.5, nan]]));
+        assert!(!draws_bits_equal(&[vec![nan]], &[vec![f64::NAN]]));
+        assert!(!draws_bits_equal(&[vec![1.0]], &[vec![1.0], vec![1.0]]));
+    }
+}

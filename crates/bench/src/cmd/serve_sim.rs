@@ -31,14 +31,13 @@
 //! Every mode validates its own run and exits 1 otherwise, so CI can
 //! run each as a check.
 
-use super::{Args, ExitCode, PanicOnce};
+use super::{draws_bits_equal, Args, ExitCode, PanicOnce};
 use crate::banner;
 use bayes_mcmc::ConvergenceDetector;
 use bayes_obs::{
     Event, MemoryRecorder, Recorder, RecorderHandle, TelemetryHandle, TelemetrySampler,
 };
-use bayes_sched::predictor::MissSample;
-use bayes_sched::LlcMissPredictor;
+use bayes_sched::predictor::suite;
 use bayes_serve::{JobHandle, JobOutcome, JobServer, JobSpec, SamplerKind, ServerConfig};
 use std::path::Path;
 use std::sync::Arc;
@@ -59,25 +58,6 @@ impl Recorder for Tee {
     fn flush(&self) {
         self.file.flush();
     }
-}
-
-/// A hand-built Figure-3-like training set: the LLC-bound trio plus
-/// the compute-bound cloud, enough for a sensible threshold.
-fn predictor() -> LlcMissPredictor {
-    let samples = [
-        (280_000, 6.7),
-        (480_000, 11.2),
-        (768_000, 18.7),
-        (384_000, 16.8),
-        (192_000, 12.4),
-        (240_000, 0.2),
-        (3_500, 0.1),
-        (48_000, 0.3),
-        (8_000, 0.05),
-        (140_000, 0.0),
-    ]
-    .map(|(data_bytes, mpki)| MissSample { data_bytes, mpki });
-    LlcMissPredictor::fit(&samples)
 }
 
 /// A detector whose threshold is unreachable: jobs run their full
@@ -124,18 +104,6 @@ fn mix(durable: bool) -> Vec<JobSpec> {
     ]
 }
 
-/// Bitwise equality over `draws[chain][iter][dim]`.
-fn draws_bits_equal(a: &[Vec<Vec<f64>>], b: &[Vec<Vec<f64>>]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(ca, cb)| {
-            ca.len() == cb.len()
-                && ca.iter().zip(cb).all(|(da, db)| {
-                    da.len() == db.len()
-                        && da.iter().zip(db).all(|(x, y)| x.to_bits() == y.to_bits())
-                })
-        })
-}
-
 /// How many of `events` match `pred`.
 fn count(events: &[Event], pred: impl Fn(&Event) -> bool) -> usize {
     events.iter().filter(|e| pred(e)).count()
@@ -144,11 +112,23 @@ fn count(events: &[Event], pred: impl Fn(&Event) -> bool) -> usize {
 /// Builds the durable server config over `dir`: checkpoints in the
 /// directory, journal at `<dir>/journal.wal`.
 fn durable_config(cores: usize, dir: &Path, trace: RecorderHandle) -> ServerConfig {
-    ServerConfig::new(cores, predictor())
+    ServerConfig::new(cores, suite())
         .with_llc_budget(8 * 1024 * 1024)
         .with_trace(trace)
         .with_checkpoint_dir(dir)
         .with_journal(dir.join("journal.wal"))
+}
+
+/// The flag combinations `run` refuses.
+pub fn check(args: &Args) -> Result<(), String> {
+    let (kill, recover) = (args.has("--kill-after-ms"), args.has("--recover"));
+    if (kill || recover) && !args.has("--state-dir") {
+        return Err("--kill-after-ms and --recover require --state-dir <dir>".into());
+    }
+    if kill && recover {
+        return Err("--kill-after-ms and --recover are mutually exclusive".into());
+    }
+    Ok(())
 }
 
 pub fn run(args: &Args) -> ExitCode {
@@ -156,14 +136,6 @@ pub fn run(args: &Args) -> ExitCode {
     let state_dir = args.value("--state-dir").map(Path::new);
     let kill_after_ms = args.number("--kill-after-ms");
     let recover = args.has("--recover");
-    if (kill_after_ms.is_some() || recover) && state_dir.is_none() {
-        eprintln!("--kill-after-ms and --recover require --state-dir <dir>");
-        return ExitCode::from(2);
-    }
-    if kill_after_ms.is_some() && recover {
-        eprintln!("--kill-after-ms and --recover are mutually exclusive");
-        return ExitCode::from(2);
-    }
     banner(
         "Job server simulation",
         "Concurrent heterogeneous jobs with predictor-driven placement and preemption.",
@@ -202,7 +174,7 @@ fn telemetry_sampler(trace: RecorderHandle) -> TelemetryHandle {
 fn run_mix(args: &Args, cores: usize, memory: &MemoryRecorder, trace: RecorderHandle) -> bool {
     let mut cfg = match args.value("--state-dir") {
         Some(dir) => durable_config(cores, Path::new(dir), trace.clone()),
-        None => ServerConfig::new(cores, predictor())
+        None => ServerConfig::new(cores, suite())
             .with_llc_budget(8 * 1024 * 1024)
             .with_trace(trace.clone()),
     };
@@ -392,15 +364,15 @@ fn run_recover(cores: usize, dir: &Path, memory: &MemoryRecorder, trace: Recorde
                 continue;
             }
         };
-        let reference = JobServer::start(
-            ServerConfig::new(cores, predictor()).with_llc_budget(8 * 1024 * 1024),
-        );
+        let reference =
+            JobServer::start(ServerConfig::new(cores, suite()).with_llc_budget(8 * 1024 * 1024));
         let ref_handle = reference.submit(spec);
         let ref_job = ref_handle.wait();
         reference.join();
         match &ref_job.outcome {
             JobOutcome::Completed(ref_result) => {
-                if draws_bits_equal(&result.draws, &ref_result.draws) {
+                let (a, b) = (&result.draws, &ref_result.draws);
+                if a.len() == b.len() && a.iter().zip(b).all(|(a, b)| draws_bits_equal(a, b)) {
                     println!(
                         "job {id}: {} iters, bit-identical to the isolated reference run",
                         result.iters_done
@@ -441,7 +413,7 @@ fn run_policy_demo(memory: &MemoryRecorder, trace: RecorderHandle) -> bool {
     // shedding must evict the strictly-lower-priority victim, never
     // the newcomer.
     let server = JobServer::start(
-        ServerConfig::new(1, predictor())
+        ServerConfig::new(1, suite())
             .with_llc_budget(8 * 1024 * 1024)
             .with_trace(trace.clone())
             .with_queue_limit(1),

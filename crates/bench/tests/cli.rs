@@ -147,3 +147,23 @@ fn a_trace_command_needs_exactly_one_trace() {
     let args = ["serve_top", "a.jsonl", "b.jsonl"];
     assert_refused(&args, "serve_top", "unexpected argument 'b.jsonl'");
 }
+
+#[test]
+fn a_refused_flag_combination_creates_no_trace() {
+    let trace =
+        std::env::temp_dir().join(format!("bayes-cli-refused-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&trace);
+    let path = trace.to_str().expect("UTF-8 temp path");
+    let args = ["serve_sim", "--kill-after-ms", "150", "--trace", path];
+    assert_refused(&args, "serve_sim", "require --state-dir");
+    let args = [
+        "serve_sim",
+        "--state-dir",
+        "s",
+        "--kill-after-ms",
+        "150",
+        "--recover",
+    ];
+    assert_refused(&args, "serve_sim", "mutually exclusive");
+    assert!(!trace.exists(), "the refused run created {path}");
+}

@@ -2,7 +2,7 @@
 //! — the paper's contribution (Sections V and VI).
 //!
 //! * [`predictor`] — static LLC-miss prediction from modeled data size
-//!   (Figure 3);
+//!   (Figure 3), fitted once and pinned as [`predictor::suite`];
 //! * [`scheduler`] — platform selection: LLC-bound jobs to the
 //!   big-LLC server, the rest to the high-frequency one
 //!   (Section V-B, the 1.16× result);

@@ -3,7 +3,7 @@
 //! baseline (everything on the Broadwell server at the user's
 //! configured iteration counts).
 
-use crate::predictor::{LlcMissPredictor, MissSample};
+use crate::predictor;
 use crate::scheduler::PlatformScheduler;
 use bayes_archsim::{characterize, Platform, SimConfig, WorkloadSignature};
 use bayes_suite::Workload;
@@ -50,73 +50,39 @@ impl OverallResult {
     }
 }
 
-/// The full pipeline: predictor training, scheduling, and elision.
+/// Probe length of the signature each job is measured with.
+const PROBE_ITERS: usize = 30;
+/// Seed of that probe and of the quality probe behind elision.
+const SEED: u64 = 42;
+
+/// The full pipeline: scheduling by the suite's predictor
+/// ([`predictor::suite`]), and elision.
 pub struct Pipeline {
     scheduler: PlatformScheduler,
-    probe_iters: usize,
-    seed: u64,
+}
+
+impl Default for Pipeline {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Pipeline {
-    /// Builds a pipeline around a fitted predictor.
-    pub fn new(predictor: LlcMissPredictor) -> Self {
+    /// Builds a pipeline around the suite's predictor.
+    pub fn new() -> Self {
         Self {
-            scheduler: PlatformScheduler::new(predictor),
-            probe_iters: 30,
-            seed: 42,
+            scheduler: PlatformScheduler::new(predictor::suite()),
         }
-    }
-
-    /// Trains the Figure 3 predictor by simulating the 4-core LLC MPKI
-    /// of every supplied workload (callers typically pass all ten
-    /// workloads at scales 1, ½, ¼).
-    pub fn train_predictor(
-        workloads: &[Workload],
-        probe_iters: usize,
-        seed: u64,
-    ) -> LlcMissPredictor {
-        let sky = Platform::skylake();
-        let samples: Vec<MissSample> = workloads
-            .iter()
-            .map(|w| {
-                let sig = WorkloadSignature::measure(w, probe_iters, seed);
-                let report = characterize(
-                    &sig,
-                    &sky,
-                    &SimConfig {
-                        cores: 4,
-                        chains: 4,
-                        iters: 50,
-                    },
-                );
-                MissSample {
-                    data_bytes: sig.data_bytes,
-                    mpki: report.llc_mpki,
-                }
-            })
-            .collect();
-        LlcMissPredictor::fit(&samples)
-    }
-
-    /// The scheduler in use.
-    pub fn scheduler(&self) -> &PlatformScheduler {
-        &self.scheduler
-    }
-
-    /// Sets the probe length used when measuring signatures.
-    pub fn with_probe_iters(mut self, iters: usize) -> Self {
-        self.probe_iters = iters.max(4);
-        self
     }
 
     /// Runs the full mechanism on one workload and reports the
     /// Figure 8 numbers.
     pub fn optimize(&self, w: &Workload) -> OverallResult {
-        let sig = WorkloadSignature::measure(w, self.probe_iters, self.seed);
+        let sig = WorkloadSignature::measure(w, PROBE_ITERS, SEED);
 
         // Elision + quality evidence: one probe drives both the
         // convergence point and the DSE oracle below.
-        let probe = crate::dse::QualityProbe::collect(w.dynamics_model(), &sig, self.seed);
+        let probe = crate::dse::QualityProbe::collect(w.dynamics_model(), &sig, SEED);
         let iters_used = probe.detected_iters;
 
         // Platform selection from the static feature.
@@ -209,13 +175,8 @@ mod tests {
     fn pipeline_speeds_up_a_small_workload() {
         // Use the cheapest workload end-to-end as a smoke test; the
         // full ten-workload sweep lives in the fig8 bench binary.
-        let workloads = vec![
-            registry::workload("12cities", 1.0, 7).unwrap(),
-            registry::workload("butterfly", 1.0, 7).unwrap(),
-        ];
-        let predictor = Pipeline::train_predictor(&workloads, 10, 3);
-        let pipeline = Pipeline::new(predictor).with_probe_iters(10);
-        let result = pipeline.optimize(&workloads[0]);
+        let w = registry::workload("12cities", 1.0, 7).unwrap();
+        let result = Pipeline::new().optimize(&w);
         assert_eq!(result.workload, "12cities");
         assert!(
             result.speedup() > 1.0,

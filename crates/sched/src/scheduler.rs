@@ -50,11 +50,6 @@ impl PlatformScheduler {
         }
     }
 
-    /// The underlying predictor.
-    pub fn predictor(&self) -> &LlcMissPredictor {
-        &self.predictor
-    }
-
     /// Picks a platform for the job using only the static feature.
     pub fn pick(&self, data_bytes: usize) -> &Platform {
         if self.predictor.is_llc_bound(data_bytes) {
@@ -89,28 +84,9 @@ impl PlatformScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predictor::MissSample;
 
     fn scheduler() -> PlatformScheduler {
-        let samples = vec![
-            MissSample {
-                data_bytes: 280_000,
-                mpki: 6.7,
-            },
-            MissSample {
-                data_bytes: 480_000,
-                mpki: 11.2,
-            },
-            MissSample {
-                data_bytes: 768_000,
-                mpki: 18.7,
-            },
-            MissSample {
-                data_bytes: 3_500,
-                mpki: 0.1,
-            },
-        ];
-        PlatformScheduler::new(LlcMissPredictor::fit(&samples))
+        PlatformScheduler::new(crate::predictor::suite())
     }
 
     fn toy_sig(name: &str, data_bytes: usize, tape_bytes: usize) -> WorkloadSignature {

@@ -1676,6 +1676,7 @@ fn run_or_resume<S: Sampler>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bayes_sched::predictor::suite;
 
     #[test]
     fn grant_policy_fits_and_sizes() {
@@ -1701,7 +1702,7 @@ mod tests {
 
     #[test]
     fn rejects_zero_shapes_and_unknown_workloads() {
-        let server = JobServer::start(ServerConfig::new(4, predictor()));
+        let server = JobServer::start(ServerConfig::new(4, suite()));
         let bad_shape = server.submit(JobSpec::new("empty", "12cities").with_chains(0));
         let bad_name = server.submit(JobSpec::new("typo", "13cities"));
         let bad_scales = [f64::NAN, 0.0, 2.0]
@@ -1715,22 +1716,9 @@ mod tests {
         server.join();
     }
 
-    fn predictor() -> LlcMissPredictor {
-        LlcMissPredictor::fit(&[
-            bayes_sched::predictor::MissSample {
-                data_bytes: 64 * 1024,
-                mpki: 0.2,
-            },
-            bayes_sched::predictor::MissSample {
-                data_bytes: 16 * 1024 * 1024,
-                mpki: 12.0,
-            },
-        ])
-    }
-
     #[test]
     fn finished_workers_are_joined_as_they_report() {
-        let server = JobServer::start(ServerConfig::new(2, predictor()));
+        let server = JobServer::start(ServerConfig::new(2, suite()));
         for i in 0..6 {
             let spec = JobSpec::new(format!("job-{i}"), "votes")
                 .with_chains(1)
@@ -1750,7 +1738,7 @@ mod tests {
         // Three iterations a chain leave too few draws for an ESS, so
         // the summary has neither a rank-R̂ nor an MCSE; the job
         // completes with both NaN rather than an error bar of `sd`.
-        let server = JobServer::start(ServerConfig::new(2, predictor()));
+        let server = JobServer::start(ServerConfig::new(2, suite()));
         let spec = JobSpec::new("short", "votes").with_chains(2).with_iters(3);
         let done = server.submit(spec).wait();
         let crate::job::JobOutcome::Completed(result) = done.outcome else {
@@ -1871,7 +1859,7 @@ mod tests {
 
     #[test]
     fn recover_without_a_journal_is_an_error() {
-        assert!(JobServer::recover(ServerConfig::new(4, predictor())).is_err());
+        assert!(JobServer::recover(ServerConfig::new(4, suite())).is_err());
     }
 
     /// A journaled spec its builders would refuse fails its own job at
@@ -1907,7 +1895,7 @@ mod tests {
             .unwrap();
         drop(journal);
 
-        let cfg = ServerConfig::new(2, predictor())
+        let cfg = ServerConfig::new(2, suite())
             .with_journal(&wal)
             .with_checkpoint_dir(dir.join("ckpt"));
         let (server, handles) = JobServer::recover(cfg).unwrap();

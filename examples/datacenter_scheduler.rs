@@ -7,21 +7,13 @@ use bayes_sched::Pipeline;
 use bayes_suite::registry;
 
 fn main() {
-    println!("training the static LLC-miss predictor on the Figure 3 points…");
-    let mut training = Vec::new();
-    for scale in [1.0, 0.5, 0.25] {
-        for name in registry::workload_names() {
-            training.push(registry::workload(name, scale, 42).expect("registry name"));
-        }
-    }
-    let predictor = Pipeline::train_predictor(&training, 15, 42);
-    let pipeline = Pipeline::new(predictor).with_probe_iters(15);
+    let pipeline = Pipeline::new();
 
     // A mixed batch: two LLC-bound jobs (ad, survival) among
     // compute-bound ones. (tickets works too but its 4000-iteration
     // probe makes the demo several minutes longer.)
     let batch = ["votes", "ad", "butterfly", "survival", "12cities"];
-    println!("\nincoming batch: {batch:?}\n");
+    println!("incoming batch: {batch:?}\n");
     println!(
         "{:<10} {:>10} {:>13} {:>10} {:>8} {:>10}",
         "job", "platform", "iters", "baseline", "speedup", "energy -%"

@@ -1,40 +1,30 @@
 //! Cross-crate integration: static prediction → platform selection →
 //! elision, over real BayesSuite workloads (reduced scales for speed).
 
-use bayes_archsim::{characterize, Platform, SimConfig, WorkloadSignature};
-use bayes_sched::predictor::MissSample;
+use bayes_archsim::{SimConfig, WorkloadSignature};
+use bayes_sched::predictor::{fig3_points, suite};
 use bayes_sched::{ElisionStudy, LlcMissPredictor, PlatformScheduler, StudyConfig};
 use bayes_suite::registry;
 
-/// Trains a predictor from simulated Figure 3 points at full scale for
-/// the LLC-relevant workloads and reduced scale elsewhere.
-fn fig3_samples() -> Vec<MissSample> {
-    let sky = Platform::skylake();
-    registry::workload_names()
-        .iter()
-        .map(|name| {
-            let w = registry::workload(name, 1.0, 11).expect("known");
-            let sig = WorkloadSignature::measure(&w, 10, 3);
-            let r = characterize(
-                &sig,
-                &sky,
-                &SimConfig {
-                    cores: 4,
-                    chains: 4,
-                    iters: 40,
-                },
-            );
-            MissSample {
-                data_bytes: sig.data_bytes,
-                mpki: r.llc_mpki,
-            }
-        })
-        .collect()
+/// The pinned predictor is what `fig3` fits: refitting its points
+/// gives the same slope and threshold, to the bit.
+#[test]
+fn suite_is_the_fit_of_the_fig3_points() {
+    let samples: Vec<_> = fig3_points().into_iter().map(|(_, s)| s).collect();
+    let refit = LlcMissPredictor::fit(&samples);
+    let pinned = suite();
+    assert_eq!(
+        (refit.slope().to_bits(), refit.data_threshold()),
+        (pinned.slope().to_bits(), pinned.data_threshold()),
+        "refit slope {:e}, threshold {} bytes",
+        refit.slope(),
+        refit.data_threshold()
+    );
 }
 
 #[test]
 fn predictor_classifies_the_llc_bound_trio() {
-    let predictor = LlcMissPredictor::fit(&fig3_samples());
+    let predictor = suite();
     for name in registry::workload_names() {
         let w = registry::workload(name, 1.0, 11).expect("known");
         let bound = predictor.is_llc_bound(w.meta().modeled_data_bytes);
@@ -48,8 +38,7 @@ fn predictor_classifies_the_llc_bound_trio() {
 
 #[test]
 fn scheduler_beats_all_broadwell_placement() {
-    let predictor = LlcMissPredictor::fit(&fig3_samples());
-    let scheduler = PlatformScheduler::new(predictor);
+    let scheduler = PlatformScheduler::new(suite());
     let mut speedups = Vec::new();
     for name in registry::workload_names() {
         let w = registry::workload(name, 1.0, 11).expect("known");

@@ -648,6 +648,53 @@ fn mh_job_expires_at_its_deadline() {
     );
 }
 
+/// The server classifies by the suite's predictor: at scale 1 the
+/// Figure 3 trio is placed LLC-bound and `12cities` is not.
+#[test]
+fn server_places_the_fig3_trio_llc_bound() {
+    let dir = StateDir::new("suite-predictor");
+    let memory = Arc::new(MemoryRecorder::new());
+    let server = JobServer::start(
+        ServerConfig::new(2, bayes_sched::predictor::suite())
+            .with_checkpoint_dir(dir.to_path_buf())
+            .with_trace(RecorderHandle::new(memory.clone())),
+    );
+    let expected: Vec<(u64, bool)> = [
+        ("ad", true),
+        ("tickets", true),
+        ("survival", true),
+        ("12cities", false),
+    ]
+    .into_iter()
+    .map(|(workload, bound)| {
+        let spec = JobSpec::new(workload, workload)
+            .with_scale(1.0)
+            .with_chains(1)
+            .with_iters(20)
+            .with_detector(full_length_detector());
+        let done = server.submit(spec).wait();
+        assert!(
+            matches!(done.outcome, JobOutcome::Completed(_)),
+            "{workload}"
+        );
+        (done.id, bound)
+    })
+    .collect();
+    server.join();
+
+    let events = memory.events();
+    for (id, bound) in expected {
+        let placed: Vec<bool> = (events.iter())
+            .filter_map(|e| match e {
+                Event::JobPlaced { job, llc_bound, .. } if *job == id => Some(*llc_bound),
+                _ => None,
+            })
+            .collect();
+        assert!(!placed.is_empty(), "job {id} was never placed");
+        assert!(placed.iter().all(|&b| b == bound), "job {id}: {placed:?}");
+    }
+}
+
 /// Under overload (bounded pending queue), admission sheds the
 /// strictly-lower-priority queued job in favour of the newcomer; the
 /// victim gets a typed `Shed` outcome and a `job_shed` trace event,
